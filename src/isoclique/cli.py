@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from collections import defaultdict
 from contextlib import nullcontext
@@ -136,7 +137,10 @@ def _resolve_graph(args) -> tuple[Graph, str]:
     """Load from --graph or build from --gen; returns the graph and a label."""
     if args.graph is not None:
         with open(args.graph, "r", encoding="utf-8") as fh:
-            report = load_edge_list_report(fh)
+            try:
+                report = load_edge_list_report(fh)
+            except UnicodeDecodeError as exc:
+                raise EdgeListParseError(f"{args.graph}: not UTF-8 text ({exc.reason})") from None
         if report.self_loops_dropped or report.duplicate_edges_dropped:
             print(
                 f"note: dropped {report.self_loops_dropped} self-loop(s) and "
@@ -161,12 +165,13 @@ def _stats_line(stats) -> str:
     )
 
 
-def _format_clique(g: Graph, vertices) -> str:
-    return " ".join(g.label_of(v) for v in vertices)
+def _format_clique(labels: tuple[str, ...], vertices) -> str:
+    return " ".join([labels[v] for v in vertices]) + "\n"
 
 
 def _cmd_enumerate(args) -> int:
     g, _ = _resolve_graph(args)
+    labels = g.all_labels()
     with _open_out(args) as out:
         if args.count_only:
             stats = enumerate_isolated(g, args.ell, args.strategy)
@@ -176,11 +181,11 @@ def _cmd_enumerate(args) -> int:
             reports = []
             stats = enumerate_isolated(g, args.ell, args.strategy, reports.append)
             reports.sort(key=lambda r: r.vertices)
-            for report in reports:
-                print(_format_clique(g, report.vertices), file=out)
+            out.writelines([_format_clique(labels, report.vertices) for report in reports])
         else:
+            write = out.write
             stats = enumerate_isolated(
-                g, args.ell, args.strategy, lambda r: print(_format_clique(g, r.vertices), file=out)
+                g, args.ell, args.strategy, lambda r: write(_format_clique(labels, r.vertices))
             )
         print(_stats_line(stats), file=out)
     return 0
@@ -270,11 +275,32 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _silence_stdout() -> None:
+    """Point the stdout descriptor at the null device, so the flush at
+    interpreter exit cannot fail again on a reader that went away."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # replaced by an in-memory stream
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
+    """Run one subcommand. Exit status: 0 on success (also when the reader
+    of stdout closes it early), 1 on an unreadable or malformed input
+    file, 2 on a usage error, 3 when strategies disagree."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has all it wanted, as in `isoclique enumerate ... | head`
+        _silence_stdout()
+        return 0
     except GeneratorConfigError as exc:
         parser.error(str(exc))  # exits with status 2
     except EdgeListParseError as exc:

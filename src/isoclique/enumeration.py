@@ -105,7 +105,7 @@ def child_ext_cp(parent: SearchNode, v: int, p_child_size: int, g: Graph) -> int
     return (
         parent.ext_cp
         + c_size * (p_size - p_child_size - 1)
-        + (g.degree(v) - c_size - p_child_size)
+        + (len(g.adjacency[v]) - c_size - p_child_size)
     )
 
 
@@ -190,7 +190,13 @@ def _run(
     adjacency = g.adjacency
     pruning_active = params is not None and bool(strategy.stages)
 
-    stack = [SearchNode(c=[], p=list(range(g.vertex_count)), x=[], ext_cp=0)]
+    # At the root C is empty, so P and X partition V: one retired flag per
+    # vertex stands in for both lists, and each root child is split off its
+    # own adjacency list in O(deg) instead of merged against all of V. The
+    # root's own P and X lists go stale once its branch is taken.
+    root = SearchNode(c=[], p=list(range(g.vertex_count)), x=[], ext_cp=0)
+    retired = bytearray(g.vertex_count)
+    stack = [root]
     while stack:
         node = stack[-1]
         if node.branch is None:
@@ -217,15 +223,24 @@ def _run(
             # from P into X; its edges into C become external
             v = node.pending
             node.pending = None
-            node.p.remove(v)
-            insort(node.x, v)
-            node.ext_cp += len(node.c)
+            if node is root:
+                retired[v] = 1
+            else:
+                node.p.remove(v)
+                insort(node.x, v)
+                node.ext_cp += len(node.c)
         if node.cursor < len(node.branch):
             v = node.branch[node.cursor]
             node.cursor += 1
-            child_p = intersect_with_neighbors(g, node.p, v)
-            child_x = intersect_with_neighbors(g, node.x, v)
-            ext = child_ext_cp(node, v, len(child_p), g)
+            if node is root:
+                nbrs = adjacency[v]
+                child_p = [u for u in nbrs if not retired[u]]
+                child_x = [u for u in nbrs if retired[u]]
+                ext = len(nbrs) - len(child_p)  # child_ext_cp with C empty
+            else:
+                child_p = intersect_with_neighbors(g, node.p, v)
+                child_x = intersect_with_neighbors(g, node.x, v)
+                ext = child_ext_cp(node, v, len(child_p), g)
             node.pending = v
             stack.append(SearchNode(c=node.c + [v], p=child_p, x=child_x, ext_cp=ext))
         else:

@@ -7,6 +7,7 @@ in the input's own vocabulary.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -72,6 +73,12 @@ class Graph:
     def label_of(self, v: int) -> str:
         self._check_vertex(v)
         return self.labels[v] if self.labels is not None else str(v)
+
+    def all_labels(self) -> tuple[str, ...]:
+        """Every vertex's label in id order; unlabeled graphs use the ids."""
+        if self.labels is not None:
+            return self.labels
+        return tuple(map(str, range(self.vertex_count)))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, ascending."""
@@ -171,18 +178,32 @@ def write_edge_list(g: Graph, stream: IO[str], header_comments: Sequence[str] = 
     per edge with u < v, ascending. The self-loop lines pin down label
     order and keep isolated vertices, so reloading the output reproduces
     the graph exactly; the loader drops the loops themselves.
+
+    Raises ValueError before writing anything when a label would not
+    survive the reload: an empty label, one containing whitespace, one
+    starting with a comment marker ('#' or '%'), or a repeated label.
     """
-    for comment in header_comments:
-        stream.write(f"# {comment}\n")
-    stream.write(f"# n={g.vertex_count}\n")
-    stream.write(f"# m={g.edge_count}\n")
-    for v in range(g.vertex_count):
-        label = g.label_of(v)
-        if any(ch.isspace() for ch in label):
-            raise ValueError(f"label {label!r} contains whitespace and cannot be serialized")
-        stream.write(f"{label} {label}\n")
-    for u, v in g.edges():
-        stream.write(f"{g.label_of(u)} {g.label_of(v)}\n")
+    labels = g.all_labels()
+    if g.labels is not None:
+        for label in labels:
+            if label.split() != [label]:
+                raise ValueError(
+                    f"label {label!r} is empty or contains whitespace and cannot be serialized"
+                )
+            if label[0] in "#%":
+                raise ValueError(
+                    f"label {label!r} starts with a comment marker and cannot be serialized"
+                )
+        if len(set(labels)) != len(labels):
+            raise ValueError("labels repeat and cannot be serialized")
+    header = [f"# {comment}\n" for comment in header_comments]
+    header.append(f"# n={g.vertex_count}\n# m={g.edge_count}\n")
+    stream.write("".join(header))
+    stream.write("".join([f"{label} {label}\n" for label in labels]))
+    for u, nbrs in enumerate(g.adjacency):
+        # one batch per vertex: its edges to higher ids, in ascending order
+        first = labels[u]
+        stream.write("".join([f"{first} {labels[v]}\n" for v in nbrs[bisect_right(nbrs, u):]]))
 
 
 def canonical_edge_list(g: Graph, header_comments: Sequence[str] = ()) -> str:

@@ -1,8 +1,13 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isoclique
 from isoclique import load_edge_list
 from isoclique.cli import main
 
@@ -109,6 +114,45 @@ def test_malformed_input_fails_cleanly(capsys, tmp_path):
     code, _, err = run_cli(capsys, "enumerate", "--graph", str(path), "--ell", "1")
     assert code == 1
     assert "line 2" in err
+
+
+def test_non_utf8_input_fails_with_one_line(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"a b\n\xe9t\xe9 c\n")
+    code, out, err = run_cli(capsys, "enumerate", "--graph", str(path), "--ell", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(path) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "extra, lines_read",
+    [((), 1), (("--count-only",), 0)],  # closed mid-stream, and before the exit flush
+)
+def test_closed_stdout_exits_quietly(extra, lines_read):
+    src_dir = Path(isoclique.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    # about 120 kB of cliques, more than a pipe buffer holds
+    argv = ["enumerate", "--gen", "ba:n=3000,m=4,seed=1", "--ell", "250", *extra]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "isoclique.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+    assert code == 0
 
 
 def test_load_diagnostics_reported_on_stderr(capsys, tmp_path):
