@@ -40,12 +40,8 @@ from .graph import (
     write_edge_list,
 )
 from .pruning import (
-    CLI_STRATEGIES,
     STRATEGIES,
-    BoundKind,
     IsolationParams,
-    NodeView,
-    PruneStrategy,
     evaluate_strategy,
     external_degree,
     get_strategy,
@@ -61,8 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BAConfig",
-    "BoundKind",
-    "CLI_STRATEGIES",
     "CliqueReport",
     "EdgeListParseError",
     "FeatureModelConfig",
@@ -70,8 +64,6 @@ __all__ = [
     "Graph",
     "IsolationParams",
     "LoadReport",
-    "NodeView",
-    "PruneStrategy",
     "RunStats",
     "STRATEGIES",
     "SearchNode",

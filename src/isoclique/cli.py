@@ -24,7 +24,7 @@ from .generators import (
     parse_generator_spec,
 )
 from .graph import EdgeListParseError, Graph, load_edge_list_report, write_edge_list
-from .pruning import CLI_STRATEGIES
+from .pruning import STRATEGIES
 
 
 def _positive_int(text: str) -> int:
@@ -45,9 +45,9 @@ def _ell_list(text: str) -> list[int]:
 
 
 def _strategy_name(text: str) -> str:
-    if text not in CLI_STRATEGIES:
+    if text not in STRATEGIES:
         raise argparse.ArgumentTypeError(
-            f"unknown strategy {text!r}; choose from {', '.join(CLI_STRATEGIES)}"
+            f"unknown strategy {text!r}; choose from {', '.join(STRATEGIES)}"
         )
     return text
 
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--strategies",
         type=_strategy_list,
-        default=list(CLI_STRATEGIES),
+        default=list(STRATEGIES),
         help="comma-separated strategies (default: all)",
     )
     p_cmp.set_defaults(handler=_cmd_compare)

@@ -21,7 +21,7 @@ from time import perf_counter
 from typing import Callable, Sequence
 
 from .graph import Graph, intersect_with_neighbors
-from .pruning import IsolationParams, NodeView, PruneStrategy, evaluate_strategy, get_strategy
+from .pruning import IsolationParams, Stages, evaluate_strategy, get_strategy
 
 
 @dataclass
@@ -179,16 +179,16 @@ def _run(
     g: Graph,
     sink: Sink | None,
     ell: int | None,
-    strategy: PruneStrategy,
+    stages: Stages,
     debug: bool,
 ) -> RunStats:
     params = IsolationParams(ell) if ell is not None else None
-    if params is None and strategy.stages:
+    if params is None and stages:
         raise ValueError("pruning strategies need an isolation factor")
     stats = RunStats()
     start = perf_counter()
     adjacency = g.adjacency
-    pruning_active = params is not None and bool(strategy.stages)
+    pruning_active = params is not None and bool(stages)
 
     # At the root C is empty, so P and X partition V: one retired flag per
     # vertex stands in for both lists, and each root child is split off its
@@ -210,8 +210,9 @@ def _run(
                 stack.pop()
                 continue
             if pruning_active:
-                view = NodeView(g, len(node.c), node.p, node.ext_cp, stats)
-                fired = evaluate_strategy(strategy, view, params)
+                fired = evaluate_strategy(
+                    g, stages, len(node.c), node.p, node.ext_cp, params, stats
+                )
                 if fired is not None:
                     stats.prune_firings[fired] += 1
                     stack.pop()
@@ -252,7 +253,7 @@ def _run(
 def enumerate_isolated(
     g: Graph,
     ell: int,
-    strategy: PruneStrategy | str,
+    strategy: str | Stages,
     sink: Sink | None = None,
     *,
     debug: bool = False,
@@ -261,18 +262,19 @@ def enumerate_isolated(
     strictly below ``ell`` times its size.
 
     The sink is invoked exactly once per qualifying clique, with sorted
-    vertices, in a deterministic depth-first order. ``strategy`` selects
-    which bound (or chain of bounds) vetoes sterile subtrees; with
-    strategy "none" every maximal clique is still visited and merely
-    filtered at the leaves. ``debug`` recounts the external-edge counter
+    vertices, in a deterministic depth-first order. ``strategy`` names
+    the chain of bounds in ``STRATEGIES`` that vetoes sterile subtrees,
+    or is such a chain of ``(name, bound)`` stages itself; with strategy
+    "none" every maximal clique is still visited and merely filtered at
+    the leaves. ``debug`` recounts the external-edge counter
     and the adjacency invariants at every node.
     """
-    resolved = get_strategy(strategy) if isinstance(strategy, str) else strategy
-    return _run(g, sink, ell=ell, strategy=resolved, debug=debug)
+    stages = get_strategy(strategy) if isinstance(strategy, str) else strategy
+    return _run(g, sink, ell=ell, stages=stages, debug=debug)
 
 
 def enumerate_all_maximal(
     g: Graph, sink: Sink | None = None, *, debug: bool = False
 ) -> RunStats:
     """Report every maximal clique of ``g`` exactly once."""
-    return _run(g, sink, ell=None, strategy=get_strategy("none"), debug=debug)
+    return _run(g, sink, ell=None, stages=(), debug=debug)

@@ -20,10 +20,8 @@ tries the free size bound before falling back to softcore.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from . import oracle
 from .graph import Graph, induced_degrees
 
 
@@ -155,37 +153,26 @@ def prune_test(
     return ext_cp + c_size * p_size - ell * c_size >= omega_bar * (ell + c_size)
 
 
-class BoundKind(Enum):
-    SIZE = "size"
-    DEGREE = "degree"
-    SOFTCORE = "softcore"
-    DEGENERACY = "degeneracy"
-    OMEGA = "omega"  # exact clique number via the oracle; tests only
+#: A bound maps (graph, candidates, their induced degrees) to an upper
+#: bound on the clique number of the candidate subgraph.
+Bound = Callable[[Graph, Sequence[int], Mapping[int, int]], int]
+#: A chain of named bounds, tried in order; the first that prunes wins.
+Stages = Sequence[tuple[str, Bound]]
 
+_SIZE = ("size", lambda g, p, induced: ub_size(p))
+_SOFTCORE = ("softcore", lambda g, p, induced: ub_softcore(induced))
 
-@dataclass(frozen=True)
-class PruneStrategy:
-    """A named sequence of bounds tried in order; the first prune wins."""
-
-    name: str
-    stages: tuple[BoundKind, ...]
-
-
-STRATEGIES: dict[str, PruneStrategy] = {
-    "none": PruneStrategy("none", ()),
-    "size": PruneStrategy("size", (BoundKind.SIZE,)),
-    "degree": PruneStrategy("degree", (BoundKind.DEGREE,)),
-    "softcore": PruneStrategy("softcore", (BoundKind.SOFTCORE,)),
-    "degeneracy": PruneStrategy("degeneracy", (BoundKind.DEGENERACY,)),
-    "combo": PruneStrategy("combo", (BoundKind.SIZE, BoundKind.SOFTCORE)),
-    "omega": PruneStrategy("omega", (BoundKind.OMEGA,)),
+STRATEGIES: dict[str, Stages] = {
+    "none": (),
+    "size": (_SIZE,),
+    "degree": (("degree", lambda g, p, induced: ub_degree(induced)),),
+    "softcore": (_SOFTCORE,),
+    "degeneracy": (("degeneracy", ub_degeneracy),),
+    "combo": (_SIZE, _SOFTCORE),
 }
 
-#: Strategy names the CLI accepts; the exact bound stays test-only.
-CLI_STRATEGIES = ("none", "size", "degree", "softcore", "degeneracy", "combo")
 
-
-def get_strategy(name: str) -> PruneStrategy:
+def get_strategy(name: str) -> Stages:
     try:
         return STRATEGIES[name]
     except KeyError:
@@ -194,56 +181,26 @@ def get_strategy(name: str) -> PruneStrategy:
         ) from None
 
 
-class NodeView:
-    """Node-local facts a strategy may consult.
-
-    Induced degrees are computed at most once per node and only on
-    demand, so a cheap stage can veto recursion before any subgraph work
-    happens; the optional stats object counts the computations.
-    """
-
-    __slots__ = ("graph", "c_size", "p", "ext_cp", "stats", "_induced")
-
-    def __init__(self, graph: Graph, c_size: int, p: Sequence[int], ext_cp: int, stats=None):
-        self.graph = graph
-        self.c_size = c_size
-        self.p = p
-        self.ext_cp = ext_cp
-        self.stats = stats
-        self._induced: dict[int, int] | None = None
-
-    @property
-    def p_size(self) -> int:
-        return len(self.p)
-
-    def induced_degrees(self) -> dict[int, int]:
-        if self._induced is None:
-            self._induced = induced_degrees(self.graph, self.p)
-            if self.stats is not None:
-                self.stats.induced_degree_evals += 1
-        return self._induced
-
-
-def bound_value(kind: BoundKind, view: NodeView) -> int:
-    if kind is BoundKind.SIZE:
-        return ub_size(view.p)
-    if kind is BoundKind.DEGREE:
-        return ub_degree(view.induced_degrees())
-    if kind is BoundKind.SOFTCORE:
-        return ub_softcore(view.induced_degrees())
-    if kind is BoundKind.DEGENERACY:
-        return ub_degeneracy(view.graph, view.p, view.induced_degrees())
-    if kind is BoundKind.OMEGA:
-        return oracle.clique_number_bruteforce(view.graph, view.p)
-    raise AssertionError(f"unhandled bound kind {kind}")
-
-
 def evaluate_strategy(
-    strategy: PruneStrategy, view: NodeView, params: IsolationParams
+    g: Graph,
+    stages: Stages,
+    c_size: int,
+    p: Sequence[int],
+    ext_cp: int,
+    params: IsolationParams,
+    stats,
 ) -> str | None:
-    """Name of the first stage whose bound proves the subtree sterile, or None."""
-    for stage in strategy.stages:
-        omega_bar = bound_value(stage, view)
-        if prune_test(view.c_size, view.p_size, view.ext_cp, omega_bar, params):
-            return stage.value
+    """Name of the first stage whose bound proves the subtree sterile, or None.
+
+    The free ``size`` stage gets no induced degrees; they are computed at
+    most once, on reaching any other stage, and counted in
+    ``stats.induced_degree_evals``.
+    """
+    induced = None
+    for name, bound in stages:
+        if induced is None and name != "size":
+            induced = induced_degrees(g, p)
+            stats.induced_degree_evals += 1
+        if prune_test(c_size, len(p), ext_cp, bound(g, p, induced), params):
+            return name
     return None

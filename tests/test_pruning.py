@@ -3,19 +3,16 @@ import random
 
 import pytest
 
-from isoclique import (
-    BoundKind,
-    IsolationParams,
-    NodeView,
-    RunStats,
+from isoclique import enumerate_isolated, oracle
+from isoclique.enumeration import RunStats
+from isoclique.graph import induced_degrees
+from isoclique.pruning import (
     STRATEGIES,
-    enumerate_isolated,
+    IsolationParams,
     evaluate_strategy,
     external_degree,
     get_strategy,
-    induced_degrees,
     is_l_isolated,
-    oracle,
     prune_test,
     ub_degeneracy,
     ub_degree,
@@ -174,8 +171,7 @@ def test_prune_fires_only_on_sterile_subtrees():
     edges = [(0, v) for v in range(1, 13)] + [(1, 2), (2, 3), (1, 3)]
     g = graph_from_edges(13, edges)
     params = IsolationParams(2)
-    view = NodeView(g, c_size=1, p=[1, 2, 3, 4], ext_cp=8)
-    fired = evaluate_strategy(get_strategy("softcore"), view, params)
+    fired = evaluate_strategy(g, get_strategy("softcore"), 1, [1, 2, 3, 4], 8, params, RunStats())
     assert fired == "softcore"
     assert oracle.l_isolated_maximal_cliques_bruteforce(g, 2) == set()
     stats = enumerate_isolated(g, 2, "softcore")
@@ -188,8 +184,7 @@ def test_combo_short_circuits_induced_degrees():
     params = IsolationParams(1)
     stats = RunStats()
     # huge ext_cp makes even the size bound prune immediately
-    view = NodeView(g, c_size=2, p=[1, 2], ext_cp=100, stats=stats)
-    assert evaluate_strategy(get_strategy("combo"), view, params) == "size"
+    assert evaluate_strategy(g, get_strategy("combo"), 2, [1, 2], 100, params, stats) == "size"
     assert stats.induced_degree_evals == 0
 
 
@@ -198,9 +193,9 @@ def test_combo_falls_through_to_softcore():
     params = IsolationParams(1)
     stats = RunStats()
     # star center in P keeps size=4 too big to fire, softcore=2 fires
-    view = NodeView(g, c_size=3, p=[0, 1, 2, 3], ext_cp=3, stats=stats)
-    assert evaluate_strategy(get_strategy("size"), view, params) is None
-    assert evaluate_strategy(get_strategy("combo"), view, params) == "softcore"
+    p = [0, 1, 2, 3]
+    assert evaluate_strategy(g, get_strategy("size"), 3, p, 3, params, stats) is None
+    assert evaluate_strategy(g, get_strategy("combo"), 3, p, 3, params, stats) == "softcore"
     assert stats.induced_degree_evals == 1
 
 
@@ -213,20 +208,23 @@ def test_combo_and_softcore_decide_alike():
         p = sorted(rng.sample(range(n), rng.randint(1, n)))
         c_size = rng.randint(0, 5)
         ext = rng.randint(0, 30)
-        combo = evaluate_strategy(get_strategy("combo"), NodeView(g, c_size, p, ext), params)
-        softcore = evaluate_strategy(get_strategy("softcore"), NodeView(g, c_size, p, ext), params)
+        combo = evaluate_strategy(g, get_strategy("combo"), c_size, p, ext, params, RunStats())
+        softcore = evaluate_strategy(
+            g, get_strategy("softcore"), c_size, p, ext, params, RunStats()
+        )
         assert (combo is None) == (softcore is None)
 
 
 def test_strategy_none_never_prunes():
     g = triangle()
-    view = NodeView(g, c_size=1, p=[1, 2], ext_cp=1000)
-    assert evaluate_strategy(get_strategy("none"), view, IsolationParams(1)) is None
+    none = get_strategy("none")
+    assert evaluate_strategy(g, none, 1, [1, 2], 1000, IsolationParams(1), RunStats()) is None
 
 
 def test_combo_stage_list():
-    assert STRATEGIES["combo"].stages == (BoundKind.SIZE, BoundKind.SOFTCORE)
-    assert STRATEGIES["none"].stages == ()
+    assert [name for name, _ in STRATEGIES["combo"]] == ["size", "softcore"]
+    assert STRATEGIES["combo"] == STRATEGIES["size"] + STRATEGIES["softcore"]
+    assert STRATEGIES["none"] == ()
 
 
 def test_get_strategy_rejects_unknown_names():
