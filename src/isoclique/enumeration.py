@@ -209,7 +209,9 @@ def _run(
                     _handle_leaf(node, params, sink, stats)
                 stack.pop()
                 continue
-            if pruning_active:
+            # with C empty the prune test reduces to 0 >= omega_bar * ell,
+            # which no bound can meet, so the root is never evaluated
+            if pruning_active and node.c:
                 fired = evaluate_strategy(
                     g, stages, len(node.c), node.p, node.ext_cp, params, stats
                 )

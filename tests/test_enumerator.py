@@ -243,6 +243,14 @@ def test_prune_firings_recorded_per_stage():
     assert "size" in fired_stages or "softcore" in fired_stages
 
 
+def test_root_is_not_evaluated_for_pruning():
+    # every child of the root is a leaf, so only the root could have
+    # needed induced degrees, and its prune test cannot fire
+    stats = enumerate_isolated(empty_graph(3), 1, "degeneracy")
+    assert stats.induced_degree_evals == 0
+    assert stats.emitted == 3
+
+
 def test_complete_graph_single_clique():
     g = complete_graph(6)
     got, stats = collect(g, 1, "degeneracy")
