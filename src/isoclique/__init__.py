@@ -8,50 +8,22 @@ brute-force oracles, synthetic graph generators, and a CLI around it.
 """
 
 from . import oracle
-from .enumeration import (
-    CliqueReport,
-    RunStats,
-    SearchNode,
-    child_ext_cp,
-    enumerate_all_maximal,
-    enumerate_isolated,
-    from_scratch_ext_cp,
-    select_pivot,
-)
+from .enumeration import CliqueReport, RunStats, enumerate_all_maximal, enumerate_isolated
 from .generators import (
     BAConfig,
     FeatureModelConfig,
     GeneratorConfigError,
-    canonical_spec,
     generate,
-    generate_ba,
-    generate_feature_model,
     parse_generator_spec,
 )
 from .graph import (
     EdgeListParseError,
     Graph,
-    LoadReport,
-    canonical_edge_list,
-    induced_degrees,
-    intersect_with_neighbors,
     load_edge_list,
     load_edge_list_report,
     write_edge_list,
 )
-from .pruning import (
-    STRATEGIES,
-    IsolationParams,
-    evaluate_strategy,
-    external_degree,
-    get_strategy,
-    is_l_isolated,
-    prune_test,
-    ub_degeneracy,
-    ub_degree,
-    ub_size,
-    ub_softcore,
-)
+from .pruning import STRATEGIES
 
 __version__ = "0.1.0"
 
@@ -62,35 +34,14 @@ __all__ = [
     "FeatureModelConfig",
     "GeneratorConfigError",
     "Graph",
-    "IsolationParams",
-    "LoadReport",
     "RunStats",
     "STRATEGIES",
-    "SearchNode",
-    "canonical_edge_list",
-    "canonical_spec",
-    "child_ext_cp",
     "enumerate_all_maximal",
     "enumerate_isolated",
-    "evaluate_strategy",
-    "external_degree",
-    "from_scratch_ext_cp",
     "generate",
-    "generate_ba",
-    "generate_feature_model",
-    "get_strategy",
-    "induced_degrees",
-    "intersect_with_neighbors",
-    "is_l_isolated",
     "load_edge_list",
     "load_edge_list_report",
     "oracle",
     "parse_generator_spec",
-    "prune_test",
-    "select_pivot",
-    "ub_degeneracy",
-    "ub_degree",
-    "ub_size",
-    "ub_softcore",
     "write_edge_list",
 ]

@@ -95,11 +95,10 @@ def generate_feature_model(cfg: FeatureModelConfig) -> Graph:
         for f in range(cfg.m):
             if rng.random() < cfg.p:
                 classes[f].append(v)
-    edges: set[tuple[int, int]] = set()
-    for members in classes:
-        for i, u in enumerate(members):
-            for w in members[i + 1 :]:
-                edges.add((u, w))
+    # a pair sharing several features recurs; from_edges keeps it once
+    edges = [
+        (u, w) for members in classes for i, u in enumerate(members) for w in members[i + 1 :]
+    ]
     return Graph.from_edges(cfg.n, edges)
 
 

@@ -66,10 +66,6 @@ class Graph:
         self._check_vertex(v)
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self.adjacency[v]
-
     def label_of(self, v: int) -> str:
         self._check_vertex(v)
         return self.labels[v] if self.labels is not None else str(v)
@@ -139,9 +135,8 @@ def load_edge_list_report(lines: Iterable[str]) -> LoadReport:
     counted as dropped input.
     """
     ids: dict[str, int] = {}
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     self_loops = 0
-    duplicates = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
@@ -158,16 +153,12 @@ def load_edge_list_report(lines: Iterable[str]) -> LoadReport:
             if known_before:
                 self_loops += 1
             continue
-        key = (a, b) if a < b else (b, a)
-        if key in edges:
-            duplicates += 1
-        else:
-            edges.add(key)
+        edges.append((a, b))
     labels = [""] * len(ids)
     for text, vid in ids.items():
         labels[vid] = text
     graph = Graph.from_edges(len(ids), edges, labels)
-    return LoadReport(graph, self_loops, duplicates)
+    return LoadReport(graph, self_loops, len(edges) - graph.edge_count)
 
 
 def write_edge_list(g: Graph, stream: IO[str], header_comments: Sequence[str] = ()) -> None:
@@ -218,9 +209,9 @@ def canonical_edge_list(g: Graph, header_comments: Sequence[str] = ()) -> str:
 def intersect_with_neighbors(g: Graph, s: Sequence[int], v: int) -> list[int]:
     """Intersect the ascending vertex list ``s`` with the neighbors of ``v``.
 
-    Sorted two-pointer merge: O(len(s) + degree(v)) comparisons.
+    Sorted two-pointer merge: O(len(s) + degree(v)) comparisons. ``v``
+    must be a vertex of ``g``; it is not range-checked.
     """
-    g._check_vertex(v)
     nbrs = g.adjacency[v]
     out: list[int] = []
     i = j = 0

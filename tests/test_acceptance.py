@@ -14,19 +14,14 @@ import pytest
 from isoclique import (
     BAConfig,
     FeatureModelConfig,
-    canonical_edge_list,
     enumerate_all_maximal,
     enumerate_isolated,
-    generate_ba,
-    generate_feature_model,
-    induced_degrees,
     load_edge_list_report,
     oracle,
-    ub_degeneracy,
-    ub_degree,
-    ub_size,
-    ub_softcore,
 )
+from isoclique.generators import generate_ba, generate_feature_model
+from isoclique.graph import canonical_edge_list, induced_degrees
+from isoclique.pruning import ub_degeneracy, ub_degree, ub_size, ub_softcore
 from graphutil import complete_binary_tree, erdos_renyi, moon_moser
 
 STRATEGIES = ("none", "size", "degree", "softcore", "degeneracy", "combo")

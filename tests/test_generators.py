@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,13 +7,11 @@ from isoclique import (
     BAConfig,
     FeatureModelConfig,
     GeneratorConfigError,
-    canonical_edge_list,
-    canonical_spec,
     generate,
-    generate_ba,
-    generate_feature_model,
     parse_generator_spec,
 )
+from isoclique.generators import canonical_spec, generate_ba, generate_feature_model
+from isoclique.graph import canonical_edge_list
 
 
 def ba_edge_count(n, m):
@@ -145,3 +144,23 @@ def test_generate_dispatch():
     assert generate(FeatureModelConfig(n=6, m=2, p=0.5, seed=0)).vertex_count == 6
     with pytest.raises(TypeError):
         generate("ba:n=6,m=2")
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (
+            "gnmp:n=350,m=30,p=0.06,seed=1",
+            "744d2d7d976c0432955dbf219fae8c4e0cf65d9c7a1c84ca3b9431a7c698f30d",
+        ),
+        (
+            "ba:n=3000,m=4,seed=1",
+            "a86f09168a97b49f6934df2c40be3f2da290c36f7948070d8fe7b69652b1dfba",
+        ),
+    ],
+)
+def test_generated_bytes_are_pinned(spec, digest):
+    # sha256 of the canonical edge list, recorded when both the generator and
+    # Graph.from_edges still deduplicated edges
+    text = canonical_edge_list(generate(parse_generator_spec(spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

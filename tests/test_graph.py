@@ -3,15 +3,8 @@ import random
 
 import pytest
 
-from isoclique import (
-    EdgeListParseError,
-    Graph,
-    canonical_edge_list,
-    induced_degrees,
-    intersect_with_neighbors,
-    load_edge_list,
-    load_edge_list_report,
-)
+from isoclique import EdgeListParseError, Graph, load_edge_list, load_edge_list_report
+from isoclique.graph import canonical_edge_list, induced_degrees, intersect_with_neighbors
 from graphutil import erdos_renyi, graph_from_edges, path_graph, star_graph, triangle
 
 
@@ -90,6 +83,14 @@ def test_degree_out_of_range():
         g.degree(3)
     with pytest.raises(IndexError):
         g.degree(-1)
+
+
+def test_load_counts_every_repeat_of_an_edge():
+    text = "x x\nx y\ny x\nx y\ny z\nz y\nz z\n"
+    report = load_edge_list_report(io.StringIO(text))
+    assert report.graph.edge_count == 2
+    assert report.duplicate_edges_dropped == 3
+    assert report.self_loops_dropped == 1  # "x x" only declares x
 
 
 def test_from_edges_rejects_out_of_range_edge():

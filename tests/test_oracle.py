@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +77,30 @@ def test_results_are_canonical_sorted_tuples():
     g = triangle_pendant()
     for clique in oracle.all_maximal_cliques_bruteforce(g):
         assert clique == tuple(sorted(clique))
+
+
+def _imported_names(tree):
+    # dotted names an import statement binds, relative ones with a leading "."
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_engine_does_not_import_the_oracle():
+    # the oracle checks the engine, so it must share no code with it
+    package = Path(oracle.__file__).parent
+    scanned = []
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("__init__.py", "oracle.py"):
+            continue
+        scanned.append(path.name)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any("oracle" in name.split(".") for name in _imported_names(tree)):
+            offenders.append(path.name)
+    assert {"enumeration.py", "pruning.py"} <= set(scanned)
+    assert offenders == []

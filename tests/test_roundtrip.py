@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from isoclique import Graph, canonical_edge_list, load_edge_list, write_edge_list
+from isoclique import Graph, load_edge_list, write_edge_list
+from isoclique.graph import canonical_edge_list
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

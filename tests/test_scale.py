@@ -10,8 +10,8 @@ import hashlib
 
 import pytest
 
-from isoclique import enumerate_all_maximal, enumerate_isolated, external_degree
-from isoclique.generators import generate, parse_generator_spec
+from isoclique import enumerate_all_maximal, enumerate_isolated, generate, parse_generator_spec
+from isoclique.pruning import external_degree
 
 
 def graph(spec):
