@@ -268,8 +268,8 @@ def enumerate_isolated(
     the chain of bounds in ``STRATEGIES`` that vetoes sterile subtrees,
     or is such a chain of ``(name, bound)`` stages itself; with strategy
     "none" every maximal clique is still visited and merely filtered at
-    the leaves. ``debug`` recounts the external-edge counter
-    and the adjacency invariants at every node.
+    the leaves. ``debug`` recounts the external-edge counter and the
+    adjacency invariants at every node.
     """
     stages = get_strategy(strategy) if isinstance(strategy, str) else strategy
     return _run(g, sink, ell=ell, stages=stages, debug=debug)
