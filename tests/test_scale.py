@@ -3,7 +3,7 @@
 The brute-force oracle stops at 20 vertices. Here an independent
 maximal-clique lister (networkx) cross-checks the engine, and golden
 counters and an order digest, recorded before the root was rebuilt on
-adjacency lists, pin the search itself.
+adjacency lists or its subtrees on local bitsets, pin the search itself.
 """
 
 import hashlib
@@ -69,3 +69,52 @@ def test_emitted_sequence_digest_ba3000(strategy):
         lambda r: digest.update(f"{' '.join(map(str, r.vertices))} {r.external_degree}\n".encode()),
     )
     assert digest.hexdigest() == ORDER_DIGEST_BA3000_ELL50
+
+
+# gnmp:n=350,m=30,p=0.06,seed=12 at ell 50, where pivot ties are densest:
+# (strategy, sha256 of the emitted sequence, recursive_calls, prune_firings,
+# filtered_at_leaf, induced_degree_evals); "all" is enumerate_all_maximal
+ORDER_DIGEST_GNMP350_ELL50 = "5f5ca5ff25ab38e28cb699b17818c87e2e6688f212d78c1dce1e583b23536cfd"
+GOLDEN_GNMP350_SEED12 = [
+    ("none", ORDER_DIGEST_GNMP350_ELL50, 5_861, {}, 931, 0),
+    ("size", ORDER_DIGEST_GNMP350_ELL50, 5_604, {"size": 304}, 684, 0),
+    ("degree", ORDER_DIGEST_GNMP350_ELL50, 5_484, {"degree": 370}, 585, 4_366),
+    ("softcore", ORDER_DIGEST_GNMP350_ELL50, 5_479, {"softcore": 370}, 585, 4_361),
+    ("degeneracy", ORDER_DIGEST_GNMP350_ELL50, 5_479, {"degeneracy": 370}, 585, 4_361),
+    ("combo", ORDER_DIGEST_GNMP350_ELL50, 5_479, {"size": 291, "softcore": 79}, 585, 4_070),
+    ("all", "72e06041c44a0224342d93da55b54177eadf7ac0168c797fc57758212ec288ae", 5_861, {}, 0, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "strategy, digest, nodes, fired, filtered, evals",
+    GOLDEN_GNMP350_SEED12,
+    ids=[row[0] for row in GOLDEN_GNMP350_SEED12],
+)
+def test_golden_order_and_counters_gnmp350_seed12(strategy, digest, nodes, fired, filtered, evals):
+    g = graph("gnmp:n=350,m=30,p=0.06,seed=12")
+    sha = hashlib.sha256()
+
+    def sink(r):
+        sha.update(f"{' '.join(map(str, r.vertices))} {r.external_degree}\n".encode())
+
+    if strategy == "all":
+        stats = enumerate_all_maximal(g, sink)
+    else:
+        stats = enumerate_isolated(g, 50, strategy, sink)
+    assert sha.hexdigest() == digest
+    assert stats.recursive_calls == nodes
+    assert dict(stats.prune_firings) == fired
+    assert stats.filtered_at_leaf == filtered
+    assert stats.induced_degree_evals == evals
+
+
+@pytest.mark.parametrize(
+    "strategy, nodes, emitted, filtered",
+    [("none", 181_923, 122_696, 28_465), ("combo", 173_183, 122_696, 20_505)],
+)
+def test_golden_counters_ba20000_ell50(strategy, nodes, emitted, filtered):
+    stats = enumerate_isolated(graph("ba:n=20000,m=8,seed=1"), 50, strategy)
+    assert stats.recursive_calls == nodes
+    assert stats.emitted == emitted
+    assert stats.filtered_at_leaf == filtered
