@@ -8,13 +8,14 @@ pivot's neighborhood keeps the tree small, and a per-node counter of the
 edges leaving C (ignoring P) is maintained incrementally so pruning
 tests and the final isolation filter never rescan the graph.
 
-The walk is run on an explicit stack, so deep cliques cannot hit the
-interpreter recursion limit.
+The root splits each of its children off the child's adjacency list.
+Below a root child v everything lies inside N(v), so that subtree runs
+on bitsets over N(v) (see _search_subproblem), on an explicit stack, so
+deep cliques cannot hit the interpreter recursion limit.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -24,22 +25,24 @@ from .graph import Graph, intersect_with_neighbors
 from .pruning import IsolationParams, Stages, evaluate_strategy, get_strategy
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchNode:
     """One live node of the search tree plus its child-iteration state.
 
-    ``ext_cp`` counts the edges from C to vertices outside C and P; it
-    always equals the from-scratch recount (see from_scratch_ext_cp) and
-    is kept current as candidates retire into X.
+    At the root, and at a root child until it passes its prune test, P and X
+    are ascending vertex lists. Below that they are bitsets over the root
+    child's neighbourhood (see _search_subproblem), and ``branch`` holds the
+    bits of P outside the pivot's neighbourhood not yet branched on.
+    ``ext_cp`` counts the edges from C to vertices outside C and P; it always
+    equals the from-scratch recount (see from_scratch_ext_cp) and is kept
+    current as candidates retire into X.
     """
 
     c: list[int]
-    p: list[int]
-    x: list[int]
+    p: list[int] | int
+    x: list[int] | int
     ext_cp: int
-    branch: list[int] | None = None  # snapshot of P minus the pivot's neighbors
-    cursor: int = 0
-    pending: int | None = None  # branch vertex whose child is on the stack
+    branch: int = 0
 
 
 @dataclass
@@ -93,20 +96,35 @@ def select_pivot(g: Graph, p: Sequence[int], x: Sequence[int]) -> int:
     return best_v
 
 
-def child_ext_cp(parent: SearchNode, v: int, p_child_size: int, g: Graph) -> int:
+def _local_pivot(
+    masks: Sequence[int], p: int, p_bits: Sequence[int], counts: Sequence[int] | None, x: int
+) -> int:
+    """select_pivot on bitsets: the bit of P | X whose row meets P most often,
+    ties to the lowest bit. ``p_bits`` lists P's bits ascending and ``counts``,
+    if given, their popcounts against P."""
+    if counts is None:
+        counts = [(masks[i] & p).bit_count() for i in p_bits]
+    best = max(counts)
+    pivot = p_bits[counts.index(best)]
+    if x:
+        x_bits = _bits(x)
+        x_counts = [(masks[i] & p).bit_count() for i in x_bits]
+        best_x = max(x_counts)
+        first_x = x_bits[x_counts.index(best_x)]
+        if best_x > best or (best_x == best and first_x < pivot):
+            pivot = first_x
+    return pivot
+
+
+def child_ext_cp(ext_cp: int, c_size: int, p_size: int, p_child_size: int, degree: int) -> int:
     """External edge count of the child node (C + v, P ∩ N(v)).
 
-    Every candidate that drops out of P is adjacent to all of C and so
-    adds len(C) newly external edges; v itself adds its edges that leave
-    C and the child's candidate set. O(1) given the child candidate count.
+    ``ext_cp``, ``c_size`` and ``p_size`` describe the parent, ``degree`` is
+    v's degree in the graph. Every candidate that drops out of P is adjacent
+    to all of C and so adds c_size newly external edges; v itself adds its
+    edges that leave C and the child's candidate set. O(1).
     """
-    c_size = len(parent.c)
-    p_size = len(parent.p)
-    return (
-        parent.ext_cp
-        + c_size * (p_size - p_child_size - 1)
-        + (len(g.adjacency[v]) - c_size - p_child_size)
-    )
+    return ext_cp + c_size * (p_size - p_child_size - 1) + (degree - c_size - p_child_size)
 
 
 def from_scratch_ext_cp(g: Graph, c: Sequence[int], p: Sequence[int]) -> int:
@@ -125,35 +143,37 @@ def from_scratch_ext_cp(g: Graph, c: Sequence[int], p: Sequence[int]) -> int:
     return count
 
 
-def _difference_sorted(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # a \ b for ascending sequences
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
     out = []
-    j = 0
-    len_b = len(b)
-    for item in a:
-        while j < len_b and b[j] < item:
-            j += 1
-        if j < len_b and b[j] == item:
-            continue
-        out.append(item)
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
-def _check_node(g: Graph, node: SearchNode) -> None:
-    expected = from_scratch_ext_cp(g, node.c, node.p)
+def _check_node(g: Graph, node: SearchNode, universe: Sequence[int] | None = None) -> None:
+    """Recount the node's invariants; P and X are bitsets over ``universe``
+    when it is given, and vertex lists otherwise."""
+    c, p, x = node.c, node.p, node.x
+    if universe is not None:
+        p = [universe[i] for i in _bits(p)]
+        x = [universe[i] for i in _bits(x)]
+    expected = from_scratch_ext_cp(g, c, p)
     if node.ext_cp != expected:
         raise AssertionError(
             f"incremental external-edge counter {node.ext_cp} != recount {expected} "
-            f"at C={node.c} P={node.p}"
+            f"at C={c} P={p}"
         )
-    c_set = set(node.c)
-    p_set = set(node.p)
-    x_set = set(node.x)
+    c_set = set(c)
+    p_set = set(p)
+    x_set = set(x)
     if c_set & p_set or c_set & x_set or p_set & x_set:
-        raise AssertionError(f"C/P/X overlap at C={node.c} P={node.p} X={node.x}")
-    for v in node.p + node.x:
+        raise AssertionError(f"C/P/X overlap at C={c} P={p} X={x}")
+    for v in p + x:
         if not c_set.issubset(g.adjacency[v]):
-            raise AssertionError(f"vertex {v} in P or X is not adjacent to all of C={node.c}")
+            raise AssertionError(f"vertex {v} in P or X is not adjacent to all of C={c}")
 
 
 def _handle_leaf(
@@ -188,68 +208,144 @@ def _run(
     stats = RunStats()
     start = perf_counter()
     adjacency = g.adjacency
-    pruning_active = params is not None and bool(stages)
+    root = SearchNode(c=[], p=list(range(g.vertex_count)), x=[], ext_cp=0)
+    stats.recursive_calls += 1
+    if debug:
+        _check_node(g, root)
+    if not root.p:
+        _handle_leaf(root, params, sink, stats)
+        stats.wall_time = perf_counter() - start
+        return stats
 
     # At the root C is empty, so P and X partition V: one retired flag per
     # vertex stands in for both lists, and each root child is split off its
-    # own adjacency list in O(deg) instead of merged against all of V. The
-    # root's own P and X lists go stale once its branch is taken.
-    root = SearchNode(c=[], p=list(range(g.vertex_count)), x=[], ext_cp=0)
+    # own adjacency list in O(deg). With C empty the prune test reduces to
+    # 0 >= omega_bar * ell, which no bound can meet, so the root is never
+    # evaluated.
+    pivot = select_pivot(g, root.p, root.x)
+    skip = set(adjacency[pivot])
     retired = bytearray(g.vertex_count)
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node.branch is None:
-            # first visit
-            stats.recursive_calls += 1
-            if debug:
-                _check_node(g, node)
-            if not node.p:
-                if not node.x:
-                    _handle_leaf(node, params, sink, stats)
-                stack.pop()
+    bit = [0] * g.vertex_count  # scratch for _search_subproblem, zero between calls
+    for v in root.p:
+        if v in skip:
+            continue
+        nbrs = adjacency[v]
+        p = [u for u in nbrs if not retired[u]]
+        x = [u for u in nbrs if retired[u]]
+        stats.recursive_calls += 1
+        node = SearchNode(c=[v], p=p, x=x, ext_cp=len(nbrs) - len(p))  # child_ext_cp, C empty
+        if debug:
+            _check_node(g, node)
+        retired[v] = 1  # the child's sets are split off already
+        if not p:
+            if not x:
+                _handle_leaf(node, params, sink, stats)
+            continue
+        # the prune test runs on the lists, so a pruned root child builds no masks
+        if stages:
+            fired = evaluate_strategy(g, stages, 1, p, node.ext_cp, params, stats)
+            if fired is not None:
+                stats.prune_firings[fired] += 1
                 continue
-            # with C empty the prune test reduces to 0 >= omega_bar * ell,
-            # which no bound can meet, so the root is never evaluated
-            if pruning_active and node.c:
-                fired = evaluate_strategy(
-                    g, stages, len(node.c), node.p, node.ext_cp, params, stats
-                )
-                if fired is not None:
-                    stats.prune_firings[fired] += 1
-                    stack.pop()
-                    continue
-            pivot = select_pivot(g, node.p, node.x)
-            node.branch = _difference_sorted(node.p, adjacency[pivot])
-        elif node.pending is not None:
-            # the child spawned for `pending` has finished: retire the vertex
-            # from P into X; its edges into C become external
-            v = node.pending
-            node.pending = None
-            if node is root:
-                retired[v] = 1
-            else:
-                node.p.remove(v)
-                insort(node.x, v)
-                node.ext_cp += len(node.c)
-        if node.cursor < len(node.branch):
-            v = node.branch[node.cursor]
-            node.cursor += 1
-            if node is root:
-                nbrs = adjacency[v]
-                child_p = [u for u in nbrs if not retired[u]]
-                child_x = [u for u in nbrs if retired[u]]
-                ext = len(nbrs) - len(child_p)  # child_ext_cp with C empty
-            else:
-                child_p = intersect_with_neighbors(g, node.p, v)
-                child_x = intersect_with_neighbors(g, node.x, v)
-                ext = child_ext_cp(node, v, len(child_p), g)
-            node.pending = v
-            stack.append(SearchNode(c=node.c + [v], p=child_p, x=child_x, ext_cp=ext))
-        else:
-            stack.pop()
+        _search_subproblem(g, node, retired, bit, params, stages, sink, stats, debug)
     stats.wall_time = perf_counter() - start
     return stats
+
+
+def _search_subproblem(
+    g: Graph,
+    top: SearchNode,
+    retired: bytearray,
+    bit: list[int],
+    params: IsolationParams | None,
+    stages: Stages,
+    sink: Sink | None,
+    stats: RunStats,
+    debug: bool,
+) -> None:
+    """Search below a root child that passed its prune test, on local bitsets.
+
+    Everything below root child v lies inside N(v), so P and X become ints
+    over ``universe`` = N(v): bit i stands for ``universe[i]``, and as the
+    adjacency list is sorted, bit order is vertex-id order. ``masks[i]`` is
+    N(universe[i]) within the universe. A child's sets are ``P & masks[i]``
+    and ``X & masks[i]``; retiring i moves its bit from P to X. One popcount
+    per candidate, ``(masks[u] & P).bit_count()``, serves both the pivot and
+    the induced degrees the bounds read. Children are tested (leaf, prune,
+    pivot) when they are created, so only nodes with branches to walk go on
+    the stack; ``bit`` is all zero on entry and on return.
+    """
+    adjacency = g.adjacency
+    universe = adjacency[top.c[0]]
+    for i, w in enumerate(universe):
+        bit[w] = 1 << i
+    lookup = bit.__getitem__
+    # A row is only ever read against P unless its vertex is a candidate, so
+    # the row of an excluded hub, whose adjacency dwarfs P, is searched for
+    # P's vertices instead of scanned; the X bits it then lacks are never read.
+    long_row = 8 * len(top.p)
+    masks = [
+        sum(map(lookup, intersect_with_neighbors(g, top.p, u)))
+        if retired[u] and len(adjacency[u]) > long_row
+        else sum(map(lookup, adjacency[u]))
+        for u in universe
+    ]
+    p = sum(map(lookup, top.p))
+    for w in universe:
+        bit[w] = 0
+    degrees = [len(adjacency[u]) for u in universe]
+    top.p = p
+    top.x = ((1 << len(universe)) - 1) ^ p
+
+    stack: list[SearchNode] = []
+
+    def expand(node: SearchNode, p: int, p_bits: list[int], counts: list[int] | None) -> None:
+        node.branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, node.x)]
+        stack.append(node)
+
+    def induced() -> dict[int, int]:
+        # the induced degrees of the child under test, kept for its pivot
+        nonlocal counts
+        counts = [(masks[i] & p).bit_count() for i in p_bits]
+        return dict(zip(p_ids, counts))
+
+    expand(top, p, _bits(p), None)
+    while stack:
+        node = stack[-1]
+        branch = node.branch
+        if not branch:
+            stack.pop()
+            continue
+        low = branch & -branch
+        node.branch = branch ^ low
+        i = low.bit_length() - 1
+        parent_p = node.p
+        p = parent_p & masks[i]
+        x = node.x & masks[i]
+        c_size = len(node.c)
+        ext = child_ext_cp(node.ext_cp, c_size, parent_p.bit_count(), p.bit_count(), degrees[i])
+        # retire i into X at once: the child's sets are already split off
+        node.p = parent_p ^ low
+        node.x |= low
+        node.ext_cp += c_size
+        c = node.c + [universe[i]]
+        stats.recursive_calls += 1
+        child = SearchNode(c=c, p=p, x=x, ext_cp=ext)
+        if debug:
+            _check_node(g, child, universe)
+        if not p:
+            if not x:
+                _handle_leaf(child, params, sink, stats)
+            continue
+        p_bits = _bits(p)
+        counts = None
+        if stages:
+            p_ids = [universe[j] for j in p_bits]
+            fired = evaluate_strategy(g, stages, len(c), p_ids, ext, params, stats, induced)
+            if fired is not None:
+                stats.prune_firings[fired] += 1
+                continue
+        expand(child, p, p_bits, counts)
 
 
 def enumerate_isolated(

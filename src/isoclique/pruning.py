@@ -189,17 +189,19 @@ def evaluate_strategy(
     ext_cp: int,
     params: IsolationParams,
     stats,
+    degrees: Callable[[], Mapping[int, int]] | None = None,
 ) -> str | None:
     """Name of the first stage whose bound proves the subtree sterile, or None.
 
     The free ``size`` stage gets no induced degrees; they are computed at
     most once, on reaching any other stage, and counted in
-    ``stats.induced_degree_evals``.
+    ``stats.induced_degree_evals``. ``degrees`` supplies them when the
+    caller can count them faster than ``induced_degrees(g, p)``.
     """
     induced = None
     for name, bound in stages:
         if induced is None and name != "size":
-            induced = induced_degrees(g, p)
+            induced = induced_degrees(g, p) if degrees is None else degrees()
             stats.induced_degree_evals += 1
         if prune_test(c_size, len(p), ext_cp, bound(g, p, induced), params):
             return name

@@ -5,7 +5,9 @@ import pytest
 from isoclique import STRATEGIES, enumerate_all_maximal, enumerate_isolated, oracle
 from isoclique.enumeration import (
     SearchNode,
+    _bits,
     _check_node,
+    _local_pivot,
     child_ext_cp,
     from_scratch_ext_cp,
     select_pivot,
@@ -66,6 +68,25 @@ def test_select_pivot_matches_exhaustive_argmax():
         assert select_pivot(g, p, x) == best
 
 
+def test_local_pivot_matches_select_pivot():
+    # masks over the whole vertex set, so bit i stands for vertex i
+    rng = random.Random(71)
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        g = erdos_renyi(n, rng.random(), rng)
+        masks = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
+        pool = rng.sample(range(n), rng.randint(1, n))
+        split = rng.randint(1, len(pool))
+        p, x = sorted(pool[:split]), sorted(pool[split:])
+        p_mask = sum(1 << v for v in p)
+        x_mask = sum(1 << v for v in x)
+        assert _bits(p_mask) == p
+        counts = [(masks[v] & p_mask).bit_count() for v in p]
+        expected = select_pivot(g, p, x)
+        assert _local_pivot(masks, p_mask, p, None, x_mask) == expected
+        assert _local_pivot(masks, p_mask, p, counts, x_mask) == expected
+
+
 def test_select_pivot_requires_candidates():
     with pytest.raises(ValueError):
         select_pivot(triangle(), [], [])
@@ -108,17 +129,17 @@ def test_huge_ell_equals_plain_maximal_enumeration():
 
 def test_child_ext_cp_at_root():
     g = triangle_pendant()
-    root = SearchNode(c=[], p=[0, 1, 2, 3], x=[], ext_cp=0)
-    # |C| = 0 collapses the update to degree(v) minus the surviving candidates
-    assert child_ext_cp(root, 0, 3, g) == g.degree(0) - 3
+    # root: C empty, P={0,1,2,3}, ext_cp 0; |C| = 0 collapses the update to
+    # degree(v) minus the surviving candidates
+    assert child_ext_cp(0, 0, 4, 3, g.degree(0)) == g.degree(0) - 3
 
 
 def test_child_ext_cp_worked_example():
     g = triangle_pendant()
     # C={0}, P={1,2}: one edge (0-3) already leaves the pair
-    parent = SearchNode(c=[0], p=[1, 2], x=[], ext_cp=1)
     assert from_scratch_ext_cp(g, [0], [1, 2]) == 1
-    assert child_ext_cp(parent, 1, 1, g) == 1
+    # the parent (ext_cp 1, |C| 1, |P| 2) branches on 1, keeping one candidate
+    assert child_ext_cp(1, 1, 2, 1, g.degree(1)) == 1
     assert from_scratch_ext_cp(g, [0, 1], [2]) == 1
 
 
@@ -140,6 +161,13 @@ def test_debug_checker_detects_corruption():
     not_adjacent = SearchNode(c=[1], p=[3], x=[], ext_cp=2)
     with pytest.raises(AssertionError, match="not adjacent"):
         _check_node(g, not_adjacent)
+    # the same nodes with P and X as bitsets over a universe: bit i is universe[i]
+    universe = [1, 2, 3]
+    _check_node(g, SearchNode(c=[0], p=0b011, x=0, ext_cp=1), universe)
+    with pytest.raises(AssertionError, match="external-edge counter"):
+        _check_node(g, SearchNode(c=[0], p=0b011, x=0, ext_cp=7), universe)
+    with pytest.raises(AssertionError, match="not adjacent"):
+        _check_node(g, SearchNode(c=[1], p=0b100, x=0, ext_cp=2), universe)
 
 
 def test_enumerate_all_maximal_examples():

@@ -199,6 +199,26 @@ def test_combo_falls_through_to_softcore():
     assert stats.induced_degree_evals == 1
 
 
+def test_supplied_degrees_are_read_once_and_only_past_size():
+    g = star_graph(3)
+    params = IsolationParams(1)
+    p = [0, 1, 2, 3]
+    calls = []
+
+    def degrees():
+        calls.append(1)
+        return induced_degrees(g, p)
+
+    stats = RunStats()
+    assert evaluate_strategy(g, get_strategy("combo"), 2, [1, 2], 100, params, stats, degrees) == "size"
+    assert calls == [] and stats.induced_degree_evals == 0
+    assert evaluate_strategy(g, get_strategy("combo"), 3, p, 3, params, stats, degrees) == "softcore"
+    assert calls == [1] and stats.induced_degree_evals == 1
+    # the bounds read the supplied degrees, not a recount: claim P is a clique
+    clique = {v: 3 for v in p}
+    assert evaluate_strategy(g, get_strategy("softcore"), 3, p, 3, params, RunStats(), lambda: clique) is None
+
+
 def test_combo_and_softcore_decide_alike():
     rng = random.Random(37)
     params = IsolationParams(3)
