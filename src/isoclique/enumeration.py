@@ -270,7 +270,7 @@ def _search_subproblem(
     adjacency list is sorted, bit order is vertex-id order. ``masks[i]`` is
     N(universe[i]) within the universe. A child's sets are ``P & masks[i]``
     and ``X & masks[i]``; retiring i moves its bit from P to X. One popcount
-    per candidate, ``(masks[u] & P).bit_count()``, serves both the pivot and
+    per vertex, ``(masks[i] & P).bit_count()``, serves both the pivot and
     the induced degrees the bounds read. Children are tested (leaf, prune,
     pivot) when they are created, so only nodes with branches to walk go on
     the stack; ``bit`` is all zero on entry and on return.
@@ -283,6 +283,7 @@ def _search_subproblem(
     # A row is only ever read against P unless its vertex is a candidate, so
     # the row of an excluded hub, whose adjacency dwarfs P, is searched for
     # P's vertices instead of scanned; the X bits it then lacks are never read.
+    # Past 8 * |P| neighbours the searches build masks faster on BA graphs.
     long_row = 8 * len(top.p)
     masks = [
         sum(map(lookup, intersect_with_neighbors(g, top.p, u)))
@@ -293,7 +294,6 @@ def _search_subproblem(
     p = sum(map(lookup, top.p))
     for w in universe:
         bit[w] = 0
-    degrees = [len(adjacency[u]) for u in universe]
     top.p = p
     top.x = ((1 << len(universe)) - 1) ^ p
 
@@ -319,16 +319,19 @@ def _search_subproblem(
         low = branch & -branch
         node.branch = branch ^ low
         i = low.bit_length() - 1
+        v = universe[i]
         parent_p = node.p
         p = parent_p & masks[i]
         x = node.x & masks[i]
         c_size = len(node.c)
-        ext = child_ext_cp(node.ext_cp, c_size, parent_p.bit_count(), p.bit_count(), degrees[i])
+        ext = child_ext_cp(
+            node.ext_cp, c_size, parent_p.bit_count(), p.bit_count(), len(adjacency[v])
+        )
         # retire i into X at once: the child's sets are already split off
         node.p = parent_p ^ low
         node.x |= low
         node.ext_cp += c_size
-        c = node.c + [universe[i]]
+        c = node.c + [v]
         stats.recursive_calls += 1
         child = SearchNode(c=c, p=p, x=x, ext_cp=ext)
         if debug:

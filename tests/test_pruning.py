@@ -209,14 +209,16 @@ def test_supplied_degrees_are_read_once_and_only_past_size():
         calls.append(1)
         return induced_degrees(g, p)
 
+    combo = get_strategy("combo")
     stats = RunStats()
-    assert evaluate_strategy(g, get_strategy("combo"), 2, [1, 2], 100, params, stats, degrees) == "size"
+    assert evaluate_strategy(g, combo, 2, [1, 2], 100, params, stats, degrees) == "size"
     assert calls == [] and stats.induced_degree_evals == 0
-    assert evaluate_strategy(g, get_strategy("combo"), 3, p, 3, params, stats, degrees) == "softcore"
+    assert evaluate_strategy(g, combo, 3, p, 3, params, stats, degrees) == "softcore"
     assert calls == [1] and stats.induced_degree_evals == 1
     # the bounds read the supplied degrees, not a recount: claim P is a clique
     clique = {v: 3 for v in p}
-    assert evaluate_strategy(g, get_strategy("softcore"), 3, p, 3, params, RunStats(), lambda: clique) is None
+    softcore = get_strategy("softcore")
+    assert evaluate_strategy(g, softcore, 3, p, 3, params, RunStats(), lambda: clique) is None
 
 
 def test_combo_and_softcore_decide_alike():
