@@ -225,7 +225,7 @@ def _run(
     pivot = select_pivot(g, root.p, root.x)
     skip = set(adjacency[pivot])
     retired = bytearray(g.vertex_count)
-    bit = [0] * g.vertex_count  # scratch for _search_subproblem, zero between calls
+    bit = [0] * g.vertex_count  # work buffer of _search_subproblem, all zero between calls
     for v in root.p:
         if v in skip:
             continue
