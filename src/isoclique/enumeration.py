@@ -21,7 +21,10 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Sequence
 
-from .graph import Graph, intersect_with_neighbors
+# The search no longer calls intersect_with_neighbors. perfbench's tracer hooks
+# it under this module, so it stays importable here and its graph.intersect
+# span reads zero calls until the benchmark drops that hook.
+from .graph import Graph, intersect_with_neighbors  # noqa: F401
 from .pruning import IsolationParams, Stages, evaluate_strategy, get_strategy
 
 
@@ -247,7 +250,7 @@ def _run(
             if fired is not None:
                 stats.prune_firings[fired] += 1
                 continue
-        _search_subproblem(g, node, retired, bit, params, stages, sink, stats, debug)
+        _search_subproblem(g, node, bit, params, stages, sink, stats, debug)
     stats.wall_time = perf_counter() - start
     return stats
 
@@ -255,7 +258,6 @@ def _run(
 def _search_subproblem(
     g: Graph,
     top: SearchNode,
-    retired: bytearray,
     bit: list[int],
     params: IsolationParams | None,
     stages: Stages,
@@ -280,17 +282,7 @@ def _search_subproblem(
     for i, w in enumerate(universe):
         bit[w] = 1 << i
     lookup = bit.__getitem__
-    # A row is only ever read against P unless its vertex is a candidate, so
-    # the row of an excluded hub, whose adjacency dwarfs P, is searched for
-    # P's vertices instead of scanned; the X bits it then lacks are never read.
-    # Past 8 * |P| neighbours the searches build masks faster on BA graphs.
-    long_row = 8 * len(top.p)
-    masks = [
-        sum(map(lookup, intersect_with_neighbors(g, top.p, u)))
-        if retired[u] and len(adjacency[u]) > long_row
-        else sum(map(lookup, adjacency[u]))
-        for u in universe
-    ]
+    masks = [sum(map(lookup, adjacency[u])) for u in universe]
     p = sum(map(lookup, top.p))
     for w in universe:
         bit[w] = 0

@@ -7,7 +7,7 @@ in the input's own vocabulary.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -209,21 +209,25 @@ def canonical_edge_list(g: Graph, header_comments: Sequence[str] = ()) -> str:
 def intersect_with_neighbors(g: Graph, s: Sequence[int], v: int) -> list[int]:
     """Intersect the ascending vertex list ``s`` with the neighbors of ``v``.
 
-    Binary-searches each item of ``s`` in N(v), each search starting where
-    the last one ended: O(len(s) * log(degree(v))), so it is meant for an
-    ``s`` much shorter than N(v). ``v`` must be a vertex of ``g``; it is not
-    range-checked.
+    Sorted two-pointer merge: O(len(s) + degree(v)) comparisons. ``v``
+    must be a vertex of ``g``; it is not range-checked.
     """
     nbrs = g.adjacency[v]
     out: list[int] = []
-    lo = 0
-    hi = len(nbrs)
-    for u in s:
-        lo = bisect_left(nbrs, u, lo, hi)
-        if lo == hi:
-            break
-        if nbrs[lo] == u:
-            out.append(u)
+    i = j = 0
+    len_s = len(s)
+    len_n = len(nbrs)
+    while i < len_s and j < len_n:
+        a = s[i]
+        b = nbrs[j]
+        if a == b:
+            out.append(a)
+            i += 1
+            j += 1
+        elif a < b:
+            i += 1
+        else:
+            j += 1
     return out
 
 
