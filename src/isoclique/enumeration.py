@@ -8,10 +8,11 @@ pivot's neighborhood keeps the tree small, and a per-node counter of the
 edges leaving C (ignoring P) is maintained incrementally so pruning
 tests and the final isolation filter never rescan the graph.
 
-The root splits each of its children off the child's adjacency list.
-Below a root child v everything lies inside N(v), so that subtree runs
-on bitsets over N(v) (see _search_subproblem), on an explicit stack, so
-deep cliques cannot hit the interpreter recursion limit.
+Below a root child v everything lies inside N(v), so the root child and
+its subtree run on bitsets over N(v) (see _search_subproblem), on an
+explicit stack, so deep cliques cannot hit the interpreter recursion
+limit. The root splits each child's P and X off the child's adjacency
+list and only the root itself holds vertex lists.
 """
 
 from __future__ import annotations
@@ -25,17 +26,17 @@ from typing import Callable, Sequence
 # it under this module, so it stays importable here and its graph.intersect
 # span reads zero calls until the benchmark drops that hook.
 from .graph import Graph, intersect_with_neighbors  # noqa: F401
-from .pruning import IsolationParams, Stages, evaluate_strategy, get_strategy
+from .pruning import IsolationParams, Stages, bit_indices, evaluate_strategy, get_strategy
 
 
 @dataclass(slots=True)
 class SearchNode:
     """One live node of the search tree plus its child-iteration state.
 
-    At the root, and at a root child until it passes its prune test, P and X
-    are ascending vertex lists. Below that they are bitsets over the root
-    child's neighbourhood (see _search_subproblem), and ``branch`` holds the
-    bits of P outside the pivot's neighbourhood not yet branched on.
+    At the root P and X are ascending vertex lists. Everywhere else they are
+    bitsets over a root child's neighbourhood (see _search_subproblem), and
+    ``branch`` holds the bits of P outside the pivot's neighbourhood not yet
+    branched on.
     ``ext_cp`` counts the edges from C to vertices outside C and P; it always
     equals the from-scratch recount (see from_scratch_ext_cp) and is kept
     current as candidates retire into X.
@@ -100,17 +101,18 @@ def select_pivot(g: Graph, p: Sequence[int], x: Sequence[int]) -> int:
 
 
 def _local_pivot(
-    masks: Sequence[int], p: int, p_bits: Sequence[int], counts: Sequence[int] | None, x: int
+    masks: Sequence[int], p: int, p_bits: Sequence[int] | None, counts: Sequence[int] | None, x: int
 ) -> int:
     """select_pivot on bitsets: the bit of P | X whose row meets P most often,
-    ties to the lowest bit. ``p_bits`` lists P's bits ascending and ``counts``,
-    if given, their popcounts against P."""
+    ties to the lowest bit. ``p_bits`` and ``counts``, if given, list P's bits
+    ascending and their popcounts against P; both are read only together."""
     if counts is None:
+        p_bits = bit_indices(p)
         counts = [(masks[i] & p).bit_count() for i in p_bits]
     best = max(counts)
     pivot = p_bits[counts.index(best)]
     if x:
-        x_bits = _bits(x)
+        x_bits = bit_indices(x)
         x_counts = [(masks[i] & p).bit_count() for i in x_bits]
         best_x = max(x_counts)
         first_x = x_bits[x_counts.index(best_x)]
@@ -146,23 +148,13 @@ def from_scratch_ext_cp(g: Graph, c: Sequence[int], p: Sequence[int]) -> int:
     return count
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _check_node(g: Graph, node: SearchNode, universe: Sequence[int] | None = None) -> None:
     """Recount the node's invariants; P and X are bitsets over ``universe``
     when it is given, and vertex lists otherwise."""
     c, p, x = node.c, node.p, node.x
     if universe is not None:
-        p = [universe[i] for i in _bits(p)]
-        x = [universe[i] for i in _bits(x)]
+        p = [universe[i] for i in bit_indices(p)]
+        x = [universe[i] for i in bit_indices(x)]
     expected = from_scratch_ext_cp(g, c, p)
     if node.ext_cp != expected:
         raise AssertionError(
@@ -232,24 +224,20 @@ def _run(
     for v in root.p:
         if v in skip:
             continue
-        nbrs = adjacency[v]
-        p = [u for u in nbrs if not retired[u]]
-        x = [u for u in nbrs if retired[u]]
+        universe = adjacency[v]
+        # bit i stands for universe[i]: the retired neighbours form X, the rest
+        # P, and with C empty child_ext_cp reduces to deg(v) - |P|
+        x = sum(1 << i for i, u in enumerate(universe) if retired[u])
+        p = ((1 << len(universe)) - 1) ^ x
         stats.recursive_calls += 1
-        node = SearchNode(c=[v], p=p, x=x, ext_cp=len(nbrs) - len(p))  # child_ext_cp, C empty
+        node = SearchNode(c=[v], p=p, x=x, ext_cp=len(universe) - p.bit_count())
         if debug:
-            _check_node(g, node)
+            _check_node(g, node, universe)
         retired[v] = 1  # the child's sets are split off already
         if not p:
             if not x:
                 _handle_leaf(node, params, sink, stats)
             continue
-        # the prune test runs on the lists, so a pruned root child builds no masks
-        if stages:
-            fired = evaluate_strategy(g, stages, 1, p, node.ext_cp, params, stats)
-            if fired is not None:
-                stats.prune_firings[fired] += 1
-                continue
         _search_subproblem(g, node, bit, params, stages, sink, stats, debug)
     stats.wall_time = perf_counter() - start
     return stats
@@ -265,9 +253,9 @@ def _search_subproblem(
     stats: RunStats,
     debug: bool,
 ) -> None:
-    """Search below a root child that passed its prune test, on local bitsets.
+    """Test a root child and search below it, on local bitsets.
 
-    Everything below root child v lies inside N(v), so P and X become ints
+    Everything below root child v lies inside N(v), so P and X are ints
     over ``universe`` = N(v): bit i stands for ``universe[i]``, and as the
     adjacency list is sorted, bit order is vertex-id order. ``masks[i]`` is
     N(universe[i]) within the universe. A child's sets are ``P & masks[i]``
@@ -275,33 +263,47 @@ def _search_subproblem(
     per vertex, ``(masks[i] & P).bit_count()``, serves both the pivot and
     the induced degrees the bounds read. Children are tested (leaf, prune,
     pivot) when they are created, so only nodes with branches to walk go on
-    the stack; ``bit`` is all zero on entry and on return.
+    the stack. The root child's own prune test builds only the rows of P,
+    and only past the free ``size`` stage, so a pruned root child builds no
+    more than its test reads; ``bit`` is all zero on entry and on return.
     """
     adjacency = g.adjacency
     universe = adjacency[top.c[0]]
-    for i, w in enumerate(universe):
-        bit[w] = 1 << i
-    lookup = bit.__getitem__
-    masks = [sum(map(lookup, adjacency[u])) for u in universe]
-    p = sum(map(lookup, top.p))
-    for w in universe:
-        bit[w] = 0
-    top.p = p
-    top.x = ((1 << len(universe)) - 1) ^ p
-
+    masks = [0] * len(universe)
     stack: list[SearchNode] = []
 
-    def expand(node: SearchNode, p: int, p_bits: list[int], counts: list[int] | None) -> None:
+    def build_rows(rows: Sequence[int]) -> None:
+        for i, w in enumerate(universe):
+            bit[w] = 1 << i
+        lookup = bit.__getitem__
+        for i in rows:
+            masks[i] = sum(map(lookup, adjacency[universe[i]]))
+        for w in universe:
+            bit[w] = 0
+
+    def induced() -> list[int]:
+        # the popcount degrees of the node under test, kept for its pivot
+        nonlocal p_bits, counts
+        p_bits = bit_indices(p)
+        if not stack:  # only the root child is tested with nothing stacked
+            build_rows(p_bits)
+        counts = [(masks[i] & p).bit_count() for i in p_bits]
+        return counts
+
+    def expand(node: SearchNode) -> None:
         node.branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, node.x)]
         stack.append(node)
 
-    def induced() -> dict[int, int]:
-        # the induced degrees of the child under test, kept for its pivot
-        nonlocal counts
-        counts = [(masks[i] & p).bit_count() for i in p_bits]
-        return dict(zip(p_ids, counts))
-
-    expand(top, p, _bits(p), None)
+    p = top.p
+    p_bits = counts = None
+    if stages:
+        fired = evaluate_strategy(stages, 1, p, masks, top.ext_cp, params, stats, induced)
+        if fired is not None:
+            stats.prune_firings[fired] += 1
+            return
+    # the survivor builds the rows its test did not
+    build_rows(range(len(universe)) if counts is None else bit_indices(top.x))
+    expand(top)
     while stack:
         node = stack[-1]
         branch = node.branch
@@ -332,15 +334,13 @@ def _search_subproblem(
             if not x:
                 _handle_leaf(child, params, sink, stats)
             continue
-        p_bits = _bits(p)
         counts = None
         if stages:
-            p_ids = [universe[j] for j in p_bits]
-            fired = evaluate_strategy(g, stages, len(c), p_ids, ext, params, stats, induced)
+            fired = evaluate_strategy(stages, len(c), p, masks, ext, params, stats, induced)
             if fired is not None:
                 stats.prune_firings[fired] += 1
                 continue
-        expand(child, p, p_bits, counts)
+        expand(child)
 
 
 def enumerate_isolated(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 
 class EdgeListParseError(ValueError):
@@ -62,14 +62,6 @@ class Graph:
             labels=tuple(labels) if labels is not None else None,
         )
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.adjacency[v])
-
-    def label_of(self, v: int) -> str:
-        self._check_vertex(v)
-        return self.labels[v] if self.labels is not None else str(v)
-
     def all_labels(self) -> tuple[str, ...]:
         """Every vertex's label in id order; unlabeled graphs use the ids."""
         if self.labels is not None:
@@ -100,10 +92,6 @@ class Graph:
         assert total == 2 * self.edge_count, "edge_count does not match adjacency"
         if self.labels is not None:
             assert len(self.labels) == self.vertex_count
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.vertex_count:
-            raise IndexError(f"vertex {v} out of range [0, {self.vertex_count})")
 
 
 @dataclass(frozen=True)

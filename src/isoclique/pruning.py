@@ -15,14 +15,24 @@ count, the maximum induced degree plus one, the softcore count (largest
 k with at least k candidates of induced degree >= k-1), and the peeling
 bound (degeneracy plus one). Strategies chain them; the shipped "combo"
 tries the free size bound before falling back to softcore.
+
+Below the root every node keeps its sets as bitsets over a root child's
+neighbourhood (see isoclique.enumeration), so each bound reads the same
+three things: the candidate bitset, the candidates' induced degrees as
+popcounts in bit order, and the local adjacency rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .graph import Graph, induced_degrees
+from .graph import Graph
+
+# The bounds read popcounts, not induced_degrees. perfbench's tracer hooks it
+# under this module, so it stays importable here and its graph.induced_degrees
+# span reads zero calls until the benchmark drops that hook.
+from .graph import induced_degrees  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -54,27 +64,36 @@ def is_l_isolated(g: Graph, i: Sequence[int], params: IsolationParams) -> bool:
     return external_degree(g, i) < params.ell * len(i)
 
 
-def ub_size(p: Sequence[int]) -> int:
+def bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def ub_size(p: int) -> int:
     """Candidate count: the weakest clique-size bound, free to evaluate."""
-    return len(p)
+    return p.bit_count()
 
 
-def ub_degree(induced_deg: Mapping[int, int]) -> int:
+def ub_degree(counts: Sequence[int]) -> int:
     """Maximum degree inside the candidate subgraph, plus one."""
-    return max(induced_deg.values()) + 1
+    return max(counts) + 1
 
 
-def ub_softcore(induced_deg: Mapping[int, int]) -> int:
+def ub_softcore(counts: Sequence[int]) -> int:
     """Largest k such that at least k candidates have induced degree >= k-1.
 
     A relaxation of the peeling bound that never updates degrees. A
     counting sort over the degree values keeps it linear in the number
     of candidates.
     """
-    degs = induced_deg.values()
-    n = len(degs)
+    n = len(counts)
     count = [0] * n  # induced degrees lie in [0, n-1]
-    for d in degs:
+    for d in counts:
         count[d] += 1
     at_or_above = 0
     for k in range(n, 0, -1):
@@ -84,54 +103,29 @@ def ub_softcore(induced_deg: Mapping[int, int]) -> int:
     return 0
 
 
-def ub_degeneracy(g: Graph, p: Sequence[int], induced_deg: Mapping[int, int]) -> int:
-    """Peeling bound: one plus the largest minimum degree seen while
-    repeatedly deleting a minimum-degree candidate.
+def ub_degeneracy(p: int, counts: Sequence[int], masks: Sequence[int]) -> int:
+    """Peeling bound: degeneracy plus one, by an exact k-core peel on bitsets.
 
-    Bucket-queue peeling over the induced subgraph, linear in its edges.
+    Each round drops at once every candidate with at most k neighbours among
+    those left. A round that would drop nothing leaves a core of higher
+    order, so k first rises to the least degree left. When a round drops
+    everything, no (k+1)-core exists and k is the degeneracy.
     """
-    k = len(p)
-    index = {v: i for i, v in enumerate(p)}
-    deg = [induced_deg[v] for v in p]
-    nbrs = [[index[u] for u in g.adjacency[v] if u in index] for v in p]
-
-    max_deg = max(deg)
-    count = [0] * (max_deg + 1)
-    for d in deg:
-        count[d] += 1
-    bins = [0] * (max_deg + 1)  # bins[d] = first slot holding a degree-d vertex
-    total = 0
-    for d in range(max_deg + 1):
-        bins[d] = total
-        total += count[d]
-    order = [0] * k
-    pos = [0] * k
-    fill = bins.copy()
-    for i, d in enumerate(deg):
-        order[fill[d]] = i
-        pos[i] = fill[d]
-        fill[d] += 1
-
-    peeled_max = 0
-    for step in range(k):
-        v = order[step]
-        if deg[v] > peeled_max:
-            peeled_max = deg[v]
-        dv = deg[v]
-        for u in nbrs[v]:
-            du = deg[u]
-            if du > dv:  # u not yet peeled and sits in a higher bucket
-                pu = pos[u]
-                pw = bins[du]
-                w = order[pw]
-                if u != w:
-                    order[pu] = w
-                    order[pw] = u
-                    pos[u] = pw
-                    pos[w] = pu
-                bins[du] += 1
-                deg[u] = du - 1
-    return peeled_max + 1
+    live = bit_indices(p)
+    degs = counts
+    k = 0
+    while True:
+        k = max(k, min(degs))
+        keep = []
+        for i, d in zip(live, degs):
+            if d > k:
+                keep.append(i)
+            else:
+                p ^= 1 << i
+        if not keep:
+            return k + 1
+        live = keep
+        degs = [(masks[i] & p).bit_count() for i in live]
 
 
 def prune_test(
@@ -153,19 +147,21 @@ def prune_test(
     return ext_cp + c_size * p_size - ell * c_size >= omega_bar * (ell + c_size)
 
 
-#: A bound maps (graph, candidates, their induced degrees) to an upper
-#: bound on the clique number of the candidate subgraph.
-Bound = Callable[[Graph, Sequence[int], Mapping[int, int]], int]
+#: A bound maps (candidate bitset, the candidates' induced degrees in bit
+#: order, the local adjacency rows) to an upper bound on the clique number of
+#: the candidate subgraph; ``size`` is called before any degree is counted,
+#: with ``None`` in their place.
+Bound = Callable[[int, Sequence[int] | None, Sequence[int]], int]
 #: A chain of named bounds, tried in order; the first that prunes wins.
 Stages = Sequence[tuple[str, Bound]]
 
-_SIZE = ("size", lambda g, p, induced: ub_size(p))
-_SOFTCORE = ("softcore", lambda g, p, induced: ub_softcore(induced))
+_SIZE = ("size", lambda p, counts, masks: ub_size(p))
+_SOFTCORE = ("softcore", lambda p, counts, masks: ub_softcore(counts))
 
 STRATEGIES: dict[str, Stages] = {
     "none": (),
     "size": (_SIZE,),
-    "degree": (("degree", lambda g, p, induced: ub_degree(induced)),),
+    "degree": (("degree", lambda p, counts, masks: ub_degree(counts)),),
     "softcore": (_SOFTCORE,),
     "degeneracy": (("degeneracy", ub_degeneracy),),
     "combo": (_SIZE, _SOFTCORE),
@@ -182,27 +178,29 @@ def get_strategy(name: str) -> Stages:
 
 
 def evaluate_strategy(
-    g: Graph,
     stages: Stages,
     c_size: int,
-    p: Sequence[int],
+    p: int,
+    masks: Sequence[int],
     ext_cp: int,
     params: IsolationParams,
     stats,
-    degrees: Callable[[], Mapping[int, int]] | None = None,
+    degrees: Callable[[], Sequence[int]],
 ) -> str | None:
     """Name of the first stage whose bound proves the subtree sterile, or None.
 
-    The free ``size`` stage gets no induced degrees; they are computed at
-    most once, on reaching any other stage, and counted in
-    ``stats.induced_degree_evals``. ``degrees`` supplies them when the
-    caller can count them faster than ``induced_degrees(g, p)``.
+    ``p`` is the candidate bitset and ``masks[i]`` the neighbourhood of bit
+    i. The free ``size`` stage reads only ``p``. ``degrees()`` returns the
+    candidates' induced degrees in bit order, with the rows of P's bits in
+    ``masks`` by then; it is called at most once, on reaching any other
+    stage, and counted in ``stats.induced_degree_evals``.
     """
-    induced = None
+    p_size = p.bit_count()
+    counts = None
     for name, bound in stages:
-        if induced is None and name != "size":
-            induced = induced_degrees(g, p) if degrees is None else degrees()
+        if counts is None and name != "size":
+            counts = degrees()
             stats.induced_degree_evals += 1
-        if prune_test(c_size, len(p), ext_cp, bound(g, p, induced), params):
+        if prune_test(c_size, p_size, ext_cp, bound(p, counts, masks), params):
             return name
     return None

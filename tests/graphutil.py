@@ -71,3 +71,13 @@ def complete_binary_tree(levels: int) -> Graph:
 def erdos_renyi(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)
+
+
+def bitset_view(g: Graph, vertices) -> tuple[int, list[int], list[int]]:
+    """The bounds' view of the candidate set ``vertices``: its bitset p over
+    all of g (bit v stands for vertex v), the members' popcount degrees in
+    bit order, and every vertex's neighbourhood row."""
+    masks = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+    members = sorted(set(vertices))
+    p = sum(1 << v for v in members)
+    return p, [(masks[v] & p).bit_count() for v in members], masks

@@ -20,9 +20,9 @@ from isoclique import (
     oracle,
 )
 from isoclique.generators import generate_ba, generate_feature_model
-from isoclique.graph import canonical_edge_list, induced_degrees
+from isoclique.graph import canonical_edge_list
 from isoclique.pruning import ub_degeneracy, ub_degree, ub_size, ub_softcore
-from graphutil import complete_binary_tree, erdos_renyi, moon_moser
+from graphutil import bitset_view, complete_binary_tree, erdos_renyi, moon_moser
 
 STRATEGIES = ("none", "size", "degree", "softcore", "degeneracy", "combo")
 ELLS = tuple(range(1, 7))
@@ -91,13 +91,13 @@ def test_bound_chain(corpus):
         g = erdos_renyi(n, rng.choice([0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95]), rng)
         p = list(range(n))
         instances += 1
-        ind = induced_degrees(g, p)
+        p_mask, counts, masks = bitset_view(g, p)
         chain = (
             oracle.clique_number_bruteforce(g, p),
-            ub_degeneracy(g, p, ind),
-            ub_softcore(ind),
-            ub_degree(ind),
-            ub_size(p),
+            ub_degeneracy(p_mask, counts, masks),
+            ub_softcore(counts),
+            ub_degree(counts),
+            ub_size(p_mask),
         )
         if not all(a <= b for a, b in zip(chain, chain[1:])):
             failures.append((instances, chain))
@@ -105,11 +105,11 @@ def test_bound_chain(corpus):
     # the worked example: a four-level complete binary tree separates the
     # softcore and peeling bounds exactly
     tree = complete_binary_tree(4)
-    ind = induced_degrees(tree, range(15))
-    if ub_softcore(ind) != 4:
-        failures.append(("binary-tree softcore", ub_softcore(ind)))
-    if ub_degeneracy(tree, list(range(15)), ind) != 2:
-        failures.append(("binary-tree peeling", ub_degeneracy(tree, list(range(15)), ind)))
+    view = bitset_view(tree, range(15))
+    if ub_softcore(view[1]) != 4:
+        failures.append(("binary-tree softcore", ub_softcore(view[1])))
+    if ub_degeneracy(*view) != 2:
+        failures.append(("binary-tree peeling", ub_degeneracy(*view)))
     _verdict(f"bound chain ({instances} instances + worked example)", failures)
 
 

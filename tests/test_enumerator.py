@@ -5,15 +5,15 @@ import pytest
 from isoclique import STRATEGIES, enumerate_all_maximal, enumerate_isolated, oracle
 from isoclique.enumeration import (
     SearchNode,
-    _bits,
     _check_node,
     _local_pivot,
     child_ext_cp,
     from_scratch_ext_cp,
     select_pivot,
 )
-from isoclique.pruning import external_degree
+from isoclique.pruning import bit_indices, external_degree
 from graphutil import (
+    bitset_view,
     complete_graph,
     empty_graph,
     erdos_renyi,
@@ -24,10 +24,31 @@ from graphutil import (
     triangle_pendant,
 )
 
+
+def omega_over_masks(p, masks):
+    """Clique number of the candidates ``p``: the lowest candidate is in the
+    largest clique or it is not."""
+    if not p:
+        return 0
+    low = p & -p
+    row = masks[low.bit_length() - 1]
+    return max(1 + omega_over_masks(p & row, masks), omega_over_masks(p ^ low, masks))
+
+
 # The exact clique number as a bound: the tightest there is, and exponential,
 # so it lives here as a stage chain rather than in the package.
-OMEGA = (("omega", lambda g, p, induced: oracle.clique_number_bruteforce(g, p)),)
+OMEGA = (("omega", lambda p, counts, masks: omega_over_masks(p, masks)),)
 ALL_STRATEGIES = {**{name: name for name in STRATEGIES}, "omega": OMEGA}
+
+
+def test_omega_over_masks_matches_oracle():
+    rng = random.Random(67)
+    for _ in range(100):
+        n = rng.randint(1, 11)
+        g = erdos_renyi(n, rng.random(), rng)
+        p = sorted(rng.sample(range(n), rng.randint(1, n)))
+        p_mask, _, masks = bitset_view(g, p)
+        assert omega_over_masks(p_mask, masks) == oracle.clique_number_bruteforce(g, p)
 
 
 def collect(g, ell, strategy, **kwargs):
@@ -80,7 +101,7 @@ def test_local_pivot_matches_select_pivot():
         p, x = sorted(pool[:split]), sorted(pool[split:])
         p_mask = sum(1 << v for v in p)
         x_mask = sum(1 << v for v in x)
-        assert _bits(p_mask) == p
+        assert bit_indices(p_mask) == p
         counts = [(masks[v] & p_mask).bit_count() for v in p]
         expected = select_pivot(g, p, x)
         assert _local_pivot(masks, p_mask, p, None, x_mask) == expected
@@ -131,7 +152,7 @@ def test_child_ext_cp_at_root():
     g = triangle_pendant()
     # root: C empty, P={0,1,2,3}, ext_cp 0; |C| = 0 collapses the update to
     # degree(v) minus the surviving candidates
-    assert child_ext_cp(0, 0, 4, 3, g.degree(0)) == g.degree(0) - 3
+    assert child_ext_cp(0, 0, 4, 3, len(g.adjacency[0])) == len(g.adjacency[0]) - 3
 
 
 def test_child_ext_cp_worked_example():
@@ -139,7 +160,7 @@ def test_child_ext_cp_worked_example():
     # C={0}, P={1,2}: one edge (0-3) already leaves the pair
     assert from_scratch_ext_cp(g, [0], [1, 2]) == 1
     # the parent (ext_cp 1, |C| 1, |P| 2) branches on 1, keeping one candidate
-    assert child_ext_cp(1, 1, 2, 1, g.degree(1)) == 1
+    assert child_ext_cp(1, 1, 2, 1, len(g.adjacency[1])) == 1
     assert from_scratch_ext_cp(g, [0, 1], [2]) == 1
 
 

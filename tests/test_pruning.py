@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from isoclique import enumerate_isolated, oracle
+from isoclique import enumerate_isolated, enumeration, oracle
 from isoclique.enumeration import RunStats
 from isoclique.graph import induced_degrees
 from isoclique.pruning import (
     STRATEGIES,
     IsolationParams,
+    bit_indices,
     evaluate_strategy,
     external_degree,
     get_strategy,
@@ -20,18 +21,26 @@ from isoclique.pruning import (
     ub_softcore,
 )
 from graphutil import (
+    bitset_view,
     complete_binary_tree,
     complete_graph,
     erdos_renyi,
     graph_from_edges,
+    path_graph,
     star_graph,
     triangle,
     triangle_pendant,
 )
 
 
-def brute_softcore(induced_deg):
-    degs = list(induced_deg.values())
+def evaluate(g, stages, c_size, vertices, ext_cp, params, stats):
+    """evaluate_strategy on the bitset view of ``vertices``."""
+    p, counts, masks = bitset_view(g, vertices)
+    return evaluate_strategy(stages, c_size, p, masks, ext_cp, params, stats, lambda: counts)
+
+
+def brute_softcore(counts):
+    degs = list(counts)
     for k in range(len(degs), 0, -1):
         if sum(1 for d in degs if d >= k - 1) >= k:
             return k
@@ -84,26 +93,26 @@ def test_isolation_params_validation():
 
 
 def test_ub_size():
-    assert ub_size([3, 5, 8, 9, 11]) == 5
-    assert ub_size([2]) == 1
+    assert ub_size(bitset_view(graph_from_edges(12, []), [3, 5, 8, 9, 11])[0]) == 5
+    assert ub_size(1 << 2) == 1
 
 
 def test_ub_degree_examples():
     g = triangle()
-    assert ub_degree(induced_degrees(g, [0, 1, 2])) == 3
+    assert ub_degree(bitset_view(g, [0, 1, 2])[1]) == 3
     independent = graph_from_edges(4, [])
-    assert ub_degree(induced_degrees(independent, [0, 1, 2, 3])) == 1
+    assert ub_degree(bitset_view(independent, [0, 1, 2, 3])[1]) == 1
 
 
 def test_ub_softcore_binary_tree():
     g = complete_binary_tree(4)
-    assert ub_softcore(induced_degrees(g, range(15))) == 4
+    assert ub_softcore(bitset_view(g, range(15))[1]) == 4
 
 
 def test_ub_softcore_complete_graph():
     for t in (1, 2, 5, 8):
         g = complete_graph(t)
-        assert ub_softcore(induced_degrees(g, range(t))) == t
+        assert ub_softcore(bitset_view(g, range(t))[1]) == t
 
 
 def test_ub_softcore_matches_naive_scan():
@@ -112,19 +121,52 @@ def test_ub_softcore_matches_naive_scan():
         n = rng.randint(1, 12)
         g = erdos_renyi(n, rng.random(), rng)
         p = sorted(rng.sample(range(n), rng.randint(1, n)))
+        counts = bitset_view(g, p)[1]
+        assert ub_softcore(counts) == brute_softcore(counts)
+
+
+def test_popcount_degrees_match_induced_degrees(monkeypatch):
+    # the helper's view, and the engine's own popcounts at every tested node
+    # (root children included), equal the adjacency-list recount in bit order
+    rng = random.Random(19)
+    for _ in range(100):
+        n = rng.randint(1, 14)
+        g = erdos_renyi(n, rng.random(), rng)
+        p = sorted(rng.sample(range(n), rng.randint(1, n)))
         ind = induced_degrees(g, p)
-        assert ub_softcore(ind) == brute_softcore(ind)
+        assert bitset_view(g, p)[1] == [ind[v] for v in p]
+
+    universe = []
+    real_check = enumeration._check_node
+
+    def check(g, node, local=None):
+        universe[:] = local or []  # debug checks each node before it is tested
+        real_check(g, node, local)
+
+    monkeypatch.setattr(enumeration, "_check_node", check)
+    tested = 0
+
+    def recording_bound(p, counts, masks):
+        nonlocal tested
+        members = [universe[i] for i in bit_indices(p)]
+        ind = induced_degrees(g, members)
+        assert counts == [ind[v] for v in members]
+        tested += 1
+        return ub_size(p)
+
+    for _ in range(30):
+        g = erdos_renyi(rng.randint(2, 14), rng.random(), rng)
+        enumerate_isolated(g, 1, (("record", recording_bound),), debug=True)
+    assert tested > 100
 
 
 def test_ub_degeneracy_binary_tree():
-    g = complete_binary_tree(4)
-    assert ub_degeneracy(g, list(range(15)), induced_degrees(g, range(15))) == 2
+    assert ub_degeneracy(*bitset_view(complete_binary_tree(4), range(15))) == 2
 
 
 def test_ub_degeneracy_complete_graph():
     for t in (1, 2, 4, 7):
-        g = complete_graph(t)
-        assert ub_degeneracy(g, list(range(t)), induced_degrees(g, range(t))) == t
+        assert ub_degeneracy(*bitset_view(complete_graph(t), range(t))) == t
 
 
 def test_ub_degeneracy_matches_subgraph_oracle():
@@ -133,8 +175,15 @@ def test_ub_degeneracy_matches_subgraph_oracle():
         n = rng.randint(1, 10)
         g = erdos_renyi(n, rng.random(), rng)
         p = sorted(rng.sample(range(n), rng.randint(1, n)))
-        ind = induced_degrees(g, p)
-        assert ub_degeneracy(g, p, ind) == brute_degeneracy(g, p) + 1
+        assert ub_degeneracy(*bitset_view(g, p)) == brute_degeneracy(g, p) + 1
+    # paths and binary trees peel a few vertices per round, so they take the
+    # most rounds
+    graphs = [path_graph(n) for n in range(1, 13)] + [complete_binary_tree(k) for k in (1, 2, 3, 4)]
+    for g in graphs:
+        n = g.vertex_count
+        subsets = [range(n)] + [rng.sample(range(n), rng.randint(1, n)) for _ in range(5)]
+        for p in subsets:
+            assert ub_degeneracy(*bitset_view(g, p)) == brute_degeneracy(g, p) + 1
 
 
 def test_prune_test_never_fires_at_root():
@@ -171,7 +220,7 @@ def test_prune_fires_only_on_sterile_subtrees():
     edges = [(0, v) for v in range(1, 13)] + [(1, 2), (2, 3), (1, 3)]
     g = graph_from_edges(13, edges)
     params = IsolationParams(2)
-    fired = evaluate_strategy(g, get_strategy("softcore"), 1, [1, 2, 3, 4], 8, params, RunStats())
+    fired = evaluate(g, get_strategy("softcore"), 1, [1, 2, 3, 4], 8, params, RunStats())
     assert fired == "softcore"
     assert oracle.l_isolated_maximal_cliques_bruteforce(g, 2) == set()
     stats = enumerate_isolated(g, 2, "softcore")
@@ -184,7 +233,7 @@ def test_combo_short_circuits_induced_degrees():
     params = IsolationParams(1)
     stats = RunStats()
     # huge ext_cp makes even the size bound prune immediately
-    assert evaluate_strategy(g, get_strategy("combo"), 2, [1, 2], 100, params, stats) == "size"
+    assert evaluate(g, get_strategy("combo"), 2, [1, 2], 100, params, stats) == "size"
     assert stats.induced_degree_evals == 0
 
 
@@ -194,31 +243,32 @@ def test_combo_falls_through_to_softcore():
     stats = RunStats()
     # star center in P keeps size=4 too big to fire, softcore=2 fires
     p = [0, 1, 2, 3]
-    assert evaluate_strategy(g, get_strategy("size"), 3, p, 3, params, stats) is None
-    assert evaluate_strategy(g, get_strategy("combo"), 3, p, 3, params, stats) == "softcore"
+    assert evaluate(g, get_strategy("size"), 3, p, 3, params, stats) is None
+    assert evaluate(g, get_strategy("combo"), 3, p, 3, params, stats) == "softcore"
     assert stats.induced_degree_evals == 1
 
 
 def test_supplied_degrees_are_read_once_and_only_past_size():
     g = star_graph(3)
     params = IsolationParams(1)
-    p = [0, 1, 2, 3]
+    p, counts, masks = bitset_view(g, [0, 1, 2, 3])
     calls = []
 
     def degrees():
         calls.append(1)
-        return induced_degrees(g, p)
+        return counts
 
     combo = get_strategy("combo")
     stats = RunStats()
-    assert evaluate_strategy(g, combo, 2, [1, 2], 100, params, stats, degrees) == "size"
+    pair = bitset_view(g, [1, 2])[0]
+    assert evaluate_strategy(combo, 2, pair, masks, 100, params, stats, degrees) == "size"
     assert calls == [] and stats.induced_degree_evals == 0
-    assert evaluate_strategy(g, combo, 3, p, 3, params, stats, degrees) == "softcore"
+    assert evaluate_strategy(combo, 3, p, masks, 3, params, stats, degrees) == "softcore"
     assert calls == [1] and stats.induced_degree_evals == 1
     # the bounds read the supplied degrees, not a recount: claim P is a clique
-    clique = {v: 3 for v in p}
     softcore = get_strategy("softcore")
-    assert evaluate_strategy(g, softcore, 3, p, 3, params, RunStats(), lambda: clique) is None
+    clique = [3, 3, 3, 3]
+    assert evaluate_strategy(softcore, 3, p, masks, 3, params, RunStats(), lambda: clique) is None
 
 
 def test_combo_and_softcore_decide_alike():
@@ -230,17 +280,15 @@ def test_combo_and_softcore_decide_alike():
         p = sorted(rng.sample(range(n), rng.randint(1, n)))
         c_size = rng.randint(0, 5)
         ext = rng.randint(0, 30)
-        combo = evaluate_strategy(g, get_strategy("combo"), c_size, p, ext, params, RunStats())
-        softcore = evaluate_strategy(
-            g, get_strategy("softcore"), c_size, p, ext, params, RunStats()
-        )
+        combo = evaluate(g, get_strategy("combo"), c_size, p, ext, params, RunStats())
+        softcore = evaluate(g, get_strategy("softcore"), c_size, p, ext, params, RunStats())
         assert (combo is None) == (softcore is None)
 
 
 def test_strategy_none_never_prunes():
     g = triangle()
     none = get_strategy("none")
-    assert evaluate_strategy(g, none, 1, [1, 2], 1000, IsolationParams(1), RunStats()) is None
+    assert evaluate(g, none, 1, [1, 2], 1000, IsolationParams(1), RunStats()) is None
 
 
 def test_combo_stage_list():
@@ -262,9 +310,10 @@ def test_bound_chain_on_random_instances():
         p = list(range(n))
         if not p:
             continue
-        ind = induced_degrees(g, p)
+        p_mask, counts, masks = bitset_view(g, p)
         omega = oracle.clique_number_bruteforce(g, p)
-        chain = (omega, ub_degeneracy(g, p, ind), ub_softcore(ind), ub_degree(ind), ub_size(p))
+        peel = ub_degeneracy(p_mask, counts, masks)
+        chain = (omega, peel, ub_softcore(counts), ub_degree(counts), ub_size(p_mask))
         assert all(a <= b for a, b in zip(chain, chain[1:])), chain
 
 

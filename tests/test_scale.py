@@ -55,6 +55,40 @@ def test_golden_counters_ba3000_combo(ell, nodes, emitted):
     assert stats.emitted == emitted
 
 
+# ba:n=800,m=6,seed=3, recorded before root children were tested on bitsets:
+# (strategy, ell, recursive_calls, prune_firings, filtered_at_leaf,
+# induced_degree_evals); nothing is emitted at ell 1, 3,847 cliques at ell 250
+GOLDEN_BA800 = [
+    ("size", 1, 3_878, {"size": 954}, 2_213, 0),
+    ("size", 250, 5_710, {}, 0, 0),
+    ("degree", 1, 717, {"degree": 669}, 10, 680),
+    ("degree", 250, 5_710, {}, 0, 1_515),
+    ("softcore", 1, 699, {"softcore": 668}, 1, 671),
+    ("softcore", 250, 5_710, {}, 0, 1_515),
+    ("degeneracy", 1, 699, {"degeneracy": 668}, 1, 671),
+    ("degeneracy", 250, 5_710, {}, 0, 1_515),
+    ("combo", 1, 699, {"size": 286, "softcore": 382}, 1, 385),
+    ("combo", 250, 5_710, {}, 0, 1_515),
+]
+
+
+@pytest.mark.parametrize(
+    "strategy, ell, nodes, fired, filtered, evals",
+    GOLDEN_BA800,
+    ids=[f"{row[0]}-ell{row[1]}" for row in GOLDEN_BA800],
+)
+def test_debug_root_children_ba800(strategy, ell, nodes, fired, filtered, evals):
+    # hubs retire early and sit in later root children's X; at ell 1 root
+    # children are pruned at every stage, at ell 250 every one survives, and
+    # debug recounts each of them and every node below
+    stats = enumerate_isolated(graph("ba:n=800,m=6,seed=3"), ell, strategy, debug=True)
+    assert stats.recursive_calls == nodes
+    assert dict(stats.prune_firings) == fired
+    assert stats.filtered_at_leaf == filtered
+    assert stats.emitted == (0 if ell == 1 else 3_847)
+    assert stats.induced_degree_evals == evals
+
+
 ORDER_DIGEST_BA3000_ELL50 = "9d35ecc4f5a0f0012db959c30514fcbe4e72c9399bc80e68d44f89e6ef873dd7"
 
 
