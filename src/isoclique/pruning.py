@@ -196,6 +196,11 @@ def evaluate_strategy(
     stage, and counted in ``stats.induced_degree_evals``.
     """
     p_size = p.bit_count()
+    # prune_test holds iff the bound is at most t, and every bound is at
+    # least 1 on a non-empty P, so a node with t < 1 cannot be pruned
+    ell = params.ell
+    if (ext_cp + c_size * (p_size - ell)) // (ell + c_size) < 1:
+        return None
     counts = None
     for name, bound in stages:
         if counts is None and name != "size":

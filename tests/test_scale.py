@@ -57,18 +57,21 @@ def test_golden_counters_ba3000_combo(ell, nodes, emitted):
 
 # ba:n=800,m=6,seed=3, recorded before root children were tested on bitsets:
 # (strategy, ell, recursive_calls, prune_firings, filtered_at_leaf,
-# induced_degree_evals); nothing is emitted at ell 1, 3,847 cliques at ell 250
+# induced_degree_evals); nothing is emitted at ell 1, 3,847 cliques at ell 250.
+# induced_degree_evals counts only nodes whose isolation threshold is at least
+# 1; the values were re-derived on the engine that still counted degrees at
+# every tested node, by counting its evaluations at such nodes alone
 GOLDEN_BA800 = [
     ("size", 1, 3_878, {"size": 954}, 2_213, 0),
     ("size", 250, 5_710, {}, 0, 0),
     ("degree", 1, 717, {"degree": 669}, 10, 680),
-    ("degree", 250, 5_710, {}, 0, 1_515),
+    ("degree", 250, 5_710, {}, 0, 0),
     ("softcore", 1, 699, {"softcore": 668}, 1, 671),
-    ("softcore", 250, 5_710, {}, 0, 1_515),
+    ("softcore", 250, 5_710, {}, 0, 0),
     ("degeneracy", 1, 699, {"degeneracy": 668}, 1, 671),
-    ("degeneracy", 250, 5_710, {}, 0, 1_515),
+    ("degeneracy", 250, 5_710, {}, 0, 0),
     ("combo", 1, 699, {"size": 286, "softcore": 382}, 1, 385),
-    ("combo", 250, 5_710, {}, 0, 1_515),
+    ("combo", 250, 5_710, {}, 0, 0),
 ]
 
 
@@ -107,15 +110,16 @@ def test_emitted_sequence_digest_ba3000(strategy):
 
 # gnmp:n=350,m=30,p=0.06,seed=12 at ell 50, where pivot ties are densest:
 # (strategy, sha256 of the emitted sequence, recursive_calls, prune_firings,
-# filtered_at_leaf, induced_degree_evals); "all" is enumerate_all_maximal
+# filtered_at_leaf, induced_degree_evals, derived as for GOLDEN_BA800); "all"
+# is enumerate_all_maximal
 ORDER_DIGEST_GNMP350_ELL50 = "5f5ca5ff25ab38e28cb699b17818c87e2e6688f212d78c1dce1e583b23536cfd"
 GOLDEN_GNMP350_SEED12 = [
     ("none", ORDER_DIGEST_GNMP350_ELL50, 5_861, {}, 931, 0),
     ("size", ORDER_DIGEST_GNMP350_ELL50, 5_604, {"size": 304}, 684, 0),
-    ("degree", ORDER_DIGEST_GNMP350_ELL50, 5_484, {"degree": 370}, 585, 4_366),
-    ("softcore", ORDER_DIGEST_GNMP350_ELL50, 5_479, {"softcore": 370}, 585, 4_361),
-    ("degeneracy", ORDER_DIGEST_GNMP350_ELL50, 5_479, {"degeneracy": 370}, 585, 4_361),
-    ("combo", ORDER_DIGEST_GNMP350_ELL50, 5_479, {"size": 291, "softcore": 79}, 585, 4_070),
+    ("degree", ORDER_DIGEST_GNMP350_ELL50, 5_484, {"degree": 370}, 585, 1_040),
+    ("softcore", ORDER_DIGEST_GNMP350_ELL50, 5_479, {"softcore": 370}, 585, 1_035),
+    ("degeneracy", ORDER_DIGEST_GNMP350_ELL50, 5_479, {"degeneracy": 370}, 585, 1_035),
+    ("combo", ORDER_DIGEST_GNMP350_ELL50, 5_479, {"size": 291, "softcore": 79}, 585, 744),
     ("all", "72e06041c44a0224342d93da55b54177eadf7ac0168c797fc57758212ec288ae", 5_861, {}, 0, 0),
 ]
 
