@@ -12,7 +12,9 @@ Below a root child v everything lies inside N(v), so the root child and
 its subtree run on bitsets over N(v) (see _search_subproblem), on an
 explicit stack, so deep cliques cannot hit the interpreter recursion
 limit. The root splits each child's P and X off the child's adjacency
-list and only the root itself holds vertex lists.
+list and only the root itself holds vertex lists. A root child fills X's
+local rows from P's by symmetry, and a pivot scans only the bits whose
+popcounts the node's prune test did not count.
 """
 
 from __future__ import annotations
@@ -104,20 +106,23 @@ def _local_pivot(
     masks: Sequence[int], p: int, p_bits: Sequence[int] | None, counts: Sequence[int] | None, x: int
 ) -> int:
     """select_pivot on bitsets: the bit of P | X whose row meets P most often,
-    ties to the lowest bit. ``p_bits`` and ``counts``, if given, list P's bits
-    ascending and their popcounts against P; both are read only together."""
+    ties to the lowest bit. ``counts``, if given, are the popcounts against P
+    of P's bits ``p_bits``, and then only X's bits are counted here."""
     if counts is None:
-        p_bits = bit_indices(p)
-        counts = [(masks[i] & p).bit_count() for i in p_bits]
-    best = max(counts)
-    pivot = p_bits[counts.index(best)]
-    if x:
-        x_bits = bit_indices(x)
-        x_counts = [(masks[i] & p).bit_count() for i in x_bits]
-        best_x = max(x_counts)
-        first_x = x_bits[x_counts.index(best_x)]
-        if best_x > best or (best_x == best and first_x < pivot):
-            pivot = first_x
+        best = pivot = -1
+        rest = p | x
+    else:
+        best = max(counts)
+        pivot = p_bits[counts.index(best)]
+        rest = x
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        d = (masks[i] & p).bit_count()
+        if d > best or d == best and i < pivot:
+            best = d
+            pivot = i
     return pivot
 
 
@@ -169,6 +174,15 @@ def _check_node(g: Graph, node: SearchNode, universe: Sequence[int] | None = Non
     for v in p + x:
         if not c_set.issubset(g.adjacency[v]):
             raise AssertionError(f"vertex {v} in P or X is not adjacent to all of C={c}")
+
+
+def _check_rows(g: Graph, universe: Sequence[int], masks: Sequence[int], p: int) -> None:
+    """Check a root child's rows against adjacency: in full for P, on P for X."""
+    for i, u in enumerate(universe):
+        adjacent = set(g.adjacency[u])
+        row = sum(1 << j for j, w in enumerate(universe) if w in adjacent)
+        if (masks[i] ^ row) & (-1 if p >> i & 1 else p):
+            raise AssertionError(f"mask row of vertex {u} does not match its adjacency")
 
 
 def _handle_leaf(
@@ -256,16 +270,17 @@ def _search_subproblem(
     """Test a root child and search below it, on local bitsets.
 
     Everything below root child v lies inside N(v), so P and X are ints
-    over ``universe`` = N(v): bit i stands for ``universe[i]``, and as the
-    adjacency list is sorted, bit order is vertex-id order. ``masks[i]`` is
-    N(universe[i]) within the universe. A child's sets are ``P & masks[i]``
-    and ``X & masks[i]``; retiring i moves its bit from P to X. One popcount
-    per vertex, ``(masks[i] & P).bit_count()``, serves both the pivot and
-    the induced degrees the bounds read. Children are tested (leaf, prune,
-    pivot) when they are created, so only nodes with branches to walk go on
-    the stack. The root child's own prune test builds only the rows of P,
-    and only past the free ``size`` stage, so a pruned root child builds no
-    more than its test reads; ``bit`` is all zero on entry and on return.
+    over ``universe`` = N(v): bit i stands for ``universe[i]``, and bit
+    order is vertex-id order. ``masks[i]`` is N(universe[i]) within the
+    universe for i in the root child's P, and within that P for i in its X,
+    as every P below lies inside it. A child's sets are ``P & masks[i]``
+    and ``X & masks[i]``; retiring i moves its bit from P to X. One
+    popcount per vertex, ``(masks[i] & P).bit_count()``, serves both the
+    pivot and the bounds. Children are tested (leaf, prune, pivot) when
+    they are created, so only nodes with branches to walk go on the stack.
+    The root child's test builds P's rows only past the free ``size``
+    stage, and a survivor fills X's rows from P's. ``bit`` is all zero on
+    entry and on return.
     """
     adjacency = g.adjacency
     universe = adjacency[top.c[0]]
@@ -301,8 +316,15 @@ def _search_subproblem(
         if fired is not None:
             stats.prune_firings[fired] += 1
             return
-    # the survivor builds the rows its test did not
-    build_rows(range(len(universe)) if counts is None else bit_indices(top.x))
+    # the survivor builds P's rows if its test did not, then X's in one step per P-X edge
+    if counts is None:
+        p_bits = bit_indices(p)
+        build_rows(p_bits)
+    for i in p_bits:
+        for j in bit_indices(masks[i] & top.x):
+            masks[j] |= 1 << i
+    if debug:
+        _check_rows(g, universe, masks, p)
     expand(top)
     while stack:
         node = stack[-1]
@@ -327,7 +349,7 @@ def _search_subproblem(
         node.ext_cp += c_size
         c = node.c + [v]
         stats.recursive_calls += 1
-        child = SearchNode(c=c, p=p, x=x, ext_cp=ext)
+        child = SearchNode(c, p, x, ext)
         if debug:
             _check_node(g, child, universe)
         if not p:

@@ -8,16 +8,20 @@ adjacent to all of C and therefore contributes len(C) external edges, so
 an upper bound on how large a clique P can supply turns into a lower
 bound on the external edges of anything grown here. When that lower
 bound already breaks the isolation budget, the whole subtree is sterile
-and can be skipped without losing any qualifying clique.
+and can be skipped without losing any qualifying clique. The budget
+comes down to one integer per node, the threshold t of evaluate_strategy:
+the subtree is sterile exactly when the clique bound is at most t.
 
-Four bounds are available, cheapest and loosest first: the candidate
-count, the maximum induced degree plus one, the softcore count (largest
-k with at least k candidates of induced degree >= k-1), and the peeling
-bound (degeneracy plus one). Strategies chain them; the shipped "combo"
-tries the free size bound before falling back to softcore.
+Four bounds are available, cheapest and loosest first, with their tests:
+the candidate count (a popcount), the maximum induced degree plus one (a
+max), the softcore count, the largest k with at least k candidates of
+induced degree >= k-1 (one pass counting the degrees >= t), and the
+peeling bound, degeneracy plus one (a peel at level t alone). Strategies
+chain them; the shipped "combo" tries the free size test before falling
+back to softcore.
 
 Below the root every node keeps its sets as bitsets over a root child's
-neighbourhood (see isoclique.enumeration), so each bound reads the same
+neighbourhood (see isoclique.enumeration), so each test reads the same
 three things: the candidate bitset, the candidates' induced degrees as
 popcounts in bit order, and the local adjacency rows.
 """
@@ -74,96 +78,64 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-def ub_size(p: int) -> int:
-    """Candidate count: the weakest clique-size bound, free to evaluate."""
-    return p.bit_count()
+def _fits_size(p: int, counts: Sequence[int] | None, masks: Sequence[int], t: int) -> bool:
+    """Candidate count <= t: the weakest clique-size bound, free to evaluate."""
+    return p.bit_count() <= t
 
 
-def ub_degree(counts: Sequence[int]) -> int:
-    """Maximum degree inside the candidate subgraph, plus one."""
-    return max(counts) + 1
+def _fits_degree(p: int, counts: Sequence[int], masks: Sequence[int], t: int) -> bool:
+    """Maximum degree inside the candidate subgraph, plus one, <= t."""
+    return max(counts) < t
 
 
-def ub_softcore(counts: Sequence[int]) -> int:
-    """Largest k such that at least k candidates have induced degree >= k-1.
-
-    A relaxation of the peeling bound that never updates degrees. A
-    counting sort over the degree values keeps it linear in the number
-    of candidates.
-    """
-    n = len(counts)
-    count = [0] * n  # induced degrees lie in [0, n-1]
+def _fits_softcore(p: int, counts: Sequence[int], masks: Sequence[int], t: int) -> bool:
+    """Softcore number <= t: the largest k with at least k candidates of degree
+    >= k-1 exceeds t exactly when more than t have degree >= t."""
+    above = 0
     for d in counts:
-        count[d] += 1
-    at_or_above = 0
-    for k in range(n, 0, -1):
-        at_or_above += count[k - 1]
-        if at_or_above >= k:
-            return k
-    return 0
+        if d >= t:
+            above += 1
+            if above > t:
+                return False
+    return True
 
 
-def ub_degeneracy(p: int, counts: Sequence[int], masks: Sequence[int]) -> int:
-    """Peeling bound: degeneracy plus one, by an exact k-core peel on bitsets.
-
-    Each round drops at once every candidate with at most k neighbours among
-    those left. A round that would drop nothing leaves a core of higher
-    order, so k first rises to the least degree left. When a round drops
-    everything, no (k+1)-core exists and k is the degeneracy.
-    """
+def _fits_degeneracy(p: int, counts: Sequence[int], masks: Sequence[int], t: int) -> bool:
+    """Degeneracy plus one <= t, that is, the candidates' t-core is empty. Each
+    round drops every candidate with fewer than t neighbours left; a round
+    that drops nothing leaves a non-empty t-core."""
     live = bit_indices(p)
     degs = counts
-    k = 0
     while True:
-        k = max(k, min(degs))
         keep = []
         for i, d in zip(live, degs):
-            if d > k:
-                keep.append(i)
-            else:
+            if d < t:
                 p ^= 1 << i
+            else:
+                keep.append(i)
         if not keep:
-            return k + 1
+            return True
+        if len(keep) == len(live):
+            return False
         live = keep
         degs = [(masks[i] & p).bit_count() for i in live]
 
 
-def prune_test(
-    c_size: int, p_size: int, ext_cp: int, omega_bar: int, params: IsolationParams
-) -> bool:
-    """True when no clique grown from this node can meet the isolation cut.
+#: A stage's test (p, counts, masks, t): is its bound on the clique number of
+#: P at most t? ``size`` is called before degrees are counted, with ``None``.
+Fits = Callable[[int, Sequence[int] | None, Sequence[int], int], bool]
+#: A chain of named tests, tried in order; the first that fits prunes.
+Stages = Sequence[tuple[str, Fits]]
 
-    ``omega_bar`` must be an upper bound on the largest clique the
-    candidate subgraph contains. Growing the node's clique by t <= omega_bar
-    candidates strands at least p_size - t candidates, each adding c_size
-    external edges on top of ext_cp, so the best reachable case still
-    violates isolation whenever
-
-        ext_cp + c_size * p_size - ell * c_size >= omega_bar * (ell + c_size)
-
-    The left side can be negative near the root; plain ints handle it.
-    """
-    ell = params.ell
-    return ext_cp + c_size * p_size - ell * c_size >= omega_bar * (ell + c_size)
-
-
-#: A bound maps (candidate bitset, the candidates' induced degrees in bit
-#: order, the local adjacency rows) to an upper bound on the clique number of
-#: the candidate subgraph; ``size`` is called before any degree is counted,
-#: with ``None`` in their place.
-Bound = Callable[[int, Sequence[int] | None, Sequence[int]], int]
-#: A chain of named bounds, tried in order; the first that prunes wins.
-Stages = Sequence[tuple[str, Bound]]
-
-_SIZE = ("size", lambda p, counts, masks: ub_size(p))
-_SOFTCORE = ("softcore", lambda p, counts, masks: ub_softcore(counts))
+_SIZE = ("size", _fits_size)
+_SOFTCORE = ("softcore", _fits_softcore)
 
 STRATEGIES: dict[str, Stages] = {
     "none": (),
     "size": (_SIZE,),
-    "degree": (("degree", lambda p, counts, masks: ub_degree(counts)),),
+    "degree": (("degree", _fits_degree),),
     "softcore": (_SOFTCORE,),
-    "degeneracy": (("degeneracy", ub_degeneracy),),
+    "degeneracy": (("degeneracy", _fits_degeneracy),),
     "combo": (_SIZE, _SOFTCORE),
 }
 
@@ -189,23 +161,24 @@ def evaluate_strategy(
 ) -> str | None:
     """Name of the first stage whose bound proves the subtree sterile, or None.
 
-    ``p`` is the candidate bitset and ``masks[i]`` the neighbourhood of bit
-    i. The free ``size`` stage reads only ``p``. ``degrees()`` returns the
-    candidates' induced degrees in bit order, with the rows of P's bits in
-    ``masks`` by then; it is called at most once, on reaching any other
-    stage, and counted in ``stats.induced_degree_evals``.
+    Growing C by w <= omega_bar of the non-empty candidates ``p`` strands
+    the other |P| - w, each adding |C| external edges to ``ext_cp``, so the
+    subtree is sterile when omega_bar <= t = (ext_cp + |C| * (|P| - ell)) //
+    (ell + |C|), exactly, negative numerators included. No bound is below 1,
+    so a node with t < 1 is not tested. ``size`` reads only ``p``; other
+    stages read ``degrees()``, the induced degrees in bit order (with P's
+    rows in ``masks`` by then), called once and counted in
+    ``stats.induced_degree_evals``.
     """
-    p_size = p.bit_count()
-    # prune_test holds iff the bound is at most t, and every bound is at
-    # least 1 on a non-empty P, so a node with t < 1 cannot be pruned
     ell = params.ell
-    if (ext_cp + c_size * (p_size - ell)) // (ell + c_size) < 1:
+    t = (ext_cp + c_size * (p.bit_count() - ell)) // (ell + c_size)
+    if t < 1:
         return None
     counts = None
-    for name, bound in stages:
+    for name, fits in stages:
         if counts is None and name != "size":
             counts = degrees()
             stats.induced_degree_evals += 1
-        if prune_test(c_size, p_size, ext_cp, bound(p, counts, masks), params):
+        if fits(p, counts, masks, t):
             return name
     return None

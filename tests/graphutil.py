@@ -1,4 +1,5 @@
-"""Small graph builders shared across the test modules."""
+"""Small graph builders shared across the test modules, and the value forms
+of the pruning bounds that the engine's threshold tests are checked against."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import itertools
 import random
 
 from isoclique import Graph
+from isoclique.pruning import IsolationParams, bit_indices
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -81,3 +83,66 @@ def bitset_view(g: Graph, vertices) -> tuple[int, list[int], list[int]]:
     members = sorted(set(vertices))
     p = sum(1 << v for v in members)
     return p, [(masks[v] & p).bit_count() for v in members], masks
+
+
+def ub_size(p: int) -> int:
+    """Candidate count: the weakest clique-size bound."""
+    return p.bit_count()
+
+
+def ub_degree(counts) -> int:
+    """Maximum degree inside the candidate subgraph, plus one."""
+    return max(counts) + 1
+
+
+def ub_softcore(counts) -> int:
+    """Largest k such that at least k candidates have induced degree >= k-1,
+    by a counting sort over the degree values."""
+    n = len(counts)
+    count = [0] * n  # induced degrees lie in [0, n-1]
+    for d in counts:
+        count[d] += 1
+    at_or_above = 0
+    for k in range(n, 0, -1):
+        at_or_above += count[k - 1]
+        if at_or_above >= k:
+            return k
+    return 0
+
+
+def ub_degeneracy(p: int, counts, masks) -> int:
+    """Peeling bound: degeneracy plus one, by an exact k-core peel on bitsets.
+
+    Each round drops at once every candidate with at most k neighbours among
+    those left. A round that would drop nothing leaves a core of higher
+    order, so k first rises to the least degree left. When a round drops
+    everything, no (k+1)-core exists and k is the degeneracy.
+    """
+    live = bit_indices(p)
+    degs = counts
+    k = 0
+    while True:
+        k = max(k, min(degs))
+        keep = []
+        for i, d in zip(live, degs):
+            if d > k:
+                keep.append(i)
+            else:
+                p ^= 1 << i
+        if not keep:
+            return k + 1
+        live = keep
+        degs = [(masks[i] & p).bit_count() for i in live]
+
+
+def prune_test(c_size: int, p_size: int, ext_cp: int, omega_bar: int, params: IsolationParams) -> bool:
+    """True when no clique grown from the node can meet the isolation cut.
+
+    Growing the node's clique by w <= omega_bar candidates strands at least
+    p_size - w candidates, each adding c_size external edges on top of
+    ext_cp, so the best reachable case still violates isolation whenever
+
+        ext_cp + c_size * p_size - ell * c_size >= omega_bar * (ell + c_size)
+    """
+    ell = params.ell
+    return ext_cp + c_size * p_size - ell * c_size >= omega_bar * (ell + c_size)

@@ -21,8 +21,16 @@ from isoclique import (
 )
 from isoclique.generators import generate_ba, generate_feature_model
 from isoclique.graph import canonical_edge_list
-from isoclique.pruning import ub_degeneracy, ub_degree, ub_size, ub_softcore
-from graphutil import bitset_view, complete_binary_tree, erdos_renyi, moon_moser
+from graphutil import (
+    bitset_view,
+    complete_binary_tree,
+    erdos_renyi,
+    moon_moser,
+    ub_degeneracy,
+    ub_degree,
+    ub_size,
+    ub_softcore,
+)
 
 STRATEGIES = ("none", "size", "degree", "softcore", "degeneracy", "combo")
 ELLS = tuple(range(1, 7))

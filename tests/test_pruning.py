@@ -14,11 +14,6 @@ from isoclique.pruning import (
     external_degree,
     get_strategy,
     is_l_isolated,
-    prune_test,
-    ub_degeneracy,
-    ub_degree,
-    ub_size,
-    ub_softcore,
 )
 from graphutil import (
     bitset_view,
@@ -27,9 +22,14 @@ from graphutil import (
     erdos_renyi,
     graph_from_edges,
     path_graph,
+    prune_test,
     star_graph,
     triangle,
     triangle_pendant,
+    ub_degeneracy,
+    ub_degree,
+    ub_size,
+    ub_softcore,
 )
 
 
@@ -146,17 +146,17 @@ def test_popcount_degrees_match_induced_degrees(monkeypatch):
     monkeypatch.setattr(enumeration, "_check_node", check)
     tested = 0
 
-    def recording_bound(p, counts, masks):
+    def recording_fits(p, counts, masks, t):
         nonlocal tested
         members = [universe[i] for i in bit_indices(p)]
         ind = induced_degrees(g, members)
         assert counts == [ind[v] for v in members]
         tested += 1
-        return ub_size(p)
+        return ub_size(p) <= t
 
     for _ in range(30):
         g = erdos_renyi(rng.randint(2, 14), rng.random(), rng)
-        enumerate_isolated(g, 1, (("record", recording_bound),), debug=True)
+        enumerate_isolated(g, 1, (("record", recording_fits),), debug=True)
     assert tested > 100
 
 
@@ -211,6 +211,76 @@ def test_prune_test_monotone_in_bound():
         bound2 = rng.randint(1, bound1)
         if prune_test(c, p, ext, bound1, params):
             assert prune_test(c, p, ext, bound2, params)
+
+
+# the value form of each stage's bound, which its threshold test must match
+BOUND_VALUES = {
+    "size": lambda p, counts, masks: ub_size(p),
+    "degree": lambda p, counts, masks: ub_degree(counts),
+    "softcore": lambda p, counts, masks: ub_softcore(counts),
+    "degeneracy": ub_degeneracy,
+}
+
+
+def test_threshold_tests_match_bound_values():
+    rng = random.Random(101)
+    fits = dict(stage for stages in STRATEGIES.values() for stage in stages)
+    assert fits.keys() == BOUND_VALUES.keys()
+    views = []
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        g = erdos_renyi(n, rng.random(), rng)
+        views.append(bitset_view(g, rng.sample(range(n), rng.randint(1, n))))
+    # paths and binary trees take the most peeling rounds
+    for g in [path_graph(n) for n in range(1, 13)] + [complete_binary_tree(k) for k in (1, 2, 3, 4)]:
+        views.append(bitset_view(g, range(g.vertex_count)))
+    for p, counts, masks in views:
+        for name, test in fits.items():
+            value = BOUND_VALUES[name](p, counts, masks)
+            for t in range(-3, p.bit_count() + 2):
+                assert test(p, counts, masks, t) == (value <= t), (name, t, value)
+
+
+def test_threshold_matches_prune_test():
+    # prune_test(w) holds exactly when w <= T, negative numerators included,
+    # and evaluate_strategy hands every stage that same T once T >= 1
+    rng = random.Random(103)
+    seen = []
+    probe = (("probe", lambda p, counts, masks, t: seen.append(t)),)
+    thresholds = set()
+    for _ in range(3_000):
+        c = rng.randint(1, 8)
+        p_size = rng.randint(1, 30)
+        ext = rng.randint(0, 80)
+        params = IsolationParams(rng.randint(1, 300))
+        ell = params.ell
+        threshold = (ext + c * (p_size - ell)) // (ell + c)
+        thresholds.add(threshold >= 1)
+        for w in range(-3, p_size + 3):
+            assert prune_test(c, p_size, ext, w, params) == (w <= threshold)
+        seen.clear()
+        p = (1 << p_size) - 1
+        fired = evaluate_strategy(probe, c, p, [0] * p_size, ext, params, RunStats(), lambda: [0] * p_size)
+        assert fired is None
+        assert seen == ([threshold] if threshold >= 1 else [])
+    assert thresholds == {False, True}
+
+
+def test_nodes_below_threshold_one_are_never_tested():
+    # t = (0 + 1 * (2 - 5)) // 6 = -1: no bound can fire, so neither the
+    # degrees nor any stage are asked for, even a stage that always fits
+    calls = []
+    stats = RunStats()
+    always = (("always", lambda p, counts, masks, t: calls.append(t) or True),)
+    for stages in (always, get_strategy("degeneracy"), get_strategy("combo")):
+        fired = evaluate_strategy(
+            stages, 1, 0b11, [0b10, 0b01], 0, IsolationParams(5), stats, lambda: calls.append("degrees")
+        )
+        assert fired is None
+    assert calls == [] and stats.induced_degree_evals == 0
+    # nine external edges lift t to (9 - 3) // 6 = 1, and the stage fires
+    assert evaluate_strategy(always, 1, 0b11, [0b10, 0b01], 9, IsolationParams(5), stats, lambda: [1, 1])
+    assert calls == [1]
 
 
 def test_prune_fires_only_on_sterile_subtrees():

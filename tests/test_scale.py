@@ -57,10 +57,13 @@ def test_golden_counters_ba3000_combo(ell, nodes, emitted):
 
 # ba:n=800,m=6,seed=3, recorded before root children were tested on bitsets:
 # (strategy, ell, recursive_calls, prune_firings, filtered_at_leaf,
-# induced_degree_evals); nothing is emitted at ell 1, 3,847 cliques at ell 250.
+# induced_degree_evals); emitted cliques per ell are in EMITTED_BA800.
 # induced_degree_evals counts only nodes whose isolation threshold is at least
 # 1; the values were re-derived on the engine that still counted degrees at
-# every tested node, by counting its evaluations at such nodes alone
+# every tested node, by counting its evaluations at such nodes alone. The
+# combo rows at ell 5 and 10, where some root children survive with counted
+# degrees and others are pruned past size, were recorded the same way before
+# excluded vertices' rows were built from the candidates' rows
 GOLDEN_BA800 = [
     ("size", 1, 3_878, {"size": 954}, 2_213, 0),
     ("size", 250, 5_710, {}, 0, 0),
@@ -71,8 +74,11 @@ GOLDEN_BA800 = [
     ("degeneracy", 1, 699, {"degeneracy": 668}, 1, 671),
     ("degeneracy", 250, 5_710, {}, 0, 0),
     ("combo", 1, 699, {"size": 286, "softcore": 382}, 1, 385),
+    ("combo", 5, 2_680, {"size": 292, "softcore": 108}, 1_572, 204),
+    ("combo", 10, 4_379, {"size": 578, "softcore": 30}, 1_631, 82),
     ("combo", 250, 5_710, {}, 0, 0),
 ]
+EMITTED_BA800 = {1: 0, 5: 0, 10: 1_075, 250: 3_847}
 
 
 @pytest.mark.parametrize(
@@ -83,12 +89,13 @@ GOLDEN_BA800 = [
 def test_debug_root_children_ba800(strategy, ell, nodes, fired, filtered, evals):
     # hubs retire early and sit in later root children's X; at ell 1 root
     # children are pruned at every stage, at ell 250 every one survives, and
-    # debug recounts each of them and every node below
+    # debug recounts each of them and every node below, and checks each
+    # surviving root child's adjacency rows
     stats = enumerate_isolated(graph("ba:n=800,m=6,seed=3"), ell, strategy, debug=True)
     assert stats.recursive_calls == nodes
     assert dict(stats.prune_firings) == fired
     assert stats.filtered_at_leaf == filtered
-    assert stats.emitted == (0 if ell == 1 else 3_847)
+    assert stats.emitted == EMITTED_BA800[ell]
     assert stats.induced_degree_evals == evals
 
 
