@@ -135,7 +135,9 @@ def ub_degeneracy(p: int, counts, masks) -> int:
         degs = [(masks[i] & p).bit_count() for i in live]
 
 
-def prune_test(c_size: int, p_size: int, ext_cp: int, omega_bar: int, params: IsolationParams) -> bool:
+def prune_test(
+    c_size: int, p_size: int, ext_cp: int, omega_bar: int, params: IsolationParams
+) -> bool:
     """True when no clique grown from the node can meet the isolation cut.
 
     Growing the node's clique by w <= omega_bar candidates strands at least

@@ -232,7 +232,8 @@ def test_threshold_tests_match_bound_values():
         g = erdos_renyi(n, rng.random(), rng)
         views.append(bitset_view(g, rng.sample(range(n), rng.randint(1, n))))
     # paths and binary trees take the most peeling rounds
-    for g in [path_graph(n) for n in range(1, 13)] + [complete_binary_tree(k) for k in (1, 2, 3, 4)]:
+    graphs = [path_graph(n) for n in range(1, 13)] + [complete_binary_tree(k) for k in (1, 2, 3, 4)]
+    for g in graphs:
         views.append(bitset_view(g, range(g.vertex_count)))
     for p, counts, masks in views:
         for name, test in fits.items():
@@ -260,8 +261,8 @@ def test_threshold_matches_prune_test():
             assert prune_test(c, p_size, ext, w, params) == (w <= threshold)
         seen.clear()
         p = (1 << p_size) - 1
-        fired = evaluate_strategy(probe, c, p, [0] * p_size, ext, params, RunStats(), lambda: [0] * p_size)
-        assert fired is None
+        zeros = [0] * p_size
+        assert evaluate_strategy(probe, c, p, zeros, ext, params, RunStats(), lambda: zeros) is None
         assert seen == ([threshold] if threshold >= 1 else [])
     assert thresholds == {False, True}
 
@@ -272,15 +273,19 @@ def test_nodes_below_threshold_one_are_never_tested():
     calls = []
     stats = RunStats()
     always = (("always", lambda p, counts, masks, t: calls.append(t) or True),)
+    masks = [0b10, 0b01]
+    params = IsolationParams(5)
+
+    def degrees():
+        calls.append("degrees")
+        return [1, 1]
+
     for stages in (always, get_strategy("degeneracy"), get_strategy("combo")):
-        fired = evaluate_strategy(
-            stages, 1, 0b11, [0b10, 0b01], 0, IsolationParams(5), stats, lambda: calls.append("degrees")
-        )
-        assert fired is None
+        assert evaluate_strategy(stages, 1, 0b11, masks, 0, params, stats, degrees) is None
     assert calls == [] and stats.induced_degree_evals == 0
     # nine external edges lift t to (9 - 3) // 6 = 1, and the stage fires
-    assert evaluate_strategy(always, 1, 0b11, [0b10, 0b01], 9, IsolationParams(5), stats, lambda: [1, 1])
-    assert calls == [1]
+    assert evaluate_strategy(always, 1, 0b11, masks, 9, params, stats, degrees) == "always"
+    assert calls == ["degrees", 1] and stats.induced_degree_evals == 1
 
 
 def test_prune_fires_only_on_sterile_subtrees():
