@@ -167,7 +167,7 @@ def evaluate_strategy(
     (ell + |C|), exactly, negative numerators included. No bound is below 1,
     so a node with t < 1 is not tested. ``size`` reads only ``p``; other
     stages read ``degrees()``, the induced degrees in bit order (with P's
-    rows in ``masks`` by then), called once and counted in
+    rows in ``masks`` by then), called at most once and counted in
     ``stats.induced_degree_evals``.
     """
     ell = params.ell
