@@ -15,8 +15,9 @@ import os
 import sys
 from collections import defaultdict
 from contextlib import nullcontext
+from time import perf_counter
 
-from .enumeration import enumerate_all_maximal, enumerate_isolated
+from .enumeration import enumerate_all_maximal, enumerate_isolated, split_root
 from .generators import (
     GeneratorConfigError,
     canonical_spec,
@@ -165,6 +166,14 @@ def _stats_line(stats) -> str:
     )
 
 
+def _timed_split(g: Graph):
+    """The root split of ``g`` shared by a command's engine calls, and its
+    build time in ms, which those calls' own times leave out."""
+    start = perf_counter()
+    split = split_root(g)
+    return split, (perf_counter() - start) * 1000.0
+
+
 def _format_clique(labels: tuple[str, ...], vertices) -> str:
     return " ".join([labels[v] for v in vertices]) + "\n"
 
@@ -193,13 +202,17 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     g, label = _resolve_graph(args)
-    total = enumerate_all_maximal(g).emitted
+    split, rows_ms = _timed_split(g)
+    total = enumerate_all_maximal(g, split=split).emitted
     with _open_out(args) as out:
-        print(f"# graph={label} strategy={args.strategy} total_maximal={total}", file=out)
+        print(
+            f"# graph={label} strategy={args.strategy} total_maximal={total} rows_ms={rows_ms:.2f}",
+            file=out,
+        )
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["ell", "isolated_count", "percent_of_total", "recursive_calls", "elapsed_ms"])
         for ell in args.ells:
-            stats = enumerate_isolated(g, ell, args.strategy)
+            stats = enumerate_isolated(g, ell, args.strategy, split=split)
             percent = 100.0 * stats.emitted / total if total else 0.0
             writer.writerow(
                 [
@@ -235,7 +248,8 @@ def _cmd_compare(args) -> int:
     shown = list(dict.fromkeys(args.strategies))
     # the baseline run is needed for the call percentages even if not shown
     names = shown if "none" in shown else ["none", *shown]
-    runs = {name: enumerate_isolated(g, args.ell, name) for name in names}
+    split, rows_ms = _timed_split(g)
+    runs = {name: enumerate_isolated(g, args.ell, name, split=split) for name in names}
 
     emitted = {stats.emitted for stats in runs.values()}
     if len(emitted) > 1:
@@ -250,7 +264,10 @@ def _cmd_compare(args) -> int:
     base_calls = runs["none"].recursive_calls
     slowest = max(runs[name].wall_time for name in shown)
     with _open_out(args) as out:
-        print(f"# graph={label} ell={args.ell} baseline_calls={base_calls}", file=out)
+        print(
+            f"# graph={label} ell={args.ell} baseline_calls={base_calls} rows_ms={rows_ms:.2f}",
+            file=out,
+        )
         print(
             f"{'strategy':<12}{'calls':>10}{'calls_vs_none':>16}{'elapsed_ms':>13}{'vs_slowest':>13}{'emitted':>10}",
             file=out,

@@ -11,10 +11,17 @@ tests and the final isolation filter never rescan the graph.
 Below a root child v everything lies inside N(v), so the root child and
 its subtree run on bitsets over N(v) (see _search_subproblem), on an
 explicit stack, so deep cliques cannot hit the interpreter recursion
-limit. The root splits each child's P and X off the child's adjacency
-list and only the root itself holds vertex lists. A root child fills X's
-local rows from P's by symmetry, and a pivot scans only the bits whose
+limit. One generator, _root_children, picks the root pivot and splits
+each root child's P and X off the child's adjacency list, in root order;
+only the root itself holds vertex lists. A root child fills X's local
+rows from P's by symmetry, and a pivot scans only the bits whose
 popcounts the node's prune test did not count.
+
+A run streams its root children and builds each one's rows only as far
+as its prune test reads them. Several runs on one graph can share a
+RootSplit instead (see split_root): it holds every root child's P, X and
+full rows, built once by the same code, and a run handed one picks no
+root pivot, splits nothing and builds no rows.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, Sequence
 
 # The search no longer calls intersect_with_neighbors. perfbench's tracer hooks
 # it under this module, so it stays importable here and its graph.intersect
@@ -185,6 +193,90 @@ def _check_rows(g: Graph, universe: Sequence[int], masks: Sequence[int], p: int)
             raise AssertionError(f"mask row of vertex {u} does not match its adjacency")
 
 
+def _build_rows(
+    adjacency: Sequence[Sequence[int]],
+    universe: Sequence[int],
+    masks: list[int],
+    rows: Sequence[int],
+    bit: list[int],
+) -> None:
+    """Set ``masks[i]`` to N(universe[i]) within ``universe`` for each i in
+    ``rows``. ``bit`` is an all-zero work buffer over every vertex, left all
+    zero."""
+    for i, w in enumerate(universe):
+        bit[w] = 1 << i
+    lookup = bit.__getitem__
+    for i in rows:
+        masks[i] = sum(map(lookup, adjacency[universe[i]]))
+    for w in universe:
+        bit[w] = 0
+
+
+def _fill_x_rows(masks: list[int], p_bits: Sequence[int], x: int) -> None:
+    """Give X's bits their rows on P from P's full rows ``p_bits``, one step
+    per edge between P and X."""
+    for i in p_bits:
+        for j in bit_indices(masks[i] & x):
+            masks[j] |= 1 << i
+
+
+def _root_children(g: Graph, vertices: list[int]) -> Iterator[tuple[int, int, int]]:
+    """The root's children ``(v, P, X)`` in root order, P and X as bitsets
+    over N(v), where bit i stands for N(v)[i]; ``vertices`` is the root's P,
+    all of V in ascending order.
+
+    At the root C is empty, so P and X partition V: one retired flag per
+    vertex stands in for both lists, and each root child is split off its
+    own adjacency list in O(deg): the retired neighbours form X, the rest P.
+    """
+    if not vertices:
+        return
+    adjacency = g.adjacency
+    skip = set(adjacency[select_pivot(g, vertices, [])])
+    retired = bytearray(len(vertices))
+    for v in vertices:
+        if v in skip:
+            continue
+        universe = adjacency[v]
+        x = sum(1 << i for i, u in enumerate(universe) if retired[u])
+        retired[v] = 1
+        yield v, ((1 << len(universe)) - 1) ^ x, x
+
+
+@dataclass(frozen=True, slots=True)
+class RootSplit:
+    """The root's split of one graph, shared by every run handed it.
+
+    ``children`` lists the root children ``(v, P, X)`` as _root_children
+    yields them, and ``rows[k]`` the local rows a surviving ``children[k]``
+    builds (P's over N(v), X's on P's bits), or ``None`` when P is empty.
+    Runs only read them.
+    """
+
+    graph: Graph
+    children: list[tuple[int, int, int]]
+    rows: list[list[int] | None]
+
+
+def split_root(g: Graph) -> RootSplit:
+    """Pick the root pivot of ``g``, split every root child and build its
+    rows, once for any number of runs. Holds about 2m row ints."""
+    adjacency = g.adjacency
+    bit = [0] * g.vertex_count
+    children = list(_root_children(g, list(range(g.vertex_count))))
+    rows = []
+    for v, p, x in children:
+        masks = None
+        if p:
+            universe = adjacency[v]
+            masks = [0] * len(universe)
+            p_bits = bit_indices(p)
+            _build_rows(adjacency, universe, masks, p_bits, bit)
+            _fill_x_rows(masks, p_bits, x)
+        rows.append(masks)
+    return RootSplit(g, children, rows)
+
+
 def _handle_leaf(
     node: SearchNode, params: IsolationParams | None, sink: Sink | None, stats: RunStats
 ) -> None:
@@ -210,10 +302,13 @@ def _run(
     ell: int | None,
     stages: Stages,
     debug: bool,
+    split: RootSplit | None,
 ) -> RunStats:
     params = IsolationParams(ell) if ell is not None else None
     if params is None and stages:
         raise ValueError("pruning strategies need an isolation factor")
+    if split is not None and split.graph is not g:
+        raise ValueError("the root split was prepared for another graph")
     stats = RunStats()
     start = perf_counter()
     adjacency = g.adjacency
@@ -226,33 +321,26 @@ def _run(
         stats.wall_time = perf_counter() - start
         return stats
 
-    # At the root C is empty, so P and X partition V: one retired flag per
-    # vertex stands in for both lists, and each root child is split off its
-    # own adjacency list in O(deg). With C empty the prune test reduces to
-    # 0 >= omega_bar * ell, which no bound can meet, so the root is never
-    # evaluated.
-    pivot = select_pivot(g, root.p, root.x)
-    skip = set(adjacency[pivot])
-    retired = bytearray(g.vertex_count)
-    bit = [0] * g.vertex_count  # work buffer of _search_subproblem, all zero between calls
-    for v in root.p:
-        if v in skip:
-            continue
+    # With C empty the prune test reduces to 0 >= omega_bar * ell, which no
+    # bound can meet, so the root is never evaluated.
+    if split is None:
+        children, rows = _root_children(g, root.p), repeat(None)
+        bit = [0] * g.vertex_count  # work buffer of _search_subproblem, all zero between calls
+    else:
+        children, rows = split.children, split.rows
+        bit = None
+    for (v, p, x), masks in zip(children, rows):
         universe = adjacency[v]
-        # bit i stands for universe[i]: the retired neighbours form X, the rest
-        # P, and with C empty child_ext_cp reduces to deg(v) - |P|
-        x = sum(1 << i for i, u in enumerate(universe) if retired[u])
-        p = ((1 << len(universe)) - 1) ^ x
+        # with C empty child_ext_cp reduces to deg(v) - |P|
         stats.recursive_calls += 1
         node = SearchNode(c=[v], p=p, x=x, ext_cp=len(universe) - p.bit_count())
         if debug:
             _check_node(g, node, universe)
-        retired[v] = 1  # the child's sets are split off already
         if not p:
             if not x:
                 _handle_leaf(node, params, sink, stats)
             continue
-        _search_subproblem(g, node, bit, params, stages, sink, stats, debug)
+        _search_subproblem(g, node, masks, bit, params, stages, sink, stats, debug)
     stats.wall_time = perf_counter() - start
     return stats
 
@@ -260,7 +348,8 @@ def _run(
 def _search_subproblem(
     g: Graph,
     top: SearchNode,
-    bit: list[int],
+    rows: list[int] | None,
+    bit: list[int] | None,
     params: IsolationParams | None,
     stages: Stages,
     sink: Sink | None,
@@ -278,32 +367,27 @@ def _search_subproblem(
     popcount per vertex, ``(masks[i] & P).bit_count()``, serves both the
     pivot and the bounds. Children are tested (leaf, prune, pivot) when
     they are created, so only nodes with branches to walk go on the stack.
-    The root child's test builds P's rows only past the free ``size``
-    stage, and a survivor fills X's rows from P's. ``bit`` is all zero on
-    entry and on return.
+    ``rows``, if given, are the root child's rows from a RootSplit, read
+    only. Otherwise the root child's test builds P's rows only past the
+    free ``size`` stage, a survivor fills X's rows from P's, and ``bit``
+    is all zero on entry and on return.
     """
     adjacency = g.adjacency
     universe = adjacency[top.c[0]]
-    masks = [0] * len(universe)
+    build = rows is None
+    masks = [0] * len(universe) if build else rows
+    if debug and not build:
+        _check_rows(g, universe, masks, top.p)
     stack: list[SearchNode] = []
 
-    def build_rows(rows: Sequence[int]) -> None:
-        for i, w in enumerate(universe):
-            bit[w] = 1 << i
-        lookup = bit.__getitem__
-        for i in rows:
-            masks[i] = sum(map(lookup, adjacency[universe[i]]))
-        for w in universe:
-            bit[w] = 0
-
-    def induced() -> list[int]:
-        # the popcount degrees of the node under test, kept for its pivot
+    def induced() -> tuple[list[int], list[int]]:
+        # P's bits and popcount degrees at the node under test, kept for its pivot
         nonlocal p_bits, counts
         p_bits = bit_indices(p)
-        if not stack:  # only the root child is tested with nothing stacked
-            build_rows(p_bits)
+        if build and not stack:  # only the root child is tested with nothing stacked
+            _build_rows(adjacency, universe, masks, p_bits, bit)
         counts = [(masks[i] & p).bit_count() for i in p_bits]
-        return counts
+        return p_bits, counts
 
     def expand(node: SearchNode) -> None:
         node.branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, node.x)]
@@ -316,15 +400,14 @@ def _search_subproblem(
         if fired is not None:
             stats.prune_firings[fired] += 1
             return
-    # the survivor builds P's rows if its test did not, then X's in one step per P-X edge
-    if counts is None:
-        p_bits = bit_indices(p)
-        build_rows(p_bits)
-    for i in p_bits:
-        for j in bit_indices(masks[i] & top.x):
-            masks[j] |= 1 << i
-    if debug:
-        _check_rows(g, universe, masks, p)
+    if build:
+        # the survivor builds P's rows if its test did not, then X's from P's
+        if counts is None:
+            p_bits = bit_indices(p)
+            _build_rows(adjacency, universe, masks, p_bits, bit)
+        _fill_x_rows(masks, p_bits, top.x)
+        if debug:
+            _check_rows(g, universe, masks, p)
     expand(top)
     while stack:
         node = stack[-1]
@@ -372,6 +455,7 @@ def enumerate_isolated(
     sink: Sink | None = None,
     *,
     debug: bool = False,
+    split: RootSplit | None = None,
 ) -> RunStats:
     """Report every maximal clique of ``g`` whose external edge count is
     strictly below ``ell`` times its size.
@@ -382,14 +466,17 @@ def enumerate_isolated(
     or is such a chain of ``(name, bound)`` stages itself; with strategy
     "none" every maximal clique is still visited and merely filtered at
     the leaves. ``debug`` recounts the external-edge counter and the
-    adjacency invariants at every node.
+    adjacency invariants at every node. ``split``, from split_root(g),
+    replaces the run's own root split and row building; output and
+    counters are the same either way.
     """
     stages = get_strategy(strategy) if isinstance(strategy, str) else strategy
-    return _run(g, sink, ell=ell, stages=stages, debug=debug)
+    return _run(g, sink, ell=ell, stages=stages, debug=debug, split=split)
 
 
 def enumerate_all_maximal(
-    g: Graph, sink: Sink | None = None, *, debug: bool = False
+    g: Graph, sink: Sink | None = None, *, debug: bool = False, split: RootSplit | None = None
 ) -> RunStats:
-    """Report every maximal clique of ``g`` exactly once."""
-    return _run(g, sink, ell=None, stages=(), debug=debug)
+    """Report every maximal clique of ``g`` exactly once; ``debug`` and
+    ``split`` as for enumerate_isolated."""
+    return _run(g, sink, ell=None, stages=(), debug=debug, split=split)

@@ -22,8 +22,9 @@ back to softcore.
 
 Below the root every node keeps its sets as bitsets over a root child's
 neighbourhood (see isoclique.enumeration), so each test reads the same
-three things: the candidate bitset, the candidates' induced degrees as
-popcounts in bit order, and the local adjacency rows.
+four things: the candidate bitset, its bits decoded in ascending order,
+the candidates' induced degrees as popcounts in that order, and the
+local adjacency rows.
 """
 
 from __future__ import annotations
@@ -78,17 +79,23 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-def _fits_size(p: int, counts: Sequence[int] | None, masks: Sequence[int], t: int) -> bool:
+def _fits_size(
+    p: int, bits: Sequence[int] | None, counts: Sequence[int] | None, masks: Sequence[int], t: int
+) -> bool:
     """Candidate count <= t: the weakest clique-size bound, free to evaluate."""
     return p.bit_count() <= t
 
 
-def _fits_degree(p: int, counts: Sequence[int], masks: Sequence[int], t: int) -> bool:
+def _fits_degree(
+    p: int, bits: Sequence[int], counts: Sequence[int], masks: Sequence[int], t: int
+) -> bool:
     """Maximum degree inside the candidate subgraph, plus one, <= t."""
     return max(counts) < t
 
 
-def _fits_softcore(p: int, counts: Sequence[int], masks: Sequence[int], t: int) -> bool:
+def _fits_softcore(
+    p: int, bits: Sequence[int], counts: Sequence[int], masks: Sequence[int], t: int
+) -> bool:
     """Softcore number <= t: the largest k with at least k candidates of degree
     >= k-1 exceeds t exactly when more than t have degree >= t."""
     above = 0
@@ -100,11 +107,13 @@ def _fits_softcore(p: int, counts: Sequence[int], masks: Sequence[int], t: int) 
     return True
 
 
-def _fits_degeneracy(p: int, counts: Sequence[int], masks: Sequence[int], t: int) -> bool:
+def _fits_degeneracy(
+    p: int, bits: Sequence[int], counts: Sequence[int], masks: Sequence[int], t: int
+) -> bool:
     """Degeneracy plus one <= t, that is, the candidates' t-core is empty. Each
     round drops every candidate with fewer than t neighbours left; a round
     that drops nothing leaves a non-empty t-core."""
-    live = bit_indices(p)
+    live = bits
     degs = counts
     while True:
         keep = []
@@ -121,9 +130,11 @@ def _fits_degeneracy(p: int, counts: Sequence[int], masks: Sequence[int], t: int
         degs = [(masks[i] & p).bit_count() for i in live]
 
 
-#: A stage's test (p, counts, masks, t): is its bound on the clique number of
-#: P at most t? ``size`` is called before degrees are counted, with ``None``.
-Fits = Callable[[int, Sequence[int] | None, Sequence[int], int], bool]
+#: A stage's test (p, bits, counts, masks, t): is its bound on the clique
+#: number of P at most t? ``bits`` are P's set bits, ascending, and ``counts``
+#: their induced degrees in that order; ``size`` is called before either is
+#: made, with ``None`` for both.
+Fits = Callable[[int, Sequence[int] | None, Sequence[int] | None, Sequence[int], int], bool]
 #: A chain of named tests, tried in order; the first that fits prunes.
 Stages = Sequence[tuple[str, Fits]]
 
@@ -157,7 +168,7 @@ def evaluate_strategy(
     ext_cp: int,
     params: IsolationParams,
     stats,
-    degrees: Callable[[], Sequence[int]],
+    degrees: Callable[[], tuple[Sequence[int], Sequence[int]]],
 ) -> str | None:
     """Name of the first stage whose bound proves the subtree sterile, or None.
 
@@ -166,19 +177,19 @@ def evaluate_strategy(
     subtree is sterile when omega_bar <= t = (ext_cp + |C| * (|P| - ell)) //
     (ell + |C|), exactly, negative numerators included. No bound is below 1,
     so a node with t < 1 is not tested. ``size`` reads only ``p``; other
-    stages read ``degrees()``, the induced degrees in bit order (with P's
-    rows in ``masks`` by then), called at most once and counted in
-    ``stats.induced_degree_evals``.
+    stages read ``degrees()``, P's bits in ascending order and their induced
+    degrees in that order (with P's rows in ``masks`` by then), called at
+    most once and counted in ``stats.induced_degree_evals``.
     """
     ell = params.ell
     t = (ext_cp + c_size * (p.bit_count() - ell)) // (ell + c_size)
     if t < 1:
         return None
-    counts = None
+    bits = counts = None
     for name, fits in stages:
         if counts is None and name != "size":
-            counts = degrees()
+            bits, counts = degrees()
             stats.induced_degree_evals += 1
-        if fits(p, counts, masks, t):
+        if fits(p, bits, counts, masks, t):
             return name
     return None

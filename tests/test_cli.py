@@ -289,6 +289,37 @@ def test_compare_respects_dominance(capsys):
     assert table["none"]["calls_pct"] == 100.0
 
 
+def header_field(line, key):
+    fields = dict(field.split("=", 1) for field in line.split()[1:])
+    return fields[key]
+
+
+def test_compare_rows_match_independent_runs(capsys):
+    # compare shares one root split across its engine calls; every row still
+    # shows what a run that splits the root itself reports
+    spec = "ba:n=800,m=6,seed=3"
+    code, out, _ = run_cli(capsys, "compare", "--gen", spec, "--ell", "5")
+    assert code == 0
+    assert float(header_field(out.splitlines()[0], "rows_ms")) >= 0
+    table = parse_compare(out)
+    g = isoclique.generate(isoclique.parse_generator_spec(spec))
+    for name in isoclique.STRATEGIES:
+        stats = isoclique.enumerate_isolated(g, 5, name)
+        row = table[name]
+        assert (row["calls"], row["emitted"]) == (stats.recursive_calls, stats.emitted)
+
+
+def test_sweep_and_compare_headers_report_rows_ms(capsys, pendant_file):
+    code, out, _ = run_cli(capsys, "sweep", "--graph", pendant_file, "--ells", "1")
+    assert code == 0
+    assert float(header_field(out.splitlines()[0], "rows_ms")) >= 0
+    code, out, _ = run_cli(capsys, "compare", "--graph", pendant_file, "--ell", "1")
+    assert code == 0
+    head = out.splitlines()[0]
+    assert head.startswith("# graph=")
+    assert float(header_field(head, "rows_ms")) >= 0
+
+
 def test_generate_is_byte_identical(capsys, tmp_path):
     first = tmp_path / "one.txt"
     second = tmp_path / "two.txt"

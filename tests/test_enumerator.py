@@ -37,7 +37,7 @@ def omega_over_masks(p, masks):
 
 # The exact clique number as a bound: the tightest there is, and exponential,
 # so it lives here as a stage chain rather than in the package.
-OMEGA = (("omega", lambda p, counts, masks, t: omega_over_masks(p, masks) <= t),)
+OMEGA = (("omega", lambda p, bits, counts, masks, t: omega_over_masks(p, masks) <= t),)
 ALL_STRATEGIES = {**{name: name for name in STRATEGIES}, "omega": OMEGA}
 
 

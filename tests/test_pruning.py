@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from isoclique import enumerate_isolated, enumeration, oracle
+from isoclique import enumerate_isolated, enumeration, oracle, pruning
 from isoclique.enumeration import RunStats
 from isoclique.graph import induced_degrees
 from isoclique.pruning import (
@@ -36,7 +36,8 @@ from graphutil import (
 def evaluate(g, stages, c_size, vertices, ext_cp, params, stats):
     """evaluate_strategy on the bitset view of ``vertices``."""
     p, counts, masks = bitset_view(g, vertices)
-    return evaluate_strategy(stages, c_size, p, masks, ext_cp, params, stats, lambda: counts)
+    degrees = (bit_indices(p), counts)
+    return evaluate_strategy(stages, c_size, p, masks, ext_cp, params, stats, lambda: degrees)
 
 
 def brute_softcore(counts):
@@ -146,9 +147,10 @@ def test_popcount_degrees_match_induced_degrees(monkeypatch):
     monkeypatch.setattr(enumeration, "_check_node", check)
     tested = 0
 
-    def recording_fits(p, counts, masks, t):
+    def recording_fits(p, bits, counts, masks, t):
         nonlocal tested
-        members = [universe[i] for i in bit_indices(p)]
+        assert bits == bit_indices(p)
+        members = [universe[i] for i in bits]
         ind = induced_degrees(g, members)
         assert counts == [ind[v] for v in members]
         tested += 1
@@ -236,10 +238,26 @@ def test_threshold_tests_match_bound_values():
     for g in graphs:
         views.append(bitset_view(g, range(g.vertex_count)))
     for p, counts, masks in views:
+        bits = bit_indices(p)
         for name, test in fits.items():
             value = BOUND_VALUES[name](p, counts, masks)
             for t in range(-3, p.bit_count() + 2):
-                assert test(p, counts, masks, t) == (value <= t), (name, t, value)
+                assert test(p, bits, counts, masks, t) == (value <= t), (name, t, value)
+
+
+def test_stages_read_the_supplied_bits(monkeypatch):
+    # the degeneracy peel starts from the bits it is handed, as decoded by the
+    # caller along with the counts, and decodes P no second time
+    p, counts, masks = bitset_view(complete_binary_tree(4), range(15))
+    bits = bit_indices(p)
+
+    def no_decode(mask):
+        raise AssertionError("P decoded again")
+
+    monkeypatch.setattr(pruning, "bit_indices", no_decode)
+    fits = dict(STRATEGIES["degeneracy"])["degeneracy"]
+    assert fits(p, bits, counts, masks, 2)  # degeneracy 1, plus one, fits under 2
+    assert not fits(p, bits, counts, masks, 1)
 
 
 def test_threshold_matches_prune_test():
@@ -247,7 +265,7 @@ def test_threshold_matches_prune_test():
     # and evaluate_strategy hands every stage that same T once T >= 1
     rng = random.Random(103)
     seen = []
-    probe = (("probe", lambda p, counts, masks, t: seen.append(t)),)
+    probe = (("probe", lambda p, bits, counts, masks, t: seen.append(t)),)
     thresholds = set()
     for _ in range(3_000):
         c = rng.randint(1, 8)
@@ -262,7 +280,8 @@ def test_threshold_matches_prune_test():
         seen.clear()
         p = (1 << p_size) - 1
         zeros = [0] * p_size
-        assert evaluate_strategy(probe, c, p, zeros, ext, params, RunStats(), lambda: zeros) is None
+        degrees = lambda: (list(range(p_size)), zeros)
+        assert evaluate_strategy(probe, c, p, zeros, ext, params, RunStats(), degrees) is None
         assert seen == ([threshold] if threshold >= 1 else [])
     assert thresholds == {False, True}
 
@@ -272,13 +291,13 @@ def test_nodes_below_threshold_one_are_never_tested():
     # degrees nor any stage are asked for, even a stage that always fits
     calls = []
     stats = RunStats()
-    always = (("always", lambda p, counts, masks, t: calls.append(t) or True),)
+    always = (("always", lambda p, bits, counts, masks, t: calls.append(t) or True),)
     masks = [0b10, 0b01]
     params = IsolationParams(5)
 
     def degrees():
         calls.append("degrees")
-        return [1, 1]
+        return [0, 1], [1, 1]
 
     for stages in (always, get_strategy("degeneracy"), get_strategy("combo")):
         assert evaluate_strategy(stages, 1, 0b11, masks, 0, params, stats, degrees) is None
@@ -327,11 +346,12 @@ def test_supplied_degrees_are_read_once_and_only_past_size():
     g = star_graph(3)
     params = IsolationParams(1)
     p, counts, masks = bitset_view(g, [0, 1, 2, 3])
+    bits = bit_indices(p)
     calls = []
 
     def degrees():
         calls.append(1)
-        return counts
+        return bits, counts
 
     combo = get_strategy("combo")
     stats = RunStats()
@@ -343,7 +363,8 @@ def test_supplied_degrees_are_read_once_and_only_past_size():
     # the bounds read the supplied degrees, not a recount: claim P is a clique
     softcore = get_strategy("softcore")
     clique = [3, 3, 3, 3]
-    assert evaluate_strategy(softcore, 3, p, masks, 3, params, RunStats(), lambda: clique) is None
+    claimed = lambda: (bits, clique)
+    assert evaluate_strategy(softcore, 3, p, masks, 3, params, RunStats(), claimed) is None
 
 
 def test_combo_and_softcore_decide_alike():

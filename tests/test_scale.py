@@ -10,7 +10,15 @@ import hashlib
 
 import pytest
 
-from isoclique import enumerate_all_maximal, enumerate_isolated, generate, parse_generator_spec
+from isoclique import (
+    STRATEGIES,
+    enumerate_all_maximal,
+    enumerate_isolated,
+    enumeration,
+    generate,
+    parse_generator_spec,
+)
+from isoclique.enumeration import split_root
 from isoclique.pruning import external_degree
 
 
@@ -163,3 +171,71 @@ def test_golden_counters_ba20000_ell50(strategy, nodes, emitted, filtered):
     assert stats.recursive_calls == nodes
     assert stats.emitted == emitted
     assert stats.filtered_at_leaf == filtered
+
+
+def run_digest(g, strategy, ell, **kwargs):
+    """Emitted-sequence sha256 and every counter of one engine call."""
+    sha = hashlib.sha256()
+
+    def sink(r):
+        sha.update(f"{' '.join(map(str, r.vertices))} {r.external_degree}\n".encode())
+
+    if strategy == "all":
+        stats = enumerate_all_maximal(g, sink, **kwargs)
+    else:
+        stats = enumerate_isolated(g, ell, strategy, sink, **kwargs)
+    return sha.hexdigest(), (
+        stats.recursive_calls,
+        dict(stats.prune_firings),
+        stats.emitted,
+        stats.filtered_at_leaf,
+        stats.induced_degree_evals,
+    )
+
+
+@pytest.mark.parametrize("spec", ["gnmp:n=350,m=30,p=0.06,seed=12", "ba:n=800,m=6,seed=3"])
+def test_shared_root_split_changes_nothing(spec, monkeypatch):
+    # one split serves every strategy, factor and the plain pass, and each
+    # run emits the same sequence with the same counters as a run that splits
+    # the root itself
+    g = graph(spec)
+    constructed = []
+    real_node = enumeration.SearchNode
+    monkeypatch.setattr(
+        enumeration, "SearchNode", lambda *a, **k: constructed.append(1) or real_node(*a, **k)
+    )
+    split = split_root(g)
+    assert constructed == []  # building the split visits no node
+    monkeypatch.setattr(enumeration, "SearchNode", real_node)
+
+    calls = [(s, ell) for s in STRATEGIES for ell in (1, 10, 50, 250)] + [("all", None)]
+    own = [run_digest(g, s, ell) for s, ell in calls]
+    shared = [run_digest(g, s, ell, split=split) for s, ell in calls]
+    assert shared == own
+
+    # debug checks every supplied root child's rows, pruned ones included
+    checked = []
+    real_check = enumeration._check_rows
+    monkeypatch.setattr(
+        enumeration, "_check_rows", lambda *a: checked.append(1) or real_check(*a)
+    )
+    debugged = run_digest(g, "combo", 10, split=split, debug=True)
+    assert debugged == own[calls.index(("combo", 10))]
+    assert len(checked) == sum(1 for masks in split.rows if masks is not None)
+
+    # a split is tied to the graph object it was prepared for
+    with pytest.raises(ValueError, match="another graph"):
+        enumerate_isolated(graph(spec), 10, "combo", split=split)
+    with pytest.raises(ValueError, match="another graph"):
+        enumerate_all_maximal(graph(spec), split=split)
+
+
+def test_debug_catches_a_corrupt_shared_row():
+    g = graph("ba:n=800,m=6,seed=3")
+    split = split_root(g)
+    k = next(k for k, masks in enumerate(split.rows) if masks is not None)
+    p = split.children[k][1]
+    i = (p & -p).bit_length() - 1
+    split.rows[k][i] |= 1 << i  # no vertex is its own neighbour
+    with pytest.raises(AssertionError, match="mask row"):
+        enumerate_isolated(g, 250, "none", debug=True, split=split)
