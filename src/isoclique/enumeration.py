@@ -11,17 +11,16 @@ tests and the final isolation filter never rescan the graph.
 Below a root child v everything lies inside N(v), so the root child and
 its subtree run on bitsets over N(v) (see _search_subproblem), on an
 explicit stack, so deep cliques cannot hit the interpreter recursion
-limit. One generator, _root_children, picks the root pivot and splits
-each root child's P and X off the child's adjacency list, in root order;
-only the root itself holds vertex lists. A root child fills X's local
-rows from P's by symmetry, and a pivot scans only the bits whose
-popcounts the node's prune test did not count.
+limit. One generator, _root_children, picks the root pivot, splits each
+root child's P and X off the child's adjacency list and builds its local
+rows, X's from P's by symmetry, in root order; only the root itself
+holds vertex lists. A pivot scans only the bits whose popcounts the
+node's prune test did not count.
 
-A run streams its root children and builds each one's rows only as far
-as its prune test reads them. Several runs on one graph can share a
-RootSplit instead (see split_root): it holds every root child's P, X and
-full rows, built once by the same code, and a run handed one picks no
-root pivot, splits nothing and builds no rows.
+A run consumes that generator one root child at a time. Several runs on
+one graph can share its output instead, a RootSplit (see split_root),
+and a run handed one picks no root pivot, splits nothing and builds no
+rows.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 # The search no longer calls intersect_with_neighbors. perfbench's tracer hooks
@@ -193,88 +191,71 @@ def _check_rows(g: Graph, universe: Sequence[int], masks: Sequence[int], p: int)
             raise AssertionError(f"mask row of vertex {u} does not match its adjacency")
 
 
-def _build_rows(
-    adjacency: Sequence[Sequence[int]],
-    universe: Sequence[int],
-    masks: list[int],
-    rows: Sequence[int],
-    bit: list[int],
-) -> None:
-    """Set ``masks[i]`` to N(universe[i]) within ``universe`` for each i in
-    ``rows``. ``bit`` is an all-zero work buffer over every vertex, left all
-    zero."""
-    for i, w in enumerate(universe):
-        bit[w] = 1 << i
-    lookup = bit.__getitem__
-    for i in rows:
-        masks[i] = sum(map(lookup, adjacency[universe[i]]))
-    for w in universe:
-        bit[w] = 0
-
-
-def _fill_x_rows(masks: list[int], p_bits: Sequence[int], x: int) -> None:
-    """Give X's bits their rows on P from P's full rows ``p_bits``, one step
-    per edge between P and X."""
-    for i in p_bits:
-        for j in bit_indices(masks[i] & x):
-            masks[j] |= 1 << i
-
-
-def _root_children(g: Graph, vertices: list[int]) -> Iterator[tuple[int, int, int]]:
-    """The root's children ``(v, P, X)`` in root order, P and X as bitsets
-    over N(v), where bit i stands for N(v)[i]; ``vertices`` is the root's P,
-    all of V in ascending order.
+def _root_children(
+    g: Graph, vertices: list[int]
+) -> Iterator[tuple[int, int, int, list[int] | None]]:
+    """The root's children ``(v, P, X, masks)`` in root order, P and X as
+    bitsets over N(v), where bit i stands for N(v)[i]; ``vertices`` is the
+    root's P, all of V in ascending order.
 
     At the root C is empty, so P and X partition V: one retired flag per
     vertex stands in for both lists, and each root child is split off its
     own adjacency list in O(deg): the retired neighbours form X, the rest P.
+    ``masks`` holds the rows _search_subproblem reads, or is None when P is
+    empty: ``masks[i]`` is N(N(v)[i]) within N(v) for i in P, and within P
+    for i in X, filled from P's rows one step per edge between P and X,
+    since below the root child an X row is only read against a subset of P.
+    Each child's rows are built when it is reached, so a consumer that
+    drops them before the next holds one child's rows at a time.
     """
     if not vertices:
         return
     adjacency = g.adjacency
     skip = set(adjacency[select_pivot(g, vertices, [])])
     retired = bytearray(len(vertices))
+    bit = [0] * len(vertices)  # bit[w] is w's bit in the current N(v), else 0
+    lookup = bit.__getitem__
     for v in vertices:
         if v in skip:
             continue
         universe = adjacency[v]
         x = sum(1 << i for i, u in enumerate(universe) if retired[u])
         retired[v] = 1
-        yield v, ((1 << len(universe)) - 1) ^ x, x
+        p = ((1 << len(universe)) - 1) ^ x
+        masks = None
+        if p:
+            for i, w in enumerate(universe):
+                bit[w] = 1 << i
+            masks = [0] * len(universe)
+            p_bits = bit_indices(p)
+            for i in p_bits:
+                masks[i] = sum(map(lookup, adjacency[universe[i]]))
+            for w in universe:
+                bit[w] = 0
+            for i in p_bits:
+                for j in bit_indices(masks[i] & x):
+                    masks[j] |= 1 << i
+        yield v, p, x, masks
 
 
 @dataclass(frozen=True, slots=True)
 class RootSplit:
     """The root's split of one graph, shared by every run handed it.
 
-    ``children`` lists the root children ``(v, P, X)`` as _root_children
-    yields them, and ``rows[k]`` the local rows a surviving ``children[k]``
-    builds (P's over N(v), X's on P's bits), or ``None`` when P is empty.
-    Runs only read them.
+    ``children`` lists every root child ``(v, P, X, masks)`` as
+    _root_children yields them. Runs only read them.
     """
 
     graph: Graph
-    children: list[tuple[int, int, int]]
-    rows: list[list[int] | None]
+    children: list[tuple[int, int, int, list[int] | None]]
 
 
 def split_root(g: Graph) -> RootSplit:
     """Pick the root pivot of ``g``, split every root child and build its
-    rows, once for any number of runs. Holds about 2m row ints."""
-    adjacency = g.adjacency
-    bit = [0] * g.vertex_count
-    children = list(_root_children(g, list(range(g.vertex_count))))
-    rows = []
-    for v, p, x in children:
-        masks = None
-        if p:
-            universe = adjacency[v]
-            masks = [0] * len(universe)
-            p_bits = bit_indices(p)
-            _build_rows(adjacency, universe, masks, p_bits, bit)
-            _fill_x_rows(masks, p_bits, x)
-        rows.append(masks)
-    return RootSplit(g, children, rows)
+    rows, once for any number of runs. The split holds all of them at once:
+    one list slot per vertex of each root child's neighbourhood, at most 2m
+    for m edges, and each row as an int of up to deg(v) bits."""
+    return RootSplit(g, list(_root_children(g, list(range(g.vertex_count)))))
 
 
 def _handle_leaf(
@@ -323,13 +304,8 @@ def _run(
 
     # With C empty the prune test reduces to 0 >= omega_bar * ell, which no
     # bound can meet, so the root is never evaluated.
-    if split is None:
-        children, rows = _root_children(g, root.p), repeat(None)
-        bit = [0] * g.vertex_count  # work buffer of _search_subproblem, all zero between calls
-    else:
-        children, rows = split.children, split.rows
-        bit = None
-    for (v, p, x), masks in zip(children, rows):
+    children = _root_children(g, root.p) if split is None else split.children
+    for v, p, x, masks in children:
         universe = adjacency[v]
         # with C empty child_ext_cp reduces to deg(v) - |P|
         stats.recursive_calls += 1
@@ -340,7 +316,7 @@ def _run(
             if not x:
                 _handle_leaf(node, params, sink, stats)
             continue
-        _search_subproblem(g, node, masks, bit, params, stages, sink, stats, debug)
+        _search_subproblem(g, node, masks, params, stages, sink, stats, debug)
     stats.wall_time = perf_counter() - start
     return stats
 
@@ -348,8 +324,7 @@ def _run(
 def _search_subproblem(
     g: Graph,
     top: SearchNode,
-    rows: list[int] | None,
-    bit: list[int] | None,
+    masks: list[int],
     params: IsolationParams | None,
     stages: Stages,
     sink: Sink | None,
@@ -367,16 +342,11 @@ def _search_subproblem(
     popcount per vertex, ``(masks[i] & P).bit_count()``, serves both the
     pivot and the bounds. Children are tested (leaf, prune, pivot) when
     they are created, so only nodes with branches to walk go on the stack.
-    ``rows``, if given, are the root child's rows from a RootSplit, read
-    only. Otherwise the root child's test builds P's rows only past the
-    free ``size`` stage, a survivor fills X's rows from P's, and ``bit``
-    is all zero on entry and on return.
+    ``masks`` is only read.
     """
     adjacency = g.adjacency
     universe = adjacency[top.c[0]]
-    build = rows is None
-    masks = [0] * len(universe) if build else rows
-    if debug and not build:
+    if debug:
         _check_rows(g, universe, masks, top.p)
     stack: list[SearchNode] = []
 
@@ -384,8 +354,6 @@ def _search_subproblem(
         # P's bits and popcount degrees at the node under test, kept for its pivot
         nonlocal p_bits, counts
         p_bits = bit_indices(p)
-        if build and not stack:  # only the root child is tested with nothing stacked
-            _build_rows(adjacency, universe, masks, p_bits, bit)
         counts = [(masks[i] & p).bit_count() for i in p_bits]
         return p_bits, counts
 
@@ -400,14 +368,6 @@ def _search_subproblem(
         if fired is not None:
             stats.prune_firings[fired] += 1
             return
-    if build:
-        # the survivor builds P's rows if its test did not, then X's from P's
-        if counts is None:
-            p_bits = bit_indices(p)
-            _build_rows(adjacency, universe, masks, p_bits, bit)
-        _fill_x_rows(masks, p_bits, top.x)
-        if debug:
-            _check_rows(g, universe, masks, p)
     expand(top)
     while stack:
         node = stack[-1]

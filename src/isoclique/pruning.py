@@ -178,8 +178,8 @@ def evaluate_strategy(
     (ell + |C|), exactly, negative numerators included. No bound is below 1,
     so a node with t < 1 is not tested. ``size`` reads only ``p``; other
     stages read ``degrees()``, P's bits in ascending order and their induced
-    degrees in that order (with P's rows in ``masks`` by then), called at
-    most once and counted in ``stats.induced_degree_evals``.
+    degrees in that order, called at most once and counted in
+    ``stats.induced_degree_evals``.
     """
     ell = params.ell
     t = (ext_cp + c_size * (p.bit_count() - ell)) // (ell + c_size)

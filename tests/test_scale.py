@@ -221,7 +221,7 @@ def test_shared_root_split_changes_nothing(spec, monkeypatch):
     )
     debugged = run_digest(g, "combo", 10, split=split, debug=True)
     assert debugged == own[calls.index(("combo", 10))]
-    assert len(checked) == sum(1 for masks in split.rows if masks is not None)
+    assert len(checked) == sum(1 for *_, masks in split.children if masks is not None)
 
     # a split is tied to the graph object it was prepared for
     with pytest.raises(ValueError, match="another graph"):
@@ -233,9 +233,8 @@ def test_shared_root_split_changes_nothing(spec, monkeypatch):
 def test_debug_catches_a_corrupt_shared_row():
     g = graph("ba:n=800,m=6,seed=3")
     split = split_root(g)
-    k = next(k for k, masks in enumerate(split.rows) if masks is not None)
-    p = split.children[k][1]
+    _, p, _, masks = next(child for child in split.children if child[3] is not None)
     i = (p & -p).bit_length() - 1
-    split.rows[k][i] |= 1 << i  # no vertex is its own neighbour
+    masks[i] |= 1 << i  # no vertex is its own neighbour
     with pytest.raises(AssertionError, match="mask row"):
         enumerate_isolated(g, 250, "none", debug=True, split=split)
