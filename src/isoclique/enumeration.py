@@ -8,14 +8,15 @@ pivot's neighborhood keeps the tree small, and a per-node counter of the
 edges leaving C (ignoring P) is maintained incrementally so pruning
 tests and the final isolation filter never rescan the graph.
 
-Below a root child v everything lies inside N(v), so the root child and
-its subtree run on bitsets over N(v) (see _search_subproblem), on an
-explicit stack, so deep cliques cannot hit the interpreter recursion
-limit. One generator, _root_children, picks the root pivot, splits each
-root child's P and X off the child's adjacency list and builds its local
-rows, X's from P's by symmetry, in root order; only the root itself
-holds vertex lists. A pivot scans only the bits whose popcounts the
-node's prune test did not count.
+P and X are bitsets everywhere: over V at the root, bit v standing for
+vertex v, and over N(v) at and below a root child v, since everything
+there lies inside N(v). One generator, _root_children, picks the root
+pivot, splits each root child's P and X off the child's adjacency list
+and builds its local rows, X's from P's by symmetry, in root order.
+_search_subproblem visits the root child and every node below it with
+one block (count, check, leaf, prune test, pivot), on an explicit stack,
+so deep cliques cannot hit the interpreter recursion limit. A pivot
+scans only the bits whose popcounts the node's prune test did not count.
 
 A run consumes that generator one root child at a time. Several runs on
 one graph can share its output instead, a RootSplit (see split_root),
@@ -34,25 +35,24 @@ from typing import Callable, Iterator, Sequence
 # it under this module, so it stays importable here and its graph.intersect
 # span reads zero calls until the benchmark drops that hook.
 from .graph import Graph, intersect_with_neighbors  # noqa: F401
-from .pruning import IsolationParams, Stages, bit_indices, evaluate_strategy, get_strategy
+from .pruning import Stages, bit_indices, evaluate_strategy, get_strategy
 
 
 @dataclass(slots=True)
 class SearchNode:
     """One live node of the search tree plus its child-iteration state.
 
-    At the root P and X are ascending vertex lists. Everywhere else they are
-    bitsets over a root child's neighbourhood (see _search_subproblem), and
-    ``branch`` holds the bits of P outside the pivot's neighbourhood not yet
-    branched on.
+    P and X are bitsets: over V at the root, and over a root child's
+    neighbourhood below it (see _search_subproblem). ``branch`` holds the
+    bits of P outside the pivot's neighbourhood not yet branched on.
     ``ext_cp`` counts the edges from C to vertices outside C and P; it always
     equals the from-scratch recount (see from_scratch_ext_cp) and is kept
     current as candidates retire into X.
     """
 
     c: list[int]
-    p: list[int] | int
-    x: list[int] | int
+    p: int
+    x: int
     ext_cp: int
     branch: int = 0
 
@@ -159,13 +159,12 @@ def from_scratch_ext_cp(g: Graph, c: Sequence[int], p: Sequence[int]) -> int:
     return count
 
 
-def _check_node(g: Graph, node: SearchNode, universe: Sequence[int] | None = None) -> None:
-    """Recount the node's invariants; P and X are bitsets over ``universe``
-    when it is given, and vertex lists otherwise."""
-    c, p, x = node.c, node.p, node.x
-    if universe is not None:
-        p = [universe[i] for i in bit_indices(p)]
-        x = [universe[i] for i in bit_indices(x)]
+def _check_node(g: Graph, node: SearchNode, universe: Sequence[int]) -> None:
+    """Recount the node's invariants; bit i of P and X is ``universe[i]``."""
+    # decoded from the binary string, in linear time: the root's P has n bits
+    c = node.c
+    p = [universe[i] for i, b in enumerate(bin(node.p)[:1:-1]) if b == "1"]
+    x = [universe[i] for i, b in enumerate(bin(node.x)[:1:-1]) if b == "1"]
     expected = from_scratch_ext_cp(g, c, p)
     if node.ext_cp != expected:
         raise AssertionError(
@@ -191,15 +190,12 @@ def _check_rows(g: Graph, universe: Sequence[int], masks: Sequence[int], p: int)
             raise AssertionError(f"mask row of vertex {u} does not match its adjacency")
 
 
-def _root_children(
-    g: Graph, vertices: list[int]
-) -> Iterator[tuple[int, int, int, list[int] | None]]:
+def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None]]:
     """The root's children ``(v, P, X, masks)`` in root order, P and X as
-    bitsets over N(v), where bit i stands for N(v)[i]; ``vertices`` is the
-    root's P, all of V in ascending order.
+    bitsets over N(v), where bit i stands for N(v)[i].
 
     At the root C is empty, so P and X partition V: one retired flag per
-    vertex stands in for both lists, and each root child is split off its
+    vertex stands in for both sets, and each root child is split off its
     own adjacency list in O(deg): the retired neighbours form X, the rest P.
     ``masks`` holds the rows _search_subproblem reads, or is None when P is
     empty: ``masks[i]`` is N(N(v)[i]) within N(v) for i in P, and within P
@@ -208,14 +204,15 @@ def _root_children(
     Each child's rows are built when it is reached, so a consumer that
     drops them before the next holds one child's rows at a time.
     """
-    if not vertices:
+    n = g.vertex_count
+    if not n:
         return
     adjacency = g.adjacency
-    skip = set(adjacency[select_pivot(g, vertices, [])])
-    retired = bytearray(len(vertices))
-    bit = [0] * len(vertices)  # bit[w] is w's bit in the current N(v), else 0
+    skip = set(adjacency[select_pivot(g, range(n), [])])
+    retired = bytearray(n)
+    bit = [0] * n  # bit[w] is w's bit in the current N(v), else 0
     lookup = bit.__getitem__
-    for v in vertices:
+    for v in range(n):
         if v in skip:
             continue
         universe = adjacency[v]
@@ -255,20 +252,18 @@ def split_root(g: Graph) -> RootSplit:
     rows, once for any number of runs. The split holds all of them at once:
     one list slot per vertex of each root child's neighbourhood, at most 2m
     for m edges, and each row as an int of up to deg(v) bits."""
-    return RootSplit(g, list(_root_children(g, list(range(g.vertex_count)))))
+    return RootSplit(g, list(_root_children(g)))
 
 
-def _handle_leaf(
-    node: SearchNode, params: IsolationParams | None, sink: Sink | None, stats: RunStats
-) -> None:
+def _handle_leaf(node: SearchNode, ell: int | None, sink: Sink | None, stats: RunStats) -> None:
     size = len(node.c)
-    if params is None:
+    if ell is None:
         # plain maximal-clique mode; the empty root of a vertexless graph
         # is the only leaf that is not a clique
         keep = size > 0
     else:
         # P is empty here, so ext_cp is the clique's full external degree
-        keep = node.ext_cp < params.ell * size
+        keep = node.ext_cp < ell * size
     if keep:
         stats.emitted += 1
         if sink is not None:
@@ -285,69 +280,60 @@ def _run(
     debug: bool,
     split: RootSplit | None,
 ) -> RunStats:
-    params = IsolationParams(ell) if ell is not None else None
-    if params is None and stages:
-        raise ValueError("pruning strategies need an isolation factor")
+    if ell is None:
+        if stages:
+            raise ValueError("pruning strategies need an isolation factor")
+    elif not isinstance(ell, int) or isinstance(ell, bool) or ell < 1:
+        raise ValueError("isolation factor must be an integer >= 1")
     if split is not None and split.graph is not g:
         raise ValueError("the root split was prepared for another graph")
     stats = RunStats()
     start = perf_counter()
-    adjacency = g.adjacency
-    root = SearchNode(c=[], p=list(range(g.vertex_count)), x=[], ext_cp=0)
-    stats.recursive_calls += 1
-    if debug:
-        _check_node(g, root)
-    if not root.p:
-        _handle_leaf(root, params, sink, stats)
-        stats.wall_time = perf_counter() - start
-        return stats
-
     # With C empty the prune test reduces to 0 >= omega_bar * ell, which no
     # bound can meet, so the root is never evaluated.
-    children = _root_children(g, root.p) if split is None else split.children
-    for v, p, x, masks in children:
-        universe = adjacency[v]
-        # with C empty child_ext_cp reduces to deg(v) - |P|
-        stats.recursive_calls += 1
-        node = SearchNode(c=[v], p=p, x=x, ext_cp=len(universe) - p.bit_count())
-        if debug:
-            _check_node(g, node, universe)
-        if not p:
-            if not x:
-                _handle_leaf(node, params, sink, stats)
-            continue
-        _search_subproblem(g, node, masks, params, stages, sink, stats, debug)
+    n = g.vertex_count
+    stats.recursive_calls += 1
+    root = SearchNode(c=[], p=(1 << n) - 1, x=0, ext_cp=0)
+    if debug:
+        _check_node(g, root, range(n))
+    if not n:
+        _handle_leaf(root, ell, sink, stats)
+    for v, p, x, masks in _root_children(g) if split is None else split.children:
+        _search_subproblem(g, v, p, x, masks, ell, stages, sink, stats, debug)
     stats.wall_time = perf_counter() - start
     return stats
 
 
 def _search_subproblem(
     g: Graph,
-    top: SearchNode,
-    masks: list[int],
-    params: IsolationParams | None,
+    v: int,
+    p: int,
+    x: int,
+    masks: list[int] | None,
+    ell: int | None,
     stages: Stages,
     sink: Sink | None,
     stats: RunStats,
     debug: bool,
 ) -> None:
-    """Test a root child and search below it, on local bitsets.
+    """Visit root child v, given as _root_children yields it, and every node
+    below it, on local bitsets.
 
-    Everything below root child v lies inside N(v), so P and X are ints
-    over ``universe`` = N(v): bit i stands for ``universe[i]``, and bit
-    order is vertex-id order. ``masks[i]`` is N(universe[i]) within the
-    universe for i in the root child's P, and within that P for i in its X,
-    as every P below lies inside it. A child's sets are ``P & masks[i]``
-    and ``X & masks[i]``; retiring i moves its bit from P to X. One
-    popcount per vertex, ``(masks[i] & P).bit_count()``, serves both the
-    pivot and the bounds. Children are tested (leaf, prune, pivot) when
-    they are created, so only nodes with branches to walk go on the stack.
-    ``masks`` is only read.
+    Everything below v lies inside N(v), so P and X are ints over
+    ``universe`` = N(v): bit i stands for ``universe[i]``, in vertex-id
+    order. ``masks[i]`` is N(universe[i]) within the universe for i in the
+    root child's P, and within that P for i in its X, as every P below lies
+    inside it. A child's sets are ``P & masks[i]`` and ``X & masks[i]``;
+    retiring i moves its bit from P to X. One popcount per vertex,
+    ``(masks[i] & P).bit_count()``, serves both the pivot and the bounds.
+    Each pass of the loop visits one node (leaf, prune test, pivot), stacks
+    it if it has branches to walk, and splits off the next child of the
+    deepest stacked node. ``masks`` is only read.
     """
     adjacency = g.adjacency
-    universe = adjacency[top.c[0]]
-    if debug:
-        _check_rows(g, universe, masks, top.p)
+    universe = adjacency[v]
+    if debug and p:
+        _check_rows(g, universe, masks, p)
     stack: list[SearchNode] = []
 
     def induced() -> tuple[list[int], list[int]]:
@@ -357,55 +343,49 @@ def _search_subproblem(
         counts = [(masks[i] & p).bit_count() for i in p_bits]
         return p_bits, counts
 
-    def expand(node: SearchNode) -> None:
-        node.branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, node.x)]
-        stack.append(node)
-
-    p = top.p
-    p_bits = counts = None
-    if stages:
-        fired = evaluate_strategy(stages, 1, p, masks, top.ext_cp, params, stats, induced)
-        if fired is not None:
-            stats.prune_firings[fired] += 1
+    # with C empty child_ext_cp reduces to deg(v) - |P|
+    c = [v]
+    ext = len(universe) - p.bit_count()
+    while True:
+        stats.recursive_calls += 1
+        node = SearchNode(c, p, x, ext)
+        if debug:
+            _check_node(g, node, universe)
+        if not p:
+            if not x:
+                _handle_leaf(node, ell, sink, stats)
+        else:
+            p_bits = counts = fired = None
+            if stages:
+                fired = evaluate_strategy(stages, len(c), p, masks, ext, ell, stats, induced)
+            if fired is None:
+                node.branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, x)]
+                stack.append(node)
+            else:
+                stats.prune_firings[fired] += 1
+        # the next node is the next unbranched bit of the deepest open node
+        while stack and not stack[-1].branch:
+            stack.pop()
+        if not stack:
             return
-    expand(top)
-    while stack:
         node = stack[-1]
         branch = node.branch
-        if not branch:
-            stack.pop()
-            continue
         low = branch & -branch
         node.branch = branch ^ low
         i = low.bit_length() - 1
-        v = universe[i]
+        w = universe[i]
         parent_p = node.p
         p = parent_p & masks[i]
         x = node.x & masks[i]
         c_size = len(node.c)
         ext = child_ext_cp(
-            node.ext_cp, c_size, parent_p.bit_count(), p.bit_count(), len(adjacency[v])
+            node.ext_cp, c_size, parent_p.bit_count(), p.bit_count(), len(adjacency[w])
         )
         # retire i into X at once: the child's sets are already split off
         node.p = parent_p ^ low
         node.x |= low
         node.ext_cp += c_size
-        c = node.c + [v]
-        stats.recursive_calls += 1
-        child = SearchNode(c, p, x, ext)
-        if debug:
-            _check_node(g, child, universe)
-        if not p:
-            if not x:
-                _handle_leaf(child, params, sink, stats)
-            continue
-        counts = None
-        if stages:
-            fired = evaluate_strategy(stages, len(c), p, masks, ext, params, stats, induced)
-            if fired is not None:
-                stats.prune_firings[fired] += 1
-                continue
-        expand(child)
+        c = node.c + [w]
 
 
 def enumerate_isolated(

@@ -136,6 +136,8 @@ def parse_generator_spec(spec: str, default_seed: int = 0) -> BAConfig | Feature
         key = key.strip()
         if not sep or key not in types:
             raise GeneratorConfigError(f"bad field {item!r} in generator spec {spec!r}")
+        if key in fields:
+            raise GeneratorConfigError(f"field {key!r} is repeated in generator spec {spec!r}")
         try:
             fields[key] = types[key](raw.strip())
         except ValueError:

@@ -29,44 +29,12 @@ local adjacency rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from .graph import Graph
 
 # The bounds read popcounts, not induced_degrees. perfbench's tracer hooks it
 # under this module, so it stays importable here and its graph.induced_degrees
 # span reads zero calls until the benchmark drops that hook.
 from .graph import induced_degrees  # noqa: F401
-
-
-@dataclass(frozen=True)
-class IsolationParams:
-    """Isolation factor; a size-k set qualifies when its cut is < ell * k."""
-
-    ell: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.ell, int) or isinstance(self.ell, bool) or self.ell < 1:
-            raise ValueError("isolation factor must be an integer >= 1")
-
-
-def external_degree(g: Graph, i: Sequence[int]) -> int:
-    """Number of edges with exactly one endpoint in ``i``."""
-    members = set(i)
-    count = 0
-    for v in i:
-        for u in g.adjacency[v]:
-            if u not in members:
-                count += 1
-    return count
-
-
-def is_l_isolated(g: Graph, i: Sequence[int], params: IsolationParams) -> bool:
-    """Strict test: external_degree(i) < ell * len(i). ``i`` must be non-empty."""
-    if not i:
-        raise ValueError("isolation is undefined for the empty set")
-    return external_degree(g, i) < params.ell * len(i)
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -166,7 +134,7 @@ def evaluate_strategy(
     p: int,
     masks: Sequence[int],
     ext_cp: int,
-    params: IsolationParams,
+    ell: int,
     stats,
     degrees: Callable[[], tuple[Sequence[int], Sequence[int]]],
 ) -> str | None:
@@ -181,7 +149,6 @@ def evaluate_strategy(
     degrees in that order, called at most once and counted in
     ``stats.induced_degree_evals``.
     """
-    ell = params.ell
     t = (ext_cp + c_size * (p.bit_count() - ell)) // (ell + c_size)
     if t < 1:
         return None

@@ -1,13 +1,15 @@
-"""Small graph builders shared across the test modules, and the value forms
-of the pruning bounds that the engine's threshold tests are checked against."""
+"""Small graph builders shared across the test modules, the reference count
+of a vertex set's external edges, a counter of the engine's search nodes, and
+the value forms of the pruning bounds that the engine's threshold tests are
+checked against."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from isoclique import Graph
-from isoclique.pruning import IsolationParams, bit_indices
+from isoclique import Graph, enumeration
+from isoclique.pruning import bit_indices
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -75,6 +77,32 @@ def erdos_renyi(n: int, p: float, rng: random.Random) -> Graph:
     return graph_from_edges(n, edges)
 
 
+def external_degree(g: Graph, vertices) -> int:
+    """Number of edges with exactly one endpoint in ``vertices``."""
+    members = set(vertices)
+    count = 0
+    for v in vertices:
+        for u in g.adjacency[v]:
+            if u not in members:
+                count += 1
+    return count
+
+
+def count_search_nodes(monkeypatch) -> list:
+    """Record one entry per SearchNode the engine constructs from now on;
+    every visited node is constructed once, so the count must equal the
+    runs' summed ``recursive_calls``."""
+    constructed = []
+    real_node = enumeration.SearchNode
+
+    def counted(*args, **kwargs):
+        constructed.append(1)
+        return real_node(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "SearchNode", counted)
+    return constructed
+
+
 def bitset_view(g: Graph, vertices) -> tuple[int, list[int], list[int]]:
     """The bounds' view of the candidate set ``vertices``: its bitset p over
     all of g (bit v stands for vertex v), the members' popcount degrees in
@@ -135,9 +163,7 @@ def ub_degeneracy(p: int, counts, masks) -> int:
         degs = [(masks[i] & p).bit_count() for i in live]
 
 
-def prune_test(
-    c_size: int, p_size: int, ext_cp: int, omega_bar: int, params: IsolationParams
-) -> bool:
+def prune_test(c_size: int, p_size: int, ext_cp: int, omega_bar: int, ell: int) -> bool:
     """True when no clique grown from the node can meet the isolation cut.
 
     Growing the node's clique by w <= omega_bar candidates strands at least
@@ -146,5 +172,4 @@ def prune_test(
 
         ext_cp + c_size * p_size - ell * c_size >= omega_bar * (ell + c_size)
     """
-    ell = params.ell
     return ext_cp + c_size * p_size - ell * c_size >= omega_bar * (ell + c_size)

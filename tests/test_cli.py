@@ -94,9 +94,11 @@ def test_invalid_ell_is_usage_error(capsys, pendant_file):
 
 
 def test_bad_generator_spec_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["enumerate", "--gen", "er:n=5,p=0.5", "--ell", "1"])
-    assert excinfo.value.code == 2
+    for spec in ("er:n=5,p=0.5", "ba:n=50,m=3,n=60"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["enumerate", "--gen", spec, "--ell", "1"])
+        assert excinfo.value.code == 2
+    assert "field 'n' is repeated" in capsys.readouterr().err
 
 
 def test_unreadable_input_fails_cleanly(capsys, tmp_path):

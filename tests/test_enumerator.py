@@ -11,12 +11,14 @@ from isoclique.enumeration import (
     from_scratch_ext_cp,
     select_pivot,
 )
-from isoclique.pruning import bit_indices, external_degree
+from isoclique.pruning import bit_indices
 from graphutil import (
     bitset_view,
     complete_graph,
+    count_search_nodes,
     empty_graph,
     erdos_renyi,
+    external_degree,
     graph_from_edges,
     moon_moser,
     star_graph,
@@ -173,16 +175,18 @@ def test_debug_mode_recounts_every_node():
 
 
 def test_debug_checker_detects_corruption():
+    # P and X are bitsets over a universe, bit i standing for universe[i]; over
+    # range(n), as at the root, bit v is vertex v
     g = triangle_pendant()
-    bad = SearchNode(c=[0], p=[1, 2], x=[], ext_cp=7)
+    bad = SearchNode(c=[0], p=0b0110, x=0, ext_cp=7)
     with pytest.raises(AssertionError, match="external-edge counter"):
-        _check_node(g, bad)
+        _check_node(g, bad, range(4))
     # ext_cp consistent (N(1) minus {1, 3} is {0, 2}) but vertex 3 is not
     # adjacent to the clique, so the adjacency invariant fires
-    not_adjacent = SearchNode(c=[1], p=[3], x=[], ext_cp=2)
+    not_adjacent = SearchNode(c=[1], p=0b1000, x=0, ext_cp=2)
     with pytest.raises(AssertionError, match="not adjacent"):
-        _check_node(g, not_adjacent)
-    # the same nodes with P and X as bitsets over a universe: bit i is universe[i]
+        _check_node(g, not_adjacent, range(4))
+    # the same nodes over a root child's universe
     universe = [1, 2, 3]
     _check_node(g, SearchNode(c=[0], p=0b011, x=0, ext_cp=1), universe)
     with pytest.raises(AssertionError, match="external-edge counter"):
@@ -207,13 +211,17 @@ def test_enumerate_all_maximal_matches_oracle():
     assert got == oracle.all_maximal_cliques_bruteforce(g)
 
 
-def test_empty_graph_runs_and_emits_nothing():
+def test_empty_graph_runs_and_emits_nothing(monkeypatch):
+    # the root is the only node, and a leaf
+    nodes = count_search_nodes(monkeypatch)
     g = empty_graph()
     got, stats = collect(g, 1, "combo")
     assert got == []
-    assert stats.recursive_calls == 1
+    assert stats.recursive_calls == 1 == len(nodes)
     assert stats.emitted == 0
-    assert enumerate_all_maximal(g).emitted == 0
+    plain = enumerate_all_maximal(g)
+    assert plain.emitted == 0
+    assert len(nodes) == stats.recursive_calls + plain.recursive_calls
 
 
 def test_leaf_accounting_for_unpruned_runs():
@@ -292,12 +300,14 @@ def test_prune_firings_recorded_per_stage():
     assert "size" in fired_stages or "softcore" in fired_stages
 
 
-def test_root_is_not_evaluated_for_pruning():
-    # every child of the root is a leaf, so only the root could have
-    # needed induced degrees, and its prune test cannot fire
+def test_root_is_not_evaluated_for_pruning(monkeypatch):
+    # every child of the root is a leaf, with P and X both empty, so only the
+    # root could have needed induced degrees, and its prune test cannot fire
+    nodes = count_search_nodes(monkeypatch)
     stats = enumerate_isolated(empty_graph(3), 1, "degeneracy")
     assert stats.induced_degree_evals == 0
     assert stats.emitted == 3
+    assert stats.recursive_calls == 4 == len(nodes)
 
 
 def test_complete_graph_single_clique():
@@ -324,8 +334,9 @@ def test_deep_clique_does_not_depend_on_recursion_limit():
 
 
 def test_invalid_ell_rejected():
-    with pytest.raises(ValueError):
-        enumerate_isolated(triangle(), 0, "none")
+    for ell in (0, -3, 1.5, True):
+        with pytest.raises(ValueError, match="isolation factor must be an integer >= 1"):
+            enumerate_isolated(triangle(), ell, "none")
 
 
 def test_unknown_strategy_rejected():

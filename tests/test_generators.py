@@ -131,6 +131,10 @@ def test_parse_generator_spec_errors():
     for bad in ("er:n=5", "ba", "ba:n=5", "ba:n=5,m=2,k=3", "ba:n=five,m=2", "gnmp:n=5,m=2"):
         with pytest.raises(GeneratorConfigError):
             parse_generator_spec(bad)
+    # a field named twice, even with the same value, is refused by name
+    for bad, key in (("ba:n=100,m=5,seed=1,seed=2", "seed"), ("gnmp:n=5,m=2,p=0.1,p=0.1", "p")):
+        with pytest.raises(GeneratorConfigError, match=f"field '{key}' is repeated"):
+            parse_generator_spec(bad)
 
 
 def test_canonical_spec_round_trips():

@@ -6,20 +6,13 @@ import pytest
 from isoclique import enumerate_isolated, enumeration, oracle, pruning
 from isoclique.enumeration import RunStats
 from isoclique.graph import induced_degrees
-from isoclique.pruning import (
-    STRATEGIES,
-    IsolationParams,
-    bit_indices,
-    evaluate_strategy,
-    external_degree,
-    get_strategy,
-    is_l_isolated,
-)
+from isoclique.pruning import STRATEGIES, bit_indices, evaluate_strategy, get_strategy
 from graphutil import (
     bitset_view,
     complete_binary_tree,
     complete_graph,
     erdos_renyi,
+    external_degree,
     graph_from_edges,
     path_graph,
     prune_test,
@@ -33,11 +26,11 @@ from graphutil import (
 )
 
 
-def evaluate(g, stages, c_size, vertices, ext_cp, params, stats):
+def evaluate(g, stages, c_size, vertices, ext_cp, ell, stats):
     """evaluate_strategy on the bitset view of ``vertices``."""
     p, counts, masks = bitset_view(g, vertices)
     degrees = (bit_indices(p), counts)
-    return evaluate_strategy(stages, c_size, p, masks, ext_cp, params, stats, lambda: degrees)
+    return evaluate_strategy(stages, c_size, p, masks, ext_cp, ell, stats, lambda: degrees)
 
 
 def brute_softcore(counts):
@@ -65,32 +58,24 @@ def test_external_degree_examples():
     assert external_degree(star_graph(4), [0]) == 4
 
 
+def emitted(g, ell):
+    got = []
+    enumerate_isolated(g, ell, "none", lambda r: got.append(r.vertices))
+    return got
+
+
 def test_is_l_isolated_strictness():
     g = triangle_pendant()
-    assert is_l_isolated(g, [0, 1, 2], IsolationParams(1))  # 1 < 3
-    # exactly ell * size external edges does not qualify
-    assert not is_l_isolated(g, [0, 3], IsolationParams(1))  # 2 >= 2
-    assert is_l_isolated(g, [0, 3], IsolationParams(2))  # 2 < 4
+    # cut 1 < 1 * 3; the edge (0, 3) has cut 2, which equals ell * size and
+    # so does not qualify at ell 1, but does at ell 2 (2 < 4)
+    assert emitted(g, 1) == [(0, 1, 2)]
+    assert emitted(g, 2) == [(0, 1, 2), (0, 3)]
 
 
 def test_is_l_isolated_zero_cut_always_qualifies():
     g = graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
     for ell in range(1, 5):
-        assert is_l_isolated(g, [3, 4], IsolationParams(ell))
-
-
-def test_is_l_isolated_rejects_empty_set():
-    with pytest.raises(ValueError):
-        is_l_isolated(triangle(), [], IsolationParams(1))
-
-
-def test_isolation_params_validation():
-    with pytest.raises(ValueError):
-        IsolationParams(0)
-    with pytest.raises(ValueError):
-        IsolationParams(-3)
-    with pytest.raises(ValueError):
-        IsolationParams(1.5)
+        assert (3, 4) in emitted(g, ell)
 
 
 def test_ub_size():
@@ -191,14 +176,14 @@ def test_ub_degeneracy_matches_subgraph_oracle():
 def test_prune_test_never_fires_at_root():
     for omega_bar in (1, 3, 10):
         for ell in (1, 2, 9):
-            assert not prune_test(0, 5, 0, omega_bar, IsolationParams(ell))
+            assert not prune_test(0, 5, 0, omega_bar, ell)
 
 
 def test_prune_test_arithmetic():
     # 50 + 1*10 - 5*1 = 55 >= 3*(5+1) = 18
-    assert prune_test(1, 10, 50, 3, IsolationParams(5))
+    assert prune_test(1, 10, 50, 3, 5)
     # negative left side near the root cannot prune
-    assert not prune_test(1, 2, 0, 1, IsolationParams(5))
+    assert not prune_test(1, 2, 0, 1, 5)
 
 
 def test_prune_test_monotone_in_bound():
@@ -208,11 +193,10 @@ def test_prune_test_monotone_in_bound():
         p = rng.randint(1, 12)
         ext = rng.randint(0, 40)
         ell = rng.randint(1, 8)
-        params = IsolationParams(ell)
         bound1 = rng.randint(1, p)
         bound2 = rng.randint(1, bound1)
-        if prune_test(c, p, ext, bound1, params):
-            assert prune_test(c, p, ext, bound2, params)
+        if prune_test(c, p, ext, bound1, ell):
+            assert prune_test(c, p, ext, bound2, ell)
 
 
 # the value form of each stage's bound, which its threshold test must match
@@ -271,17 +255,16 @@ def test_threshold_matches_prune_test():
         c = rng.randint(1, 8)
         p_size = rng.randint(1, 30)
         ext = rng.randint(0, 80)
-        params = IsolationParams(rng.randint(1, 300))
-        ell = params.ell
+        ell = rng.randint(1, 300)
         threshold = (ext + c * (p_size - ell)) // (ell + c)
         thresholds.add(threshold >= 1)
         for w in range(-3, p_size + 3):
-            assert prune_test(c, p_size, ext, w, params) == (w <= threshold)
+            assert prune_test(c, p_size, ext, w, ell) == (w <= threshold)
         seen.clear()
         p = (1 << p_size) - 1
         zeros = [0] * p_size
         degrees = lambda: (list(range(p_size)), zeros)
-        assert evaluate_strategy(probe, c, p, zeros, ext, params, RunStats(), degrees) is None
+        assert evaluate_strategy(probe, c, p, zeros, ext, ell, RunStats(), degrees) is None
         assert seen == ([threshold] if threshold >= 1 else [])
     assert thresholds == {False, True}
 
@@ -293,17 +276,16 @@ def test_nodes_below_threshold_one_are_never_tested():
     stats = RunStats()
     always = (("always", lambda p, bits, counts, masks, t: calls.append(t) or True),)
     masks = [0b10, 0b01]
-    params = IsolationParams(5)
 
     def degrees():
         calls.append("degrees")
         return [0, 1], [1, 1]
 
     for stages in (always, get_strategy("degeneracy"), get_strategy("combo")):
-        assert evaluate_strategy(stages, 1, 0b11, masks, 0, params, stats, degrees) is None
+        assert evaluate_strategy(stages, 1, 0b11, masks, 0, 5, stats, degrees) is None
     assert calls == [] and stats.induced_degree_evals == 0
     # nine external edges lift t to (9 - 3) // 6 = 1, and the stage fires
-    assert evaluate_strategy(always, 1, 0b11, masks, 9, params, stats, degrees) == "always"
+    assert evaluate_strategy(always, 1, 0b11, masks, 9, 5, stats, degrees) == "always"
     assert calls == ["degrees", 1] and stats.induced_degree_evals == 1
 
 
@@ -313,8 +295,7 @@ def test_prune_fires_only_on_sterile_subtrees():
     # brute-force check confirms the graph has no qualifying clique at all
     edges = [(0, v) for v in range(1, 13)] + [(1, 2), (2, 3), (1, 3)]
     g = graph_from_edges(13, edges)
-    params = IsolationParams(2)
-    fired = evaluate(g, get_strategy("softcore"), 1, [1, 2, 3, 4], 8, params, RunStats())
+    fired = evaluate(g, get_strategy("softcore"), 1, [1, 2, 3, 4], 8, 2, RunStats())
     assert fired == "softcore"
     assert oracle.l_isolated_maximal_cliques_bruteforce(g, 2) == set()
     stats = enumerate_isolated(g, 2, "softcore")
@@ -324,27 +305,24 @@ def test_prune_fires_only_on_sterile_subtrees():
 
 def test_combo_short_circuits_induced_degrees():
     g = star_graph(3)
-    params = IsolationParams(1)
     stats = RunStats()
     # huge ext_cp makes even the size bound prune immediately
-    assert evaluate(g, get_strategy("combo"), 2, [1, 2], 100, params, stats) == "size"
+    assert evaluate(g, get_strategy("combo"), 2, [1, 2], 100, 1, stats) == "size"
     assert stats.induced_degree_evals == 0
 
 
 def test_combo_falls_through_to_softcore():
     g = star_graph(3)
-    params = IsolationParams(1)
     stats = RunStats()
     # star center in P keeps size=4 too big to fire, softcore=2 fires
     p = [0, 1, 2, 3]
-    assert evaluate(g, get_strategy("size"), 3, p, 3, params, stats) is None
-    assert evaluate(g, get_strategy("combo"), 3, p, 3, params, stats) == "softcore"
+    assert evaluate(g, get_strategy("size"), 3, p, 3, 1, stats) is None
+    assert evaluate(g, get_strategy("combo"), 3, p, 3, 1, stats) == "softcore"
     assert stats.induced_degree_evals == 1
 
 
 def test_supplied_degrees_are_read_once_and_only_past_size():
     g = star_graph(3)
-    params = IsolationParams(1)
     p, counts, masks = bitset_view(g, [0, 1, 2, 3])
     bits = bit_indices(p)
     calls = []
@@ -356,35 +334,34 @@ def test_supplied_degrees_are_read_once_and_only_past_size():
     combo = get_strategy("combo")
     stats = RunStats()
     pair = bitset_view(g, [1, 2])[0]
-    assert evaluate_strategy(combo, 2, pair, masks, 100, params, stats, degrees) == "size"
+    assert evaluate_strategy(combo, 2, pair, masks, 100, 1, stats, degrees) == "size"
     assert calls == [] and stats.induced_degree_evals == 0
-    assert evaluate_strategy(combo, 3, p, masks, 3, params, stats, degrees) == "softcore"
+    assert evaluate_strategy(combo, 3, p, masks, 3, 1, stats, degrees) == "softcore"
     assert calls == [1] and stats.induced_degree_evals == 1
     # the bounds read the supplied degrees, not a recount: claim P is a clique
     softcore = get_strategy("softcore")
     clique = [3, 3, 3, 3]
     claimed = lambda: (bits, clique)
-    assert evaluate_strategy(softcore, 3, p, masks, 3, params, RunStats(), claimed) is None
+    assert evaluate_strategy(softcore, 3, p, masks, 3, 1, RunStats(), claimed) is None
 
 
 def test_combo_and_softcore_decide_alike():
     rng = random.Random(37)
-    params = IsolationParams(3)
     for _ in range(300):
         n = rng.randint(1, 10)
         g = erdos_renyi(n, rng.random(), rng)
         p = sorted(rng.sample(range(n), rng.randint(1, n)))
         c_size = rng.randint(0, 5)
         ext = rng.randint(0, 30)
-        combo = evaluate(g, get_strategy("combo"), c_size, p, ext, params, RunStats())
-        softcore = evaluate(g, get_strategy("softcore"), c_size, p, ext, params, RunStats())
+        combo = evaluate(g, get_strategy("combo"), c_size, p, ext, 3, RunStats())
+        softcore = evaluate(g, get_strategy("softcore"), c_size, p, ext, 3, RunStats())
         assert (combo is None) == (softcore is None)
 
 
 def test_strategy_none_never_prunes():
     g = triangle()
     none = get_strategy("none")
-    assert evaluate(g, none, 1, [1, 2], 1000, IsolationParams(1), RunStats()) is None
+    assert evaluate(g, none, 1, [1, 2], 1000, 1, RunStats()) is None
 
 
 def test_combo_stage_list():
@@ -417,7 +394,6 @@ def test_grown_sets_breaking_the_budget_are_never_isolated():
     # premise: keeping only a sub-block of the candidates already exceeds the
     # edge budget; then neither that block nor any smaller one can qualify
     rng = random.Random(43)
-    params_grid = [IsolationParams(ell) for ell in (1, 2, 3)]
     checked = 0
     for _ in range(400):
         n = rng.randint(3, 12)
@@ -434,14 +410,14 @@ def test_grown_sets_breaking_the_budget_are_never_isolated():
             continue
         p = sorted(rng.sample(common, rng.randint(1, len(common))))
         ext_cp = sum(1 for v in c for u in g.adjacency[v] if u not in c and u not in p)
-        for params in params_grid:
+        for ell in (1, 2, 3):
             for _ in range(4):
                 p2 = rng.sample(p, rng.randint(0, len(p)))
                 p1 = rng.sample(p2, rng.randint(0, len(p2)))
-                premise = ext_cp + len(c) * (len(p) - len(p2)) >= params.ell * (len(c) + len(p2))
+                premise = ext_cp + len(c) * (len(p) - len(p2)) >= ell * (len(c) + len(p2))
                 if not premise:
                     continue
                 checked += 1
-                assert not is_l_isolated(g, sorted(c + p2), params)
-                assert not is_l_isolated(g, sorted(c + p1), params)
+                for grown in (c + p2, c + p1):
+                    assert external_degree(g, grown) >= ell * len(grown)
     assert checked > 50

@@ -19,7 +19,7 @@ from isoclique import (
     parse_generator_spec,
 )
 from isoclique.enumeration import split_root
-from isoclique.pruning import external_degree
+from graphutil import count_search_nodes, external_degree
 
 
 def graph(spec):
@@ -197,20 +197,18 @@ def run_digest(g, strategy, ell, **kwargs):
 def test_shared_root_split_changes_nothing(spec, monkeypatch):
     # one split serves every strategy, factor and the plain pass, and each
     # run emits the same sequence with the same counters as a run that splits
-    # the root itself
+    # the root itself; either way every visited node is one SearchNode
     g = graph(spec)
-    constructed = []
-    real_node = enumeration.SearchNode
-    monkeypatch.setattr(
-        enumeration, "SearchNode", lambda *a, **k: constructed.append(1) or real_node(*a, **k)
-    )
+    constructed = count_search_nodes(monkeypatch)
     split = split_root(g)
     assert constructed == []  # building the split visits no node
-    monkeypatch.setattr(enumeration, "SearchNode", real_node)
 
     calls = [(s, ell) for s in STRATEGIES for ell in (1, 10, 50, 250)] + [("all", None)]
     own = [run_digest(g, s, ell) for s, ell in calls]
+    visited = sum(counters[0] for _, counters in own)
+    assert len(constructed) == visited
     shared = [run_digest(g, s, ell, split=split) for s, ell in calls]
+    assert len(constructed) == 2 * visited
     assert shared == own
 
     # debug checks every supplied root child's rows, pruned ones included
