@@ -91,7 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument("--count-only", action="store_true", help="print only the clique count")
     p_enum.add_argument(
-        "--sort", action="store_true", help="sort cliques lexicographically instead of search order"
+        "--sort",
+        action="store_true",
+        help="sort cliques by vertex id instead of search order; ids number the labels "
+        "in the order they first appear",
     )
     p_enum.set_defaults(handler=_cmd_enumerate)
 

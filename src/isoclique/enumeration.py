@@ -16,7 +16,9 @@ and builds its local rows, X's from P's by symmetry, in root order.
 _search_subproblem visits the root child and every node below it with
 one block (count, check, leaf, prune test, pivot), on an explicit stack,
 so deep cliques cannot hit the interpreter recursion limit. A pivot
-scans only the bits whose popcounts the node's prune test did not count.
+counts X's bits first, then those of P's bits that the node's prune test
+did not count, and stops at a count no later bit can beat: |P| for a bit
+of X, |P| - 1 for a bit of P, whose row lacks its own bit.
 
 A run consumes that generator one root child at a time. Several runs on
 one graph can share its output instead, a RootSplit (see split_root),
@@ -113,22 +115,46 @@ def _local_pivot(
 ) -> int:
     """select_pivot on bitsets: the bit of P | X whose row meets P most often,
     ties to the lowest bit. ``counts``, if given, are the popcounts against P
-    of P's bits ``p_bits``, and then only X's bits are counted here."""
-    if counts is None:
-        best = pivot = -1
-        rest = p | x
-    else:
-        best = max(counts)
-        pivot = p_bits[counts.index(best)]
-        rest = x
+    of P's bits ``p_bits``, and then only X's bits are counted here.
+
+    The scan stops as soon as no later bit can beat its leader, under two
+    ceilings. X comes first, in ascending order: no row meets P more than
+    |P| times, so the first X bit at |P| is the pivot, and its node has
+    nothing to branch on. P's bits come next, in ascending order, unless
+    ``counts`` holds them: a row of P never holds its own bit, so no P bit
+    counts more than |P| - 1. A P bit that takes the lead at |P| - 1 is
+    the pivot, since a later bit could only tie it at a higher index, and
+    an X leader at |P| - 1 leaves only the P bits below it to scan. The
+    exit tests run only when the lead changes.
+    """
+    ceiling = p.bit_count()
+    best = pivot = -1
+    while x:
+        low = x & -x
+        x ^= low
+        i = low.bit_length() - 1
+        d = (masks[i] & p).bit_count()
+        if d > best:
+            best = d
+            pivot = i
+            if d == ceiling:
+                return i
+    if counts is not None:
+        d = max(counts)
+        i = p_bits[counts.index(d)]
+        return i if d > best or d == best and i < pivot else pivot
+    ceiling -= 1
+    rest = p if best < ceiling else p & ((1 << pivot) - 1)
     while rest:
         low = rest & -rest
         rest ^= low
         i = low.bit_length() - 1
         d = (masks[i] & p).bit_count()
-        if d > best or d == best and i < pivot:
+        if d >= best and (d > best or i < pivot):
             best = d
             pivot = i
+            if d == ceiling:
+                return i
     return pivot
 
 

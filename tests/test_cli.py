@@ -57,6 +57,15 @@ def test_enumerate_sorted_output(capsys, pendant_file):
     assert data_lines(out) == ["a b c", "a d"]
 
 
+def test_enumerate_sort_follows_vertex_ids_not_labels(capsys, tmp_path):
+    # ids number labels in order of first appearance: b=0, c=1, a=2, z=3, y=4, x=5
+    path = tmp_path / "two_triangles.txt"
+    path.write_text("b c\nc a\na b\nz y\ny x\nx z\n")
+    code, out, _ = run_cli(capsys, "enumerate", "--graph", str(path), "--ell", "1", "--sort")
+    assert code == 0
+    assert data_lines(out) == ["b c a", "z y x"]
+
+
 def test_enumerate_from_generator_spec(capsys):
     code, out, _ = run_cli(
         capsys, "enumerate", "--gen", "gnmp:n=6,m=2,p=1,seed=0", "--ell", "1", "--count-only"

@@ -91,23 +91,102 @@ def test_select_pivot_matches_exhaustive_argmax():
         assert select_pivot(g, p, x) == best
 
 
-def test_local_pivot_matches_select_pivot():
-    # masks over the whole vertex set, so bit i stands for vertex i
-    rng = random.Random(71)
+class RowLog(list):
+    """Adjacency rows that log every index read, to pin where a scan stops."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def local_pivots(g, p, x):
+    """_local_pivot on ``g``'s rows over all of V (bit i stands for vertex i),
+    with ``counts`` None and given, each checked against select_pivot; returns
+    the pivot and, per call, the rows the scan read."""
+    expected = select_pivot(g, p, x)
+    p_mask = sum(1 << v for v in p)
+    x_mask = sum(1 << v for v in x)
+    assert bit_indices(p_mask) == p
+    rows = [sum(1 << u for u in g.adjacency[v]) for v in range(g.vertex_count)]
+    counts = [(rows[v] & p_mask).bit_count() for v in p]
+    read = []
+    for given in (None, counts):
+        masks = RowLog(rows)
+        assert _local_pivot(masks, p_mask, p, given, x_mask) == expected
+        read.append(masks.read)
+    return expected, read[0], read[1]
+
+
+def random_pivot_instances(seed, density):
+    rng = random.Random(seed)
     for _ in range(200):
         n = rng.randint(2, 12)
-        g = erdos_renyi(n, rng.random(), rng)
-        masks = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
+        g = erdos_renyi(n, density(rng), rng)
         pool = rng.sample(range(n), rng.randint(1, n))
         split = rng.randint(1, len(pool))
-        p, x = sorted(pool[:split]), sorted(pool[split:])
-        p_mask = sum(1 << v for v in p)
-        x_mask = sum(1 << v for v in x)
-        assert bit_indices(p_mask) == p
-        counts = [(masks[v] & p_mask).bit_count() for v in p]
-        expected = select_pivot(g, p, x)
-        assert _local_pivot(masks, p_mask, p, None, x_mask) == expected
-        assert _local_pivot(masks, p_mask, p, counts, x_mask) == expected
+        yield g, sorted(pool[:split]), sorted(pool[split:])
+
+
+def test_local_pivot_matches_select_pivot():
+    for g, p, x in random_pivot_instances(71, lambda rng: rng.random()):
+        local_pivots(g, p, x)
+
+
+def test_local_pivot_matches_select_pivot_on_dense_graphs():
+    # at edge probability 0.7 to 1 an X bit often meets all of P and a P bit
+    # all the rest of P, so the scan's exits fire on most instances
+    exits = 0
+    for g, p, x in random_pivot_instances(73, lambda rng: rng.uniform(0.7, 1.0)):
+        _, read, _ = local_pivots(g, p, x)
+        exits += len(read) < len(p) + len(x)
+    assert exits > 100
+
+
+@pytest.mark.parametrize(
+    "n, edges, p, x, pivot, read, read_counted",
+    [
+        # an X bit adjacent to all of P, below P's first bit, then above it:
+        # it is the pivot, and no row after it is read
+        (5, [(0, 1), (0, 3), (0, 4), (1, 3)], [1, 3, 4], [0], 0, [0], [0]),
+        (5, [(2, 0), (2, 1), (2, 3), (0, 1)], [0, 1, 3], [2, 4], 2, [2], [2]),
+        # two X bits adjacent to all of P: the lower wins, the higher is unread
+        (5, [(v, u) for v in (1, 3) for u in (0, 2, 4)], [0, 2, 4], [1, 3], 1, [1], [1]),
+        # a P bit adjacent to the rest of P: the scan stops at it
+        (4, [(1, 0), (1, 2), (1, 3)], [0, 1, 2, 3], [], 1, [0, 1], []),
+        # P bit 0 and X bit 3 tied at |P| - 1: the lower P bit wins, and the
+        # scan stops at it, before rows 1 and 2
+        (4, [(0, 1), (0, 2), (3, 0), (3, 1)], [0, 1, 2], [3], 0, [3, 0], [3]),
+        # X bit 0 and P bit 1 tied at |P| - 1: no P bit lies below the X bit,
+        # so no row of P is read
+        (4, [(0, 1), (0, 2), (1, 2), (1, 3)], [1, 2, 3], [0], 0, [0], [0]),
+        # |P| = 1: alone, under an adjacent X bit below or above it, and tied
+        # at 0 with a non-adjacent X bit below or above it
+        (2, [], [1], [], 1, [1], []),
+        (2, [(0, 1)], [1], [0], 0, [0], [0]),
+        (2, [(0, 1)], [0], [1], 1, [1], [1]),
+        (2, [], [1], [0], 0, [0], [0]),
+        (2, [], [0], [1], 0, [1, 0], [1]),
+    ],
+    ids=[
+        "x-below-p",
+        "x-above-p",
+        "two-x",
+        "p-adjacent-to-rest-of-p",
+        "tie-p-below-x",
+        "tie-x-below-p",
+        "single-p",
+        "single-p-adjacent-x-below",
+        "single-p-adjacent-x-above",
+        "single-p-tie-x-below",
+        "single-p-tie-x-above",
+    ],
+)
+def test_local_pivot_exits(n, edges, p, x, pivot, read, read_counted):
+    assert local_pivots(graph_from_edges(n, edges), p, x) == (pivot, read, read_counted)
 
 
 def test_select_pivot_requires_candidates():
