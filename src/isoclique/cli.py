@@ -38,13 +38,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _ell_list(text: str) -> list[int]:
-    parts = [part for part in text.split(",") if part.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of integers >= 1")
-    return [_positive_int(part.strip()) for part in parts]
-
-
 def _strategy_name(text: str) -> str:
     if text not in STRATEGIES:
         raise argparse.ArgumentTypeError(
@@ -53,11 +46,19 @@ def _strategy_name(text: str) -> str:
     return text
 
 
-def _strategy_list(text: str) -> list[str]:
-    parts = [part.strip() for part in text.split(",") if part.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of strategies")
-    return [_strategy_name(part) for part in parts]
+def _comma_list(item, noun: str):
+    """An argparse type for a non-empty comma-separated list of ``item``s."""
+
+    def parse(text: str) -> list:
+        parts = [part.strip() for part in text.split(",") if part.strip()]
+        if not parts:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list of {noun}")
+        return [item(part) for part in parts]
+
+    return parse
+
+
+_ell_list = _comma_list(_positive_int, "integers >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--ell", type=_positive_int, required=True)
     p_cmp.add_argument(
         "--strategies",
-        type=_strategy_list,
+        type=_comma_list(_strategy_name, "strategies"),
         default=list(STRATEGIES),
         help="comma-separated strategies (default: all)",
     )

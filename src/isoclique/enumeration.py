@@ -6,7 +6,10 @@ still extend it; and X, the vertices adjacent to all of C whose maximal
 cliques were already reported. Branching only on candidates outside the
 pivot's neighborhood keeps the tree small, and a per-node counter of the
 edges leaving C (ignoring P) is maintained incrementally so pruning
-tests and the final isolation filter never rescan the graph.
+tests and the final isolation filter never rescan the graph. There is
+one search: listing every maximal clique (enumerate_all_maximal) is the
+isolated search at factor n + 1 under strategy "none", for n vertices,
+whose leaf filter keeps every clique.
 
 P and X are bitsets everywhere: over V at the root, bit v standing for
 vertex v, and over N(v) at and below a root child v, since everything
@@ -281,62 +284,13 @@ def split_root(g: Graph) -> RootSplit:
     return RootSplit(g, list(_root_children(g)))
 
 
-def _handle_leaf(node: SearchNode, ell: int | None, sink: Sink | None, stats: RunStats) -> None:
-    size = len(node.c)
-    if ell is None:
-        # plain maximal-clique mode; the empty root of a vertexless graph
-        # is the only leaf that is not a clique
-        keep = size > 0
-    else:
-        # P is empty here, so ext_cp is the clique's full external degree
-        keep = node.ext_cp < ell * size
-    if keep:
-        stats.emitted += 1
-        if sink is not None:
-            sink(CliqueReport(tuple(sorted(node.c)), node.ext_cp))
-    else:
-        stats.filtered_at_leaf += 1
-
-
-def _run(
-    g: Graph,
-    sink: Sink | None,
-    ell: int | None,
-    stages: Stages,
-    debug: bool,
-    split: RootSplit | None,
-) -> RunStats:
-    if ell is None:
-        if stages:
-            raise ValueError("pruning strategies need an isolation factor")
-    elif not isinstance(ell, int) or isinstance(ell, bool) or ell < 1:
-        raise ValueError("isolation factor must be an integer >= 1")
-    if split is not None and split.graph is not g:
-        raise ValueError("the root split was prepared for another graph")
-    stats = RunStats()
-    start = perf_counter()
-    # With C empty the prune test reduces to 0 >= omega_bar * ell, which no
-    # bound can meet, so the root is never evaluated.
-    n = g.vertex_count
-    stats.recursive_calls += 1
-    root = SearchNode(c=[], p=(1 << n) - 1, x=0, ext_cp=0)
-    if debug:
-        _check_node(g, root, range(n))
-    if not n:
-        _handle_leaf(root, ell, sink, stats)
-    for v, p, x, masks in _root_children(g) if split is None else split.children:
-        _search_subproblem(g, v, p, x, masks, ell, stages, sink, stats, debug)
-    stats.wall_time = perf_counter() - start
-    return stats
-
-
 def _search_subproblem(
     g: Graph,
     v: int,
     p: int,
     x: int,
     masks: list[int] | None,
-    ell: int | None,
+    ell: int,
     stages: Stages,
     sink: Sink | None,
     stats: RunStats,
@@ -378,8 +332,14 @@ def _search_subproblem(
         if debug:
             _check_node(g, node, universe)
         if not p:
+            # a leaf when X is empty too; ext is then the clique's full cut
             if not x:
-                _handle_leaf(node, ell, sink, stats)
+                if ext < ell * len(c):
+                    stats.emitted += 1
+                    if sink is not None:
+                        sink(CliqueReport(tuple(sorted(c)), ext))
+                else:
+                    stats.filtered_at_leaf += 1
         else:
             p_bits = counts = fired = None
             if stages:
@@ -437,12 +397,37 @@ def enumerate_isolated(
     counters are the same either way.
     """
     stages = get_strategy(strategy) if isinstance(strategy, str) else strategy
-    return _run(g, sink, ell=ell, stages=stages, debug=debug, split=split)
+    if not isinstance(ell, int) or isinstance(ell, bool) or ell < 1:
+        raise ValueError("isolation factor must be an integer >= 1")
+    if split is not None and split.graph is not g:
+        raise ValueError("the root split was prepared for another graph")
+    stats = RunStats()
+    start = perf_counter()
+    # With C empty the prune test reduces to 0 >= omega_bar * ell, which no
+    # bound can meet, so the root is never evaluated.
+    n = g.vertex_count
+    stats.recursive_calls += 1
+    root = SearchNode(c=[], p=(1 << n) - 1, x=0, ext_cp=0)
+    if debug:
+        _check_node(g, root, range(n))
+    if not n:
+        # the root of a vertexless graph is its only leaf, and 0 < ell * 0 fails
+        stats.filtered_at_leaf += 1
+    for v, p, x, masks in _root_children(g) if split is None else split.children:
+        _search_subproblem(g, v, p, x, masks, ell, stages, sink, stats, debug)
+    stats.wall_time = perf_counter() - start
+    return stats
 
 
 def enumerate_all_maximal(
     g: Graph, sink: Sink | None = None, *, debug: bool = False, split: RootSplit | None = None
 ) -> RunStats:
     """Report every maximal clique of ``g`` exactly once; ``debug`` and
-    ``split`` as for enumerate_isolated."""
-    return _run(g, sink, ell=None, stages=(), debug=debug, split=split)
+    ``split`` as for enumerate_isolated.
+
+    This is the isolated search at factor n + 1 under strategy "none", for
+    n vertices: a clique of k vertices has at most k·(n - k) edges leaving
+    it, which is below k·(n + 1), so every maximal clique passes the leaf
+    filter. Only the empty root of a vertexless graph is filtered.
+    """
+    return enumerate_isolated(g, g.vertex_count + 1, "none", sink, debug=debug, split=split)

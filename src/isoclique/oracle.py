@@ -2,35 +2,27 @@
 
 Everything here enumerates vertex subsets directly over bitmask
 adjacency and shares no search logic with the production engine, so the
-two sides can be checked against each other.
+two sides can be checked against each other. Each function refuses an
+input of more than ``max_vertices`` vertices, 20 unless given, with
+GraphTooLargeError: subset enumeration beyond that is hopeless.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Graph
-
-
-@dataclass(frozen=True)
-class OracleLimit:
-    """Hard input cap; subset enumeration beyond ~20 vertices is hopeless."""
-
-    max_vertices: int = 20
-
-
-DEFAULT_LIMIT = OracleLimit()
 
 
 class GraphTooLargeError(ValueError):
     """The input exceeds the subset-enumeration cap."""
 
 
-def _require_small(count: int, limit: OracleLimit | None) -> None:
-    cap = (limit or DEFAULT_LIMIT).max_vertices
-    if count > cap:
-        raise GraphTooLargeError(f"{count} vertices exceeds the brute-force cap of {cap}")
+def _require_small(count: int, max_vertices: int) -> None:
+    if count > max_vertices:
+        raise GraphTooLargeError(
+            f"{count} vertices exceeds the brute-force cap of {max_vertices}"
+        )
 
 
 def _clique_table(masks: Sequence[int]) -> bytearray:
@@ -55,11 +47,9 @@ def _members(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def all_maximal_cliques_bruteforce(
-    g: Graph, limit: OracleLimit | None = None
-) -> set[tuple[int, ...]]:
+def all_maximal_cliques_bruteforce(g: Graph, *, max_vertices: int = 20) -> set[tuple[int, ...]]:
     """Every maximal clique, found by scanning all vertex subsets."""
-    _require_small(g.vertex_count, limit)
+    _require_small(g.vertex_count, max_vertices)
     n = g.vertex_count
     masks = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
     table = _clique_table(masks)
@@ -78,13 +68,13 @@ def all_maximal_cliques_bruteforce(
 
 
 def l_isolated_maximal_cliques_bruteforce(
-    g: Graph, ell: int, limit: OracleLimit | None = None
+    g: Graph, ell: int, *, max_vertices: int = 20
 ) -> set[tuple[int, ...]]:
     """Maximal cliques with fewer than ell * size edges leaving them."""
     if ell < 1:
         raise ValueError("isolation factor must be >= 1")
     kept: set[tuple[int, ...]] = set()
-    for clique in all_maximal_cliques_bruteforce(g, limit):
+    for clique in all_maximal_cliques_bruteforce(g, max_vertices=max_vertices):
         inside = set(clique)
         cut = 0
         for v in clique:
@@ -97,14 +87,14 @@ def l_isolated_maximal_cliques_bruteforce(
 
 
 def clique_number_bruteforce(
-    g: Graph, p: Sequence[int] | None = None, limit: OracleLimit | None = None
+    g: Graph, p: Sequence[int] | None = None, *, max_vertices: int = 20
 ) -> int:
     """Exact size of the largest clique in the subgraph induced by ``p``.
 
     ``p`` defaults to all vertices; the empty set has clique number 0.
     """
     verts = list(range(g.vertex_count)) if p is None else list(p)
-    _require_small(len(verts), limit)
+    _require_small(len(verts), max_vertices)
     if not verts:
         return 0
     index = {v: i for i, v in enumerate(verts)}

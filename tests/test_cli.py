@@ -102,6 +102,25 @@ def test_invalid_ell_is_usage_error(capsys, pendant_file):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sweep", "--ells", " , "], "expected a comma-separated list of integers >= 1"),
+        (["distribution", "--ells", "1, 0"], "'0' must be >= 1"),
+        (
+            ["compare", "--ell", "1", "--strategies", ","],
+            "expected a comma-separated list of strategies",
+        ),
+        (["compare", "--ell", "1", "--strategies", "size, omega"], "unknown strategy 'omega'"),
+    ],
+)
+def test_bad_comma_list_is_usage_error(capsys, pendant_file, args, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main([args[0], "--graph", pendant_file, *args[1:]])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bad_generator_spec_is_usage_error(capsys):
     for spec in ("er:n=5,p=0.5", "ba:n=50,m=3,n=60"):
         with pytest.raises(SystemExit) as excinfo:

@@ -218,15 +218,20 @@ def test_enumerate_reports_external_degrees():
 
 def test_huge_ell_equals_plain_maximal_enumeration():
     rng = random.Random(59)
-    for _ in range(20):
-        g = erdos_renyi(rng.randint(1, 10), 0.5, rng)
+    graphs = [erdos_renyi(rng.randint(1, 10), 0.5, rng) for _ in range(20)]
+    # cuts are largest relative to n on these two
+    graphs += [moon_moser(4), star_graph(8)]
+    for g in graphs:
         everything = set()
         enumerate_all_maximal(g, lambda r: everything.add(r.vertices))
-        cuts = [external_degree(g, clique) for clique in everything]
-        ell = 1 + max(cuts, default=0)
-        got, stats = collect(g, ell, "none")
-        assert {r.vertices for r in got} == everything
-        assert stats.filtered_at_leaf == 0
+        cuts = {clique: external_degree(g, clique) for clique in everything}
+        n = g.vertex_count
+        # a clique of k vertices has at most k * (n - k) external edges
+        assert all(cut < (n + 1) * len(clique) for clique, cut in cuts.items())
+        for ell in (1 + max(cuts.values(), default=0), n + 1):
+            got, stats = collect(g, ell, "none")
+            assert {r.vertices for r in got} == everything
+            assert stats.filtered_at_leaf == 0
 
 
 def test_child_ext_cp_at_root():
@@ -298,8 +303,11 @@ def test_empty_graph_runs_and_emits_nothing(monkeypatch):
     assert got == []
     assert stats.recursive_calls == 1 == len(nodes)
     assert stats.emitted == 0
+    # the root is a leaf but no clique: 0 external edges < ell * 0 fails
+    assert stats.filtered_at_leaf == 1
     plain = enumerate_all_maximal(g)
     assert plain.emitted == 0
+    assert plain.filtered_at_leaf == 1
     assert len(nodes) == stats.recursive_calls + plain.recursive_calls
 
 

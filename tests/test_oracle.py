@@ -32,7 +32,7 @@ def test_moon_moser_counts():
 def test_refuses_large_graphs():
     g = complete_graph(3)
     with pytest.raises(oracle.GraphTooLargeError):
-        oracle.all_maximal_cliques_bruteforce(g, oracle.OracleLimit(max_vertices=2))
+        oracle.all_maximal_cliques_bruteforce(g, max_vertices=2)
     big = path_graph(21)
     with pytest.raises(oracle.GraphTooLargeError):
         oracle.all_maximal_cliques_bruteforce(big)
