@@ -15,7 +15,8 @@ P and X are bitsets everywhere: over V at the root, bit v standing for
 vertex v, and over N(v) at and below a root child v, since everything
 there lies inside N(v). One generator, _root_children, picks the root
 pivot, splits each root child's P and X off the child's adjacency list
-and builds its local rows, X's from P's by symmetry, in root order.
+and builds its local rows, X's from P's by symmetry and a hub's by
+filtering N(v) through the hub's neighbours, in root order.
 _search_subproblem visits the root child and every node below it with
 one block (count, check, leaf, prune test, pivot), on an explicit stack,
 so deep cliques cannot hit the interpreter recursion limit. A pivot
@@ -25,8 +26,9 @@ of X, |P| - 1 for a bit of P, whose row lacks its own bit.
 
 A run consumes that generator one root child at a time. Several runs on
 one graph can share its output instead, a RootSplit (see split_root),
-and a run handed one picks no root pivot, splits nothing and builds no
-rows.
+which also holds each root child's branch, the bits outside its pivot's
+row. A run handed one picks no root pivot, splits nothing, builds no rows
+and picks no pivot at a root child.
 """
 
 from __future__ import annotations
@@ -219,6 +221,11 @@ def _check_rows(g: Graph, universe: Sequence[int], masks: Sequence[int], p: int)
             raise AssertionError(f"mask row of vertex {u} does not match its adjacency")
 
 
+# A P member u with more than this many times deg(v) neighbours gets its row
+# within N(v) by filtering N(v) through a set of N(u), not by scanning N(u).
+_HUB_FACTOR = 4
+
+
 def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None]]:
     """The root's children ``(v, P, X, masks)`` in root order, P and X as
     bitsets over N(v), where bit i stands for N(v)[i].
@@ -230,8 +237,15 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None]]
     empty: ``masks[i]`` is N(N(v)[i]) within N(v) for i in P, and within P
     for i in X, filled from P's rows one step per edge between P and X,
     since below the root child an X row is only read against a subset of P.
-    Each child's rows are built when it is reached, so a consumer that
-    drops them before the next holds one child's rows at a time.
+    The row of u in P scans N(u), unless u is a hub of more than
+    _HUB_FACTOR·deg(v) neighbours: its row filters N(v) through a set of
+    N(u), built once per hub and kept while the generator runs. A row then
+    costs at most _HUB_FACTOR·min(deg(u), deg(v)) lookups, and the rows of
+    a run _HUB_FACTOR·Σ min(deg) over edges, not Σ deg² over vertices;
+    Chiba and Nishizeki (SIAM J. Comput. 1985) bound that sum by
+    2·arboricity·m. Each child's rows are built when it is reached, so a
+    consumer that drops them before the next holds one child's rows at a
+    time.
     """
     n = g.vertex_count
     if not n:
@@ -241,6 +255,7 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None]]
     retired = bytearray(n)
     bit = [0] * n  # bit[w] is w's bit in the current N(v), else 0
     lookup = bit.__getitem__
+    hubs: dict[int, frozenset[int]] = {}  # N(u) of each hub u met so far
     for v in range(n):
         if v in skip:
             continue
@@ -254,8 +269,16 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None]]
                 bit[w] = 1 << i
             masks = [0] * len(universe)
             p_bits = bit_indices(p)
+            hub_degree = _HUB_FACTOR * len(universe)
             for i in p_bits:
-                masks[i] = sum(map(lookup, adjacency[universe[i]]))
+                u = universe[i]
+                nbrs = adjacency[u]
+                if len(nbrs) > hub_degree:
+                    members = hubs.get(u)
+                    if members is None:
+                        members = hubs[u] = frozenset(nbrs)
+                    nbrs = filter(members.__contains__, universe)
+                masks[i] = sum(map(lookup, nbrs))
             for w in universe:
                 bit[w] = 0
             for i in p_bits:
@@ -268,20 +291,27 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None]]
 class RootSplit:
     """The root's split of one graph, shared by every run handed it.
 
-    ``children`` lists every root child ``(v, P, X, masks)`` as
-    _root_children yields them. Runs only read them.
+    ``children`` lists every root child ``(v, P, X, masks, branch)``:
+    the first four as _root_children yields them, and ``branch`` the bits
+    of P the root child branches on, ``P & ~masks[pivot]`` for its local
+    pivot, or 0 when P is empty. Runs only read them.
     """
 
     graph: Graph
-    children: list[tuple[int, int, int, list[int] | None]]
+    children: list[tuple[int, int, int, list[int] | None, int]]
 
 
 def split_root(g: Graph) -> RootSplit:
-    """Pick the root pivot of ``g``, split every root child and build its
-    rows, once for any number of runs. The split holds all of them at once:
-    one list slot per vertex of each root child's neighbourhood, at most 2m
-    for m edges, and each row as an int of up to deg(v) bits."""
-    return RootSplit(g, list(_root_children(g)))
+    """Pick the root pivot of ``g``, split every root child, build its rows
+    and pick its pivot, once for any number of runs. The split holds all of
+    them at once: one list slot per vertex of each root child's
+    neighbourhood, at most 2m for m edges, each row as an int of up to
+    deg(v) bits, and one branch int of up to deg(v) bits per root child."""
+    children = []
+    for v, p, x, masks in _root_children(g):
+        branch = p & ~masks[_local_pivot(masks, p, None, None, x)] if p else 0
+        children.append((v, p, x, masks, branch))
+    return RootSplit(g, children)
 
 
 def _search_subproblem(
@@ -290,6 +320,7 @@ def _search_subproblem(
     p: int,
     x: int,
     masks: list[int] | None,
+    branch: int | None,
     ell: int,
     stages: Stages,
     sink: Sink | None,
@@ -297,7 +328,8 @@ def _search_subproblem(
     debug: bool,
 ) -> None:
     """Visit root child v, given as _root_children yields it, and every node
-    below it, on local bitsets.
+    below it, on local bitsets. ``branch``, from a RootSplit, stands in for
+    the root child's pivot if its prune test keeps it; None picks it here.
 
     Everything below v lies inside N(v), so P and X are ints over
     ``universe`` = N(v): bit i stands for ``universe[i]``, in vertex-id
@@ -314,13 +346,22 @@ def _search_subproblem(
     universe = adjacency[v]
     if debug and p:
         _check_rows(g, universe, masks, p)
+        if branch is not None and branch != p & ~masks[_local_pivot(masks, p, None, None, x)]:
+            raise AssertionError(f"stored branch of root child {v} does not match its pivot")
     stack: list[SearchNode] = []
 
     def induced() -> tuple[list[int], list[int]]:
         # P's bits and popcount degrees at the node under test, kept for its pivot
         nonlocal p_bits, counts
-        p_bits = bit_indices(p)
-        counts = [(masks[i] & p).bit_count() for i in p_bits]
+        p_bits = []
+        counts = []
+        rest = p
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            p_bits.append(i)
+            counts.append((masks[i] & p).bit_count())
         return p_bits, counts
 
     # with C empty child_ext_cp reduces to deg(v) - |P|
@@ -345,7 +386,11 @@ def _search_subproblem(
             if stages:
                 fired = evaluate_strategy(stages, len(c), p, masks, ext, ell, stats, induced)
             if fired is None:
-                node.branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, x)]
+                if branch is None:
+                    branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, x)]
+                node.branch = branch
+                # only the root child, the first node, may come with its branch
+                branch = None
                 stack.append(node)
             else:
                 stats.prune_firings[fired] += 1
@@ -355,9 +400,9 @@ def _search_subproblem(
         if not stack:
             return
         node = stack[-1]
-        branch = node.branch
-        low = branch & -branch
-        node.branch = branch ^ low
+        rest = node.branch
+        low = rest & -rest
+        node.branch = rest ^ low
         i = low.bit_length() - 1
         w = universe[i]
         parent_p = node.p
@@ -413,8 +458,12 @@ def enumerate_isolated(
     if not n:
         # the root of a vertexless graph is its only leaf, and 0 < ell * 0 fails
         stats.filtered_at_leaf += 1
-    for v, p, x, masks in _root_children(g) if split is None else split.children:
-        _search_subproblem(g, v, p, x, masks, ell, stages, sink, stats, debug)
+    if split is None:
+        children = ((*child, None) for child in _root_children(g))
+    else:
+        children = split.children
+    for v, p, x, masks, branch in children:
+        _search_subproblem(g, v, p, x, masks, branch, ell, stages, sink, stats, debug)
     stats.wall_time = perf_counter() - start
     return stats
 

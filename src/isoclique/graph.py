@@ -37,30 +37,30 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         labels: Sequence[str] | None = None,
     ) -> "Graph":
-        """Build a simple graph; self-loops and duplicate edges are dropped."""
+        """Build a simple graph; self-loops and duplicate edges are dropped.
+
+        Raises ValueError on an edge with an endpoint outside
+        [0, vertex_count), before any graph is built."""
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         if labels is not None and len(labels) != vertex_count:
             raise ValueError("labels must cover every vertex")
-        unique: set[tuple[int, int]] = set()
+        rows: list[list[int]] = [[] for _ in range(vertex_count)]
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u}, {v}) references a vertex outside [0, {vertex_count})")
-            if u == v:
-                continue
-            unique.add((u, v) if u < v else (v, u))
-        neighbor_lists: list[list[int]] = [[] for _ in range(vertex_count)]
-        for u, v in unique:
-            neighbor_lists[u].append(v)
-            neighbor_lists[v].append(u)
-        for nbrs in neighbor_lists:
-            nbrs.sort()
-        return cls(
-            vertex_count=vertex_count,
-            edge_count=len(unique),
-            adjacency=tuple(tuple(nbrs) for nbrs in neighbor_lists),
-            labels=tuple(labels) if labels is not None else None,
-        )
+            if u != v:
+                rows[u].append(v)
+                rows[v].append(u)
+        return cls._from_rows(rows, tuple(labels) if labels is not None else None)
+
+    @classmethod
+    def _from_rows(cls, rows: list[list[int]], labels: tuple[str, ...] | None) -> "Graph":
+        """The graph whose vertex i has the neighbours listed in ``rows[i]``,
+        in any order and with repeats; both builders fill the rows
+        symmetrically and share this finishing step."""
+        adjacency = tuple([tuple(sorted(set(row))) for row in rows])
+        return cls(len(rows), sum(map(len, adjacency)) // 2, adjacency, labels)
 
     def all_labels(self) -> tuple[str, ...]:
         """Every vertex's label in id order; unlabeled graphs use the ids."""
@@ -121,32 +121,42 @@ def load_edge_list_report(lines: Iterable[str]) -> LoadReport:
     declares the vertex (the canonical writer uses this to pin id order
     and keep isolated vertices); a loop on an already-known vertex is
     counted as dropped input.
+
+    One pass assigns ids and appends each edge to both endpoints' rows as
+    it reads, with no edge list; the finishing step then drops the repeats,
+    so every edge read beyond an edge's first counts as a duplicate.
     """
     ids: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
+    rows: list[list[int]] = []  # rows[i] lists i's neighbours as read, repeats included
     self_loops = 0
+    appended = 0
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line[0] in "#%":
+        tokens = raw.split()
+        if not tokens or tokens[0][0] in "#%":
             continue
-        tokens = line.split()
         if len(tokens) < 2:
             raise EdgeListParseError(
-                f"line {lineno}: expected two vertex labels, got {line!r}"
+                f"line {lineno}: expected two vertex labels, got {raw.strip()!r}"
             )
-        known_before = tokens[0] in ids
-        a = ids.setdefault(tokens[0], len(ids))
-        b = ids.setdefault(tokens[1], len(ids))
-        if a == b:
-            if known_before:
-                self_loops += 1
+        first, second = tokens[0], tokens[1]
+        a = ids.get(first)
+        if a is None:
+            a = ids[first] = len(rows)
+            rows.append([])
+            if first == second:
+                continue  # declares the vertex
+        b = ids.get(second)
+        if b is None:
+            b = ids[second] = len(rows)
+            rows.append([])
+        elif a == b:
+            self_loops += 1
             continue
-        edges.append((a, b))
-    labels = [""] * len(ids)
-    for text, vid in ids.items():
-        labels[vid] = text
-    graph = Graph.from_edges(len(ids), edges, labels)
-    return LoadReport(graph, self_loops, len(edges) - graph.edge_count)
+        rows[a].append(b)
+        rows[b].append(a)
+        appended += 1
+    graph = Graph._from_rows(rows, tuple(ids))
+    return LoadReport(graph, self_loops, appended - graph.edge_count)
 
 
 def write_edge_list(g: Graph, stream: IO[str], header_comments: Sequence[str] = ()) -> None:

@@ -1,6 +1,7 @@
-"""Small graph builders shared across the test modules, the reference count
-of a vertex set's external edges, a counter of the engine's search nodes, and
-the value forms of the pruning bounds that the engine's threshold tests are
+"""Small graph builders shared across the test modules, set-based references
+for the package's graph builder and edge-list loader, the reference count of a
+vertex set's external edges, a counter of the engine's search nodes, and the
+value forms of the pruning bounds that the engine's threshold tests are
 checked against."""
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from isoclique import Graph, enumeration
+from isoclique import EdgeListParseError, Graph, enumeration
 from isoclique.pruning import bit_indices
 
 
@@ -16,6 +17,52 @@ def graph_from_edges(n: int, edges) -> Graph:
     g = Graph.from_edges(n, edges)
     g.validate()
     return g
+
+
+def reference_adjacency(n: int, edges) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Graph.from_edges's adjacency and edge count through a set of edge
+    tuples; raises its ValueError on an edge outside [0, n)."""
+    unique = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) references a vertex outside [0, {n})")
+        if u != v:
+            unique.add((min(u, v), max(u, v)))
+    rows = [[] for _ in range(n)]
+    for u, v in sorted(unique):
+        rows[u].append(v)
+        rows[v].append(u)
+    return tuple(tuple(sorted(row)) for row in rows), len(unique)
+
+
+def reference_load(lines) -> tuple[Graph, int, int]:
+    """load_edge_list_report's graph, self_loops_dropped and
+    duplicate_edges_dropped from a plain parser: it collects the edge list
+    and dedups it through reference_adjacency. Raises the loader's
+    EdgeListParseError on a line with fewer than two tokens."""
+    ids: dict[str, int] = {}
+    edges = []
+    self_loops = 0
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line[0] in "#%":
+            continue
+        tokens = line.split()
+        if len(tokens) < 2:
+            raise EdgeListParseError(f"line {lineno}: expected two vertex labels, got {line!r}")
+        known_before = tokens[0] in ids
+        a = ids.setdefault(tokens[0], len(ids))
+        b = ids.setdefault(tokens[1], len(ids))
+        if a == b:
+            if known_before:
+                self_loops += 1
+            continue
+        edges.append((a, b))
+    labels = [""] * len(ids)
+    for text, vid in ids.items():
+        labels[vid] = text
+    adjacency, m = reference_adjacency(len(ids), edges)
+    return Graph(len(ids), m, adjacency, tuple(labels)), self_loops, len(edges) - m
 
 
 def triangle() -> Graph:

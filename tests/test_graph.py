@@ -5,7 +5,15 @@ import pytest
 
 from isoclique import EdgeListParseError, Graph, load_edge_list, load_edge_list_report
 from isoclique.graph import canonical_edge_list, induced_degrees, intersect_with_neighbors
-from graphutil import erdos_renyi, graph_from_edges, path_graph, star_graph, triangle
+from graphutil import (
+    erdos_renyi,
+    graph_from_edges,
+    path_graph,
+    reference_adjacency,
+    reference_load,
+    star_graph,
+    triangle,
+)
 
 
 def test_load_triangle():
@@ -84,6 +92,84 @@ def test_degree_counts_match_edge_recount():
 def test_from_edges_rejects_out_of_range_edge():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
+
+
+def test_from_edges_matches_set_reference():
+    # loops, repeats in both orientations, edges given by a one-shot iterator,
+    # and now and then an endpoint outside [0, n), which both must refuse alike
+    rng = random.Random(23)
+    refused = 0
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        edges = [(rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 30))]
+        if rng.random() < 0.8:
+            edges = [(u, v) for u, v in edges if 0 <= u < n and 0 <= v < n]
+        try:
+            expected = reference_adjacency(n, edges)
+        except ValueError as err:
+            refused += 1
+            with pytest.raises(ValueError) as caught:
+                Graph.from_edges(n, iter(edges))
+            assert str(caught.value) == str(err)
+            continue
+        g = Graph.from_edges(n, iter(edges))
+        g.validate()
+        assert (g.adjacency, g.edge_count) == expected
+        assert g.vertex_count == n and g.labels is None
+    assert refused > 0
+
+
+LOADER_LABELS = ["a", "b", "c", "7", "10", "#c", "%p", "x_1"]
+
+
+def random_edge_list(rng: random.Random) -> list[str]:
+    """Lines of an edge list drawn over a few labels, so repeats in both
+    orientations and loops on new and known labels are common: comments,
+    blank and indented lines, trailing tokens, LF and CRLF endings, a last
+    line without an ending, and now and then a line with one token."""
+    lines = []
+    for _ in range(rng.randint(0, 14)):
+        kind = rng.random()
+        if kind < 0.12:
+            body = rng.choice(["# comment", "% konect 2 3", "   # indented", "\t%x y"])
+        elif kind < 0.2:
+            body = rng.choice(["", "  ", "\t"])
+        elif kind < 0.23:
+            body = rng.choice(LOADER_LABELS) + rng.choice(["", "  "])
+        else:
+            a = rng.choice(LOADER_LABELS)
+            b = a if rng.random() < 0.15 else rng.choice(LOADER_LABELS)
+            body = " ".join([a, b, *rng.sample(["3", "0.5", "w", "#"], rng.randint(0, 2))])
+            body = rng.choice(["", " ", "\t"]) + body + rng.choice(["", " "])
+        lines.append(body + rng.choice(["\n", "\r\n"]))
+    if lines and rng.random() < 0.3:
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return lines
+
+
+def test_loader_matches_reference_parser():
+    rng = random.Random(29)
+    seen = {"refused": 0, "loops": 0, "duplicates": 0, "declared": 0}
+    for _ in range(1500):
+        lines = random_edge_list(rng)
+        for source in (lines, io.StringIO("".join(lines))):
+            try:
+                expected = reference_load(lines)
+            except EdgeListParseError as err:
+                seen["refused"] += 1
+                with pytest.raises(EdgeListParseError) as caught:
+                    load_edge_list_report(source)
+                assert str(caught.value) == str(err)
+                continue
+            report = load_edge_list_report(source)
+            report.graph.validate()
+            graph, loops, duplicates = expected
+            assert report.graph == graph
+            assert (report.self_loops_dropped, report.duplicate_edges_dropped) == (loops, duplicates)
+            seen["loops"] += loops > 0
+            seen["duplicates"] += duplicates > 0
+            seen["declared"] += any(not nbrs for nbrs in graph.adjacency)
+    assert all(seen.values()), seen
 
 
 def test_intersect_with_neighbors_examples():

@@ -7,6 +7,7 @@ adjacency lists or its subtrees on local bitsets, pin the search itself.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -19,7 +20,7 @@ from isoclique import (
     parse_generator_spec,
 )
 from isoclique.enumeration import split_root
-from graphutil import count_search_nodes, external_degree
+from graphutil import count_search_nodes, external_degree, graph_from_edges
 
 
 def graph(spec):
@@ -219,7 +220,7 @@ def test_shared_root_split_changes_nothing(spec, monkeypatch):
     )
     debugged = run_digest(g, "combo", 10, split=split, debug=True)
     assert debugged == own[calls.index(("combo", 10))]
-    assert len(checked) == sum(1 for *_, masks in split.children if masks is not None)
+    assert len(checked) == sum(1 for child in split.children if child[3] is not None)
 
     # a split is tied to the graph object it was prepared for
     with pytest.raises(ValueError, match="another graph"):
@@ -231,8 +232,65 @@ def test_shared_root_split_changes_nothing(spec, monkeypatch):
 def test_debug_catches_a_corrupt_shared_row():
     g = graph("ba:n=800,m=6,seed=3")
     split = split_root(g)
-    _, p, _, masks = next(child for child in split.children if child[3] is not None)
+    _, p, _, masks, _ = next(child for child in split.children if child[3] is not None)
     i = (p & -p).bit_length() - 1
     masks[i] |= 1 << i  # no vertex is its own neighbour
     with pytest.raises(AssertionError, match="mask row"):
         enumerate_isolated(g, 250, "none", debug=True, split=split)
+
+
+@pytest.mark.parametrize("strategy, ell", [("none", 250), ("combo", 1)])
+def test_debug_catches_a_corrupt_shared_branch(strategy, ell):
+    # debug recomputes the pivot of every root child with candidates before
+    # its prune test, so a wrong stored branch is caught whether the root
+    # child survives (none at ell 250) or is pruned (combo at ell 1)
+    g = graph("ba:n=800,m=6,seed=3")
+    split = split_root(g)
+    k, (v, p, x, masks, branch) = next(
+        (k, child) for k, child in enumerate(split.children) if child[1]
+    )
+    split.children[k] = (v, p, x, masks, branch ^ (p & -p))
+    with pytest.raises(AssertionError, match=f"stored branch of root child {v}"):
+        enumerate_isolated(g, ell, strategy, debug=True, split=split)
+
+
+def hub_graph():
+    # three hubs, each adjacent to about 60% of a sparse random graph
+    rng = random.Random(31)
+    n = 120
+    edges = [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < 0.05]
+    edges += [(h, w) for h in range(3) for w in range(n) if w != h and rng.random() < 0.6]
+    return graph_from_edges(n, edges)
+
+
+@pytest.mark.parametrize(
+    "make", [hub_graph, lambda: graph("ba:n=300,m=3,seed=2")], ids=["hubs", "ba300"]
+)
+def test_hub_rows_match_brute_force(make):
+    g = make()
+    adjacency = g.adjacency
+    split = split_root(g)
+    hub_pairs = 0
+    for v, p, x, masks, branch in split.children:
+        if masks is None:
+            assert p == 0 and branch == 0
+            continue
+        universe = adjacency[v]
+        members = [i for i in range(len(universe)) if p >> i & 1]
+        # a P member of more than 4·deg(v) neighbours takes the hub path
+        hub_pairs += sum(len(adjacency[universe[i]]) > 4 * len(universe) for i in members)
+        rows = []
+        for u in universe:
+            nbrs = set(adjacency[u])
+            rows.append(sum(1 << j for j, w in enumerate(universe) if w in nbrs))
+        for i, row in enumerate(rows):
+            assert masks[i] == (row if p >> i & 1 else row & p)
+        counted = [i for i in range(len(universe)) if (p | x) >> i & 1]
+        pivot = min(counted, key=lambda i: (-(rows[i] & p).bit_count(), i))
+        assert branch == p & ~rows[pivot]
+    assert hub_pairs > 0
+
+    # debug checks every root child's rows and stored branch, and every node
+    calls = [(s, ell) for s in STRATEGIES for ell in (1, 10)]
+    own = [run_digest(g, s, ell, debug=True) for s, ell in calls]
+    assert [run_digest(g, s, ell, debug=True, split=split) for s, ell in calls] == own
