@@ -14,9 +14,10 @@ whose leaf filter keeps every clique.
 P and X are bitsets everywhere: over V at the root, bit v standing for
 vertex v, and over N(v) at and below a root child v, since everything
 there lies inside N(v). One generator, _root_children, picks the root
-pivot, splits each root child's P and X off the child's adjacency list
-and builds its local rows, X's from P's by symmetry and a hub's by
-filtering N(v) through the hub's neighbours, in root order.
+pivot, splits each root child's P and X off the child's adjacency list,
+builds its local rows, X's from P's by symmetry and a hub's by
+filtering N(v) through the hub's neighbours, and picks its pivot, in
+root order.
 _search_subproblem visits the root child and every node below it with
 one block (count, check, leaf, prune test, pivot), on an explicit stack,
 so deep cliques cannot hit the interpreter recursion limit. A pivot
@@ -25,10 +26,9 @@ did not count, and stops at a count no later bit can beat: |P| for a bit
 of X, |P| - 1 for a bit of P, whose row lacks its own bit.
 
 A run consumes that generator one root child at a time. Several runs on
-one graph can share its output instead, a RootSplit (see split_root),
-which also holds each root child's branch, the bits outside its pivot's
-row. A run handed one picks no root pivot, splits nothing, builds no rows
-and picks no pivot at a root child.
+one graph can share its output instead, a RootSplit (see split_root). A
+run handed one picks no root pivot, splits nothing, builds no rows and
+picks no pivot at a root child.
 """
 
 from __future__ import annotations
@@ -226,9 +226,9 @@ def _check_rows(g: Graph, universe: Sequence[int], masks: Sequence[int], p: int)
 _HUB_FACTOR = 4
 
 
-def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None]]:
-    """The root's children ``(v, P, X, masks)`` in root order, P and X as
-    bitsets over N(v), where bit i stands for N(v)[i].
+def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None, int]]:
+    """The root's children ``(v, P, X, masks, branch)`` in root order, P
+    and X as bitsets over N(v), where bit i stands for N(v)[i].
 
     At the root C is empty, so P and X partition V: one retired flag per
     vertex stands in for both sets, and each root child is split off its
@@ -243,9 +243,10 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None]]
     costs at most _HUB_FACTOR·min(deg(u), deg(v)) lookups, and the rows of
     a run _HUB_FACTOR·Σ min(deg) over edges, not Σ deg² over vertices;
     Chiba and Nishizeki (SIAM J. Comput. 1985) bound that sum by
-    2·arboricity·m. Each child's rows are built when it is reached, so a
-    consumer that drops them before the next holds one child's rows at a
-    time.
+    2·arboricity·m. ``branch`` is the bits of P the root child branches on,
+    ``P & ~masks[pivot]`` for its local pivot, or 0 when P is empty. Each
+    child's rows are built when it is reached, so a consumer that drops
+    them before the next holds one child's rows at a time.
     """
     n = g.vertex_count
     if not n:
@@ -264,6 +265,7 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None]]
         retired[v] = 1
         p = ((1 << len(universe)) - 1) ^ x
         masks = None
+        branch = 0
         if p:
             for i, w in enumerate(universe):
                 bit[w] = 1 << i
@@ -284,17 +286,16 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None]]
             for i in p_bits:
                 for j in bit_indices(masks[i] & x):
                     masks[j] |= 1 << i
-        yield v, p, x, masks
+            branch = p & ~masks[_local_pivot(masks, p, None, None, x)]
+        yield v, p, x, masks, branch
 
 
 @dataclass(frozen=True, slots=True)
 class RootSplit:
     """The root's split of one graph, shared by every run handed it.
 
-    ``children`` lists every root child ``(v, P, X, masks, branch)``:
-    the first four as _root_children yields them, and ``branch`` the bits
-    of P the root child branches on, ``P & ~masks[pivot]`` for its local
-    pivot, or 0 when P is empty. Runs only read them.
+    ``children`` lists every root child ``(v, P, X, masks, branch)`` as
+    _root_children yields it. Runs only read them.
     """
 
     graph: Graph
@@ -307,11 +308,7 @@ def split_root(g: Graph) -> RootSplit:
     them at once: one list slot per vertex of each root child's
     neighbourhood, at most 2m for m edges, each row as an int of up to
     deg(v) bits, and one branch int of up to deg(v) bits per root child."""
-    children = []
-    for v, p, x, masks in _root_children(g):
-        branch = p & ~masks[_local_pivot(masks, p, None, None, x)] if p else 0
-        children.append((v, p, x, masks, branch))
-    return RootSplit(g, children)
+    return RootSplit(g, list(_root_children(g)))
 
 
 def _search_subproblem(
@@ -320,7 +317,7 @@ def _search_subproblem(
     p: int,
     x: int,
     masks: list[int] | None,
-    branch: int | None,
+    branch: int,
     ell: int,
     stages: Stages,
     sink: Sink | None,
@@ -328,8 +325,8 @@ def _search_subproblem(
     debug: bool,
 ) -> None:
     """Visit root child v, given as _root_children yields it, and every node
-    below it, on local bitsets. ``branch``, from a RootSplit, stands in for
-    the root child's pivot if its prune test keeps it; None picks it here.
+    below it, on local bitsets. ``branch`` stands in for the root child's
+    pivot if its prune test keeps it.
 
     Everything below v lies inside N(v), so P and X are ints over
     ``universe`` = N(v): bit i stands for ``universe[i]``, in vertex-id
@@ -346,7 +343,7 @@ def _search_subproblem(
     universe = adjacency[v]
     if debug and p:
         _check_rows(g, universe, masks, p)
-        if branch is not None and branch != p & ~masks[_local_pivot(masks, p, None, None, x)]:
+        if branch != p & ~masks[_local_pivot(masks, p, None, None, x)]:
             raise AssertionError(f"stored branch of root child {v} does not match its pivot")
     stack: list[SearchNode] = []
 
@@ -386,11 +383,10 @@ def _search_subproblem(
             if stages:
                 fired = evaluate_strategy(stages, len(c), p, masks, ext, ell, stats, induced)
             if fired is None:
-                if branch is None:
+                # only the root child, the one node with C = [v], comes with its branch
+                if len(c) > 1:
                     branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, x)]
                 node.branch = branch
-                # only the root child, the first node, may come with its branch
-                branch = None
                 stack.append(node)
             else:
                 stats.prune_firings[fired] += 1
@@ -458,10 +454,7 @@ def enumerate_isolated(
     if not n:
         # the root of a vertexless graph is its only leaf, and 0 < ell * 0 fails
         stats.filtered_at_leaf += 1
-    if split is None:
-        children = ((*child, None) for child in _root_children(g))
-    else:
-        children = split.children
+    children = _root_children(g) if split is None else split.children
     for v, p, x, masks, branch in children:
         _search_subproblem(g, v, p, x, masks, branch, ell, stages, sink, stats, debug)
     stats.wall_time = perf_counter() - start
