@@ -5,7 +5,10 @@ existing ones, biased by degree) and a shared-feature model (each vertex
 holds each of ``m`` features with probability ``p`` and every feature
 class becomes a clique). Draws come from ``random.Random(seed)``
 (Mersenne Twister) in the documented order, so a config reproduces the
-same graph byte for byte within this implementation.
+same graph byte for byte within this implementation. Both models fill
+the graph's neighbour rows as they draw, with no edge list, and hand
+them to the graph's finishing step, which turns the rows into sorted
+tuples in place.
 """
 
 from __future__ import annotations
@@ -60,15 +63,15 @@ def generate_ba(cfg: BAConfig) -> Graph:
     can always find m distinct targets. Each of vertices m+1 .. n-1 draws
     targets uniformly from a pool holding every existing vertex once per
     incident edge; duplicate draws within one vertex's round are retried.
+    Each round fills the rows as it draws: v's row gets its targets in
+    ascending order and each target's row gets v, with no edge list.
     """
     rng = random.Random(cfg.seed)
     n, m = cfg.n, cfg.m
-    edges: list[tuple[int, int]] = []
     pool: list[int] = []  # one entry per edge endpoint: degree-weighted sampling
     seed_size = m + 1
+    rows: list[list[int]] = [[u for u in range(seed_size) if u != v] for v in range(seed_size)]
     for u in range(seed_size):
-        for v in range(u + 1, seed_size):
-            edges.append((u, v))
         pool.extend([u] * m)
     for v in range(seed_size, n):
         targets: set[int] = set()
@@ -76,18 +79,23 @@ def generate_ba(cfg: BAConfig) -> Graph:
             t = pool[rng.randrange(len(pool))]
             if t not in targets:
                 targets.add(t)
-        for t in sorted(targets):
-            edges.append((t, v))
-            pool.append(t)
+        ordered = sorted(targets)
+        for t in ordered:
+            rows[t].append(v)
+        rows.append(ordered)
+        pool += ordered
         pool.extend([v] * m)
-    return Graph.from_edges(n, edges)
+    del pool
+    return Graph._from_rows(rows, None)
 
 
 def generate_feature_model(cfg: FeatureModelConfig) -> Graph:
     """Draw the feature matrix and union the per-feature cliques.
 
     Features are independent Bernoulli(p) trials, drawn vertex by vertex
-    and feature by feature in index order.
+    and feature by feature in index order. Each class member's row is
+    extended with the class's other members, with no edge list; a pair
+    sharing several features repeats, and the finishing step keeps it once.
     """
     rng = random.Random(cfg.seed)
     classes: list[list[int]] = [[] for _ in range(cfg.m)]
@@ -95,11 +103,13 @@ def generate_feature_model(cfg: FeatureModelConfig) -> Graph:
         for f in range(cfg.m):
             if rng.random() < cfg.p:
                 classes[f].append(v)
-    # a pair sharing several features recurs; from_edges keeps it once
-    edges = [
-        (u, w) for members in classes for i, u in enumerate(members) for w in members[i + 1 :]
-    ]
-    return Graph.from_edges(cfg.n, edges)
+    rows: list[list[int]] = [[] for _ in range(cfg.n)]
+    for members in classes:
+        for i, u in enumerate(members):
+            row = rows[u]
+            row += members[:i]
+            row += members[i + 1 :]
+    return Graph._from_rows(rows, None)
 
 
 def generate(cfg: BAConfig | FeatureModelConfig) -> Graph:

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 
+_FINISH_BATCH = 1024  # rows Graph._from_rows finishes per step
+
+
 class EdgeListParseError(ValueError):
     """A data line in an edge-list stream could not be parsed."""
 
@@ -57,10 +60,22 @@ class Graph:
     @classmethod
     def _from_rows(cls, rows: list[list[int]], labels: tuple[str, ...] | None) -> "Graph":
         """The graph whose vertex i has the neighbours listed in ``rows[i]``,
-        in any order and with repeats; both builders fill the rows
-        symmetrically and share this finishing step."""
-        adjacency = tuple([tuple(sorted(set(row))) for row in rows])
-        return cls(len(rows), sum(map(len, adjacency)) // 2, adjacency, labels)
+        in any order and with repeats; the builders and generators fill the
+        rows symmetrically and share this finishing step.
+
+        Consumes ``rows``: it is finished in place, _FINISH_BATCH rows at a
+        time, each list replaced by the sorted tuple of its distinct entries,
+        so the lists and the tuples never all exist at once. A batch's tuples
+        are built before its lists go: finished one row at a time, the tuples
+        scatter over the allocator pools that the freed lists leave part
+        empty, and later allocations of other sizes cannot use that space (on
+        CPython 3.11, a ``sweep`` of ba:n=100000,m=25 loaded from a file
+        peaked 13 MB higher)."""
+        for lo in range(0, len(rows), _FINISH_BATCH):
+            hi = lo + _FINISH_BATCH
+            rows[lo:hi] = [tuple(sorted(set(row))) for row in rows[lo:hi]]
+        adjacency = tuple(rows)
+        return cls(len(adjacency), sum(map(len, adjacency)) // 2, adjacency, labels)
 
     def all_labels(self) -> tuple[str, ...]:
         """Every vertex's label in id order; unlabeled graphs use the ids."""

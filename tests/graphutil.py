@@ -1,15 +1,15 @@
 """Small graph builders shared across the test modules, set-based references
-for the package's graph builder and edge-list loader, the reference count of a
-vertex set's external edges, a counter of the engine's search nodes, and the
-value forms of the pruning bounds that the engine's threshold tests are
-checked against."""
+for the package's graph builder and edge-list loader, edge-list references
+for its two generators, the reference count of a vertex set's external edges,
+a counter of the engine's search nodes, and the value forms of the pruning
+bounds that the engine's threshold tests are checked against."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from isoclique import EdgeListParseError, Graph, enumeration
+from isoclique import BAConfig, EdgeListParseError, FeatureModelConfig, Graph, enumeration
 from isoclique.pruning import bit_indices
 
 
@@ -63,6 +63,46 @@ def reference_load(lines) -> tuple[Graph, int, int]:
         labels[vid] = text
     adjacency, m = reference_adjacency(len(ids), edges)
     return Graph(len(ids), m, adjacency, tuple(labels)), self_loops, len(edges) - m
+
+
+def reference_generate_ba(cfg: BAConfig) -> Graph:
+    """generate_ba through a full edge list: the same draws in the same order,
+    with every edge collected as a tuple before Graph.from_edges builds."""
+    rng = random.Random(cfg.seed)
+    n, m = cfg.n, cfg.m
+    edges: list[tuple[int, int]] = []
+    pool: list[int] = []
+    seed_size = m + 1
+    for u in range(seed_size):
+        for v in range(u + 1, seed_size):
+            edges.append((u, v))
+        pool.extend([u] * m)
+    for v in range(seed_size, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            t = pool[rng.randrange(len(pool))]
+            if t not in targets:
+                targets.add(t)
+        for t in sorted(targets):
+            edges.append((t, v))
+            pool.append(t)
+        pool.extend([v] * m)
+    return Graph.from_edges(n, edges)
+
+
+def reference_generate_feature_model(cfg: FeatureModelConfig) -> Graph:
+    """generate_feature_model through a full edge list: every pair of every
+    feature class as a tuple, repeats included, before Graph.from_edges."""
+    rng = random.Random(cfg.seed)
+    classes: list[list[int]] = [[] for _ in range(cfg.m)]
+    for v in range(cfg.n):
+        for f in range(cfg.m):
+            if rng.random() < cfg.p:
+                classes[f].append(v)
+    edges = [
+        (u, w) for members in classes for i, u in enumerate(members) for w in members[i + 1 :]
+    ]
+    return Graph.from_edges(cfg.n, edges)
 
 
 def triangle() -> Graph:
