@@ -4,10 +4,9 @@ A maximal clique of size k is isolated at factor ell when strictly fewer
 than ell * k edges connect it to the rest of the graph. This package
 enumerates exactly those cliques with a pivoted backtracking search
 whose sterile subtrees are discarded by provably sound bounds, and ships
-brute-force oracles, synthetic graph generators, and a CLI around it.
+synthetic graph generators and a CLI around it.
 """
 
-from . import oracle
 from .enumeration import CliqueReport, RunStats, enumerate_all_maximal, enumerate_isolated
 from .generators import (
     BAConfig,
@@ -41,7 +40,6 @@ __all__ = [
     "generate",
     "load_edge_list",
     "load_edge_list_report",
-    "oracle",
     "parse_generator_spec",
     "write_edge_list",
 ]

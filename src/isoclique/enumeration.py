@@ -19,7 +19,7 @@ builds its local rows, X's from P's by symmetry and a hub's by
 filtering N(v) through the hub's neighbours, and picks its pivot, in
 root order.
 _search_subproblem visits the root child and every node below it with
-one block (count, check, leaf, prune test, pivot), on an explicit stack,
+one block (count, leaf, prune test, pivot), on an explicit stack,
 so deep cliques cannot hit the interpreter recursion limit. A pivot
 counts X's bits first, then those of P's bits that the node's prune test
 did not count, and stops at a count no later bit can beat: |P| for a bit
@@ -52,9 +52,9 @@ class SearchNode:
     P and X are bitsets: over V at the root, and over a root child's
     neighbourhood below it (see _search_subproblem). ``branch`` holds the
     bits of P outside the pivot's neighbourhood not yet branched on.
-    ``ext_cp`` counts the edges from C to vertices outside C and P; it always
-    equals the from-scratch recount (see from_scratch_ext_cp) and is kept
-    current as candidates retire into X.
+    ``ext_cp`` counts the edges from C to vertices outside C and P; it is
+    kept current as candidates retire into X, and the tests recount it from
+    scratch at every node they wrap (see recounted in tests/graphutil.py).
     """
 
     c: list[int]
@@ -174,53 +174,6 @@ def child_ext_cp(ext_cp: int, c_size: int, p_size: int, p_child_size: int, degre
     return ext_cp + c_size * (p_size - p_child_size - 1) + (degree - c_size - p_child_size)
 
 
-def from_scratch_ext_cp(g: Graph, c: Sequence[int], p: Sequence[int]) -> int:
-    """Recount the edges from ``c`` to vertices outside ``c`` and ``p``.
-
-    Reference implementation for the incrementally maintained counter;
-    enabled per node via the engine's debug flag.
-    """
-    blocked = set(c)
-    blocked.update(p)
-    count = 0
-    for v in c:
-        for u in g.adjacency[v]:
-            if u not in blocked:
-                count += 1
-    return count
-
-
-def _check_node(g: Graph, node: SearchNode, universe: Sequence[int]) -> None:
-    """Recount the node's invariants; bit i of P and X is ``universe[i]``."""
-    # decoded from the binary string, in linear time: the root's P has n bits
-    c = node.c
-    p = [universe[i] for i, b in enumerate(bin(node.p)[:1:-1]) if b == "1"]
-    x = [universe[i] for i, b in enumerate(bin(node.x)[:1:-1]) if b == "1"]
-    expected = from_scratch_ext_cp(g, c, p)
-    if node.ext_cp != expected:
-        raise AssertionError(
-            f"incremental external-edge counter {node.ext_cp} != recount {expected} "
-            f"at C={c} P={p}"
-        )
-    c_set = set(c)
-    p_set = set(p)
-    x_set = set(x)
-    if c_set & p_set or c_set & x_set or p_set & x_set:
-        raise AssertionError(f"C/P/X overlap at C={c} P={p} X={x}")
-    for v in p + x:
-        if not c_set.issubset(g.adjacency[v]):
-            raise AssertionError(f"vertex {v} in P or X is not adjacent to all of C={c}")
-
-
-def _check_rows(g: Graph, universe: Sequence[int], masks: Sequence[int], p: int) -> None:
-    """Check a root child's rows against adjacency: in full for P, on P for X."""
-    for i, u in enumerate(universe):
-        adjacent = set(g.adjacency[u])
-        row = sum(1 << j for j, w in enumerate(universe) if w in adjacent)
-        if (masks[i] ^ row) & (-1 if p >> i & 1 else p):
-            raise AssertionError(f"mask row of vertex {u} does not match its adjacency")
-
-
 # A P member u with more than this many times deg(v) neighbours gets its row
 # within N(v) by filtering N(v) through a set of N(u), not by scanning N(u).
 _HUB_FACTOR = 4
@@ -322,7 +275,6 @@ def _search_subproblem(
     stages: Stages,
     sink: Sink | None,
     stats: RunStats,
-    debug: bool,
 ) -> None:
     """Visit root child v, given as _root_children yields it, and every node
     below it, on local bitsets. ``branch`` stands in for the root child's
@@ -341,10 +293,6 @@ def _search_subproblem(
     """
     adjacency = g.adjacency
     universe = adjacency[v]
-    if debug and p:
-        _check_rows(g, universe, masks, p)
-        if branch != p & ~masks[_local_pivot(masks, p, None, None, x)]:
-            raise AssertionError(f"stored branch of root child {v} does not match its pivot")
     stack: list[SearchNode] = []
 
     def induced() -> tuple[list[int], list[int]]:
@@ -367,8 +315,6 @@ def _search_subproblem(
     while True:
         stats.recursive_calls += 1
         node = SearchNode(c, p, x, ext)
-        if debug:
-            _check_node(g, node, universe)
         if not p:
             # a leaf when X is empty too; ext is then the clique's full cut
             if not x:
@@ -421,7 +367,6 @@ def enumerate_isolated(
     strategy: str | Stages,
     sink: Sink | None = None,
     *,
-    debug: bool = False,
     split: RootSplit | None = None,
 ) -> RunStats:
     """Report every maximal clique of ``g`` whose external edge count is
@@ -432,10 +377,8 @@ def enumerate_isolated(
     the chain of bounds in ``STRATEGIES`` that vetoes sterile subtrees,
     or is such a chain of ``(name, bound)`` stages itself; with strategy
     "none" every maximal clique is still visited and merely filtered at
-    the leaves. ``debug`` recounts the external-edge counter and the
-    adjacency invariants at every node. ``split``, from split_root(g),
-    replaces the run's own root split and row building; output and
-    counters are the same either way.
+    the leaves. ``split``, from split_root(g), replaces the run's own root
+    split and row building; output and counters are the same either way.
     """
     stages = get_strategy(strategy) if isinstance(strategy, str) else strategy
     if not isinstance(ell, int) or isinstance(ell, bool) or ell < 1:
@@ -448,28 +391,27 @@ def enumerate_isolated(
     # bound can meet, so the root is never evaluated.
     n = g.vertex_count
     stats.recursive_calls += 1
-    root = SearchNode(c=[], p=(1 << n) - 1, x=0, ext_cp=0)
-    if debug:
-        _check_node(g, root, range(n))
+    # built only so each counted node is one SearchNode: perfbench's tracer and tests count them
+    SearchNode(c=[], p=(1 << n) - 1, x=0, ext_cp=0)
     if not n:
         # the root of a vertexless graph is its only leaf, and 0 < ell * 0 fails
         stats.filtered_at_leaf += 1
     children = _root_children(g) if split is None else split.children
     for v, p, x, masks, branch in children:
-        _search_subproblem(g, v, p, x, masks, branch, ell, stages, sink, stats, debug)
+        _search_subproblem(g, v, p, x, masks, branch, ell, stages, sink, stats)
     stats.wall_time = perf_counter() - start
     return stats
 
 
 def enumerate_all_maximal(
-    g: Graph, sink: Sink | None = None, *, debug: bool = False, split: RootSplit | None = None
+    g: Graph, sink: Sink | None = None, *, split: RootSplit | None = None
 ) -> RunStats:
-    """Report every maximal clique of ``g`` exactly once; ``debug`` and
-    ``split`` as for enumerate_isolated.
+    """Report every maximal clique of ``g`` exactly once; ``split`` as for
+    enumerate_isolated.
 
     This is the isolated search at factor n + 1 under strategy "none", for
     n vertices: a clique of k vertices has at most k·(n - k) edges leaving
     it, which is below k·(n + 1), so every maximal clique passes the leaf
     filter. Only the empty root of a vertexless graph is filtered.
     """
-    return enumerate_isolated(g, g.vertex_count + 1, "none", sink, debug=debug, split=split)
+    return enumerate_isolated(g, g.vertex_count + 1, "none", sink, split=split)

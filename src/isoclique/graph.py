@@ -90,24 +90,6 @@ class Graph:
                 if v > u:
                     yield u, v
 
-    def validate(self) -> None:
-        """Check the structural invariants; raises AssertionError on violation.
-
-        Intended for tests and debugging, not for hot paths.
-        """
-        assert len(self.adjacency) == self.vertex_count
-        total = 0
-        for v, nbrs in enumerate(self.adjacency):
-            total += len(nbrs)
-            for i, u in enumerate(nbrs):
-                assert 0 <= u < self.vertex_count, f"neighbor {u} of {v} out of range"
-                assert u != v, f"self-loop at {v}"
-                assert i == 0 or nbrs[i - 1] < u, f"adjacency of {v} not strictly ascending"
-                assert v in self.adjacency[u], f"edge {v}-{u} not symmetric"
-        assert total == 2 * self.edge_count, "edge_count does not match adjacency"
-        if self.labels is not None:
-            assert len(self.labels) == self.vertex_count
-
 
 @dataclass(frozen=True)
 class LoadReport:
@@ -208,15 +190,6 @@ def write_edge_list(g: Graph, stream: IO[str], header_comments: Sequence[str] = 
         # one batch per vertex: its edges to higher ids, in ascending order
         first = labels[u]
         stream.write("".join([f"{first} {labels[v]}\n" for v in nbrs[bisect_right(nbrs, u):]]))
-
-
-def canonical_edge_list(g: Graph, header_comments: Sequence[str] = ()) -> str:
-    """The canonical edge-list serialization as a single string."""
-    import io
-
-    buf = io.StringIO()
-    write_edge_list(g, buf, header_comments)
-    return buf.getvalue()
 
 
 def intersect_with_neighbors(g: Graph, s: Sequence[int], v: int) -> list[int]:

@@ -1,21 +1,56 @@
-"""Small graph builders shared across the test modules, set-based references
-for the package's graph builder and edge-list loader, edge-list references
-for its two generators, the reference count of a vertex set's external edges,
-a counter of the engine's search nodes, and the value forms of the pruning
-bounds that the engine's threshold tests are checked against."""
+"""Small graph builders shared across the test modules, a structural check
+and the canonical text of a graph, set-based references for the package's
+graph builder and edge-list loader, edge-list references for its two
+generators, the reference count of a vertex set's external edges, a counter
+of the engine's search nodes, the per-node recount the engine's runs are
+checked under, and the value forms of the pruning bounds that the engine's
+threshold tests are checked against."""
 
 from __future__ import annotations
 
+import io
 import itertools
 import random
+from contextlib import contextmanager
 
-from isoclique import BAConfig, EdgeListParseError, FeatureModelConfig, Graph, enumeration
+from isoclique import (
+    BAConfig,
+    EdgeListParseError,
+    FeatureModelConfig,
+    Graph,
+    enumeration,
+    write_edge_list,
+)
 from isoclique.pruning import bit_indices
+
+
+def validate(g: Graph) -> None:
+    """Check a graph's structural invariants; raises AssertionError on a
+    violation."""
+    assert len(g.adjacency) == g.vertex_count
+    total = 0
+    for v, nbrs in enumerate(g.adjacency):
+        total += len(nbrs)
+        for i, u in enumerate(nbrs):
+            assert 0 <= u < g.vertex_count, f"neighbor {u} of {v} out of range"
+            assert u != v, f"self-loop at {v}"
+            assert i == 0 or nbrs[i - 1] < u, f"adjacency of {v} not strictly ascending"
+            assert v in g.adjacency[u], f"edge {v}-{u} not symmetric"
+    assert total == 2 * g.edge_count, "edge_count does not match adjacency"
+    if g.labels is not None:
+        assert len(g.labels) == g.vertex_count
+
+
+def canonical_edge_list(g: Graph, header_comments=()) -> str:
+    """write_edge_list's canonical serialization as a single string."""
+    buf = io.StringIO()
+    write_edge_list(g, buf, header_comments)
+    return buf.getvalue()
 
 
 def graph_from_edges(n: int, edges) -> Graph:
     g = Graph.from_edges(n, edges)
-    g.validate()
+    validate(g)
     return g
 
 
@@ -173,6 +208,123 @@ def external_degree(g: Graph, vertices) -> int:
             if u not in members:
                 count += 1
     return count
+
+
+def from_scratch_ext_cp(g: Graph, c, p) -> int:
+    """Recount the edges from ``c`` to vertices outside ``c`` and ``p``: the
+    external-edge counter the engine keeps at a node (C, P)."""
+    blocked = set(c)
+    blocked.update(p)
+    count = 0
+    for v in c:
+        for u in g.adjacency[v]:
+            if u not in blocked:
+                count += 1
+    return count
+
+
+def _members(bits: int, universe) -> list:
+    # decoded from the binary string, in linear time: the root's P has n bits
+    return [universe[i] for i, b in enumerate(bin(bits)[:1:-1]) if b == "1"]
+
+
+def check_node(g: Graph, node, universe) -> None:
+    """Recount a search node's invariants; bit i of its P and X stands for
+    ``universe[i]``. Its counter must equal from_scratch_ext_cp, C, P and X
+    must be disjoint, and every vertex of P and X adjacent to all of C."""
+    c = node.c
+    p = _members(node.p, universe)
+    x = _members(node.x, universe)
+    expected = from_scratch_ext_cp(g, c, p)
+    if node.ext_cp != expected:
+        raise AssertionError(
+            f"incremental external-edge counter {node.ext_cp} != recount {expected} "
+            f"at C={c} P={p}"
+        )
+    c_set = set(c)
+    p_set = set(p)
+    x_set = set(x)
+    if c_set & p_set or c_set & x_set or p_set & x_set:
+        raise AssertionError(f"C/P/X overlap at C={c} P={p} X={x}")
+    for v in p + x:
+        if not c_set.issubset(g.adjacency[v]):
+            raise AssertionError(f"vertex {v} in P or X is not adjacent to all of C={c}")
+
+
+def check_root_child(g: Graph, v: int, p: int, x: int, masks, branch: int) -> None:
+    """Check a root child ``(v, P, X, masks, branch)``, as the engine's
+    _root_children yields it and a RootSplit stores it, against the
+    adjacency lists, bit i standing for the i-th neighbour of v.
+
+    A root child without candidates has no rows and no branch. Otherwise
+    ``masks[i]`` is N(N(v)[i]) within N(v) for a bit i of P, and that row
+    cut to P for a bit of X, and ``branch`` is P outside the row of the
+    pivot: the bit of P | X whose row meets P most often, ties to the
+    lowest bit."""
+    if not p:
+        if masks is not None or branch:
+            raise AssertionError(f"root child {v} has no candidates but rows or a branch")
+        return
+    universe = g.adjacency[v]
+    rows = []
+    for u in universe:
+        adjacent = set(g.adjacency[u])
+        rows.append(sum(1 << j for j, w in enumerate(universe) if w in adjacent))
+    for i, row in enumerate(rows):
+        if masks[i] != (row if p >> i & 1 else row & p):
+            raise AssertionError(f"mask row of vertex {universe[i]} does not match its adjacency")
+    bits = _members(p | x, range(len(universe)))
+    pivot = min(bits, key=lambda i: (-(rows[i] & p).bit_count(), i))
+    if branch != p & ~rows[pivot]:
+        raise AssertionError(f"stored branch of root child {v} does not match its pivot")
+
+
+class Recount:
+    """What recounted has checked so far: ``nodes`` search nodes and
+    ``root_children`` root children, and ``universe``, the vertices that
+    the bits of the last checked node's P and X stand for."""
+
+    def __init__(self) -> None:
+        self.nodes = 0
+        self.root_children = 0
+        self.universe = ()
+
+
+@contextmanager
+def recounted(g: Graph):
+    """Within the block, check every search node and every root child that
+    the engine builds while it runs on ``g``, and yield the Recount.
+
+    It wraps the two names the engine looks up. Each SearchNode goes through
+    check_node as it is built, before its prune test, over range(n) when its
+    C is empty and over N(C[0]) below the root. Each call of
+    _search_subproblem, with or without a shared split, first puts its root
+    child through check_root_child. Both names are restored on exit, so the
+    block nests with count_search_nodes and with perfbench's tracer."""
+    recount = Recount()
+    real_node = enumeration.SearchNode
+    real_search = enumeration._search_subproblem
+    root = range(g.vertex_count)
+
+    def node(*args, **kwargs):
+        built = real_node(*args, **kwargs)
+        recount.universe = g.adjacency[built.c[0]] if built.c else root
+        check_node(g, built, recount.universe)
+        recount.nodes += 1
+        return built
+
+    def search(graph, v, p, x, masks, branch, *rest):
+        check_root_child(g, v, p, x, masks, branch)
+        recount.root_children += 1
+        return real_search(graph, v, p, x, masks, branch, *rest)
+
+    enumeration.SearchNode = node
+    enumeration._search_subproblem = search
+    try:
+        yield recount
+    finally:
+        enumeration.SearchNode = real_node
+        enumeration._search_subproblem = real_search
 
 
 def count_search_nodes(monkeypatch) -> list:

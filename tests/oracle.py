@@ -1,17 +1,19 @@
-"""Exponential reference implementations, for tests only.
+"""Exponential reference implementations that the tests check the engine
+against.
 
 Everything here enumerates vertex subsets directly over bitmask
-adjacency and shares no search logic with the production engine, so the
-two sides can be checked against each other. Each function refuses an
-input of more than ``max_vertices`` vertices, 20 unless given, with
-GraphTooLargeError: subset enumeration beyond that is hopeless.
+adjacency and imports nothing from the package but Graph, so it shares
+no search logic with the engine and the two sides can be checked against
+each other. Each function refuses an input of more than ``max_vertices``
+vertices, 20 unless given, with GraphTooLargeError: subset enumeration
+beyond that is hopeless.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph
+from isoclique import Graph
 
 
 class GraphTooLargeError(ValueError):

@@ -11,21 +11,22 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from isoclique import (
     BAConfig,
     FeatureModelConfig,
     enumerate_all_maximal,
     enumerate_isolated,
     load_edge_list_report,
-    oracle,
 )
 from isoclique.generators import generate_ba, generate_feature_model
-from isoclique.graph import canonical_edge_list
 from graphutil import (
     bitset_view,
+    canonical_edge_list,
     complete_binary_tree,
     erdos_renyi,
     moon_moser,
+    recounted,
     ub_degeneracy,
     ub_degree,
     ub_size,
@@ -56,26 +57,33 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
-def corpus_runs(corpus):
-    """Per graph and factor: each strategy's emitted clique set and stats.
+def corpus_recounted(corpus):
+    """Per graph and factor, each strategy's emitted clique set and stats,
+    and the number of search nodes recounted.
 
-    Every run executes in debug mode, so the incremental external-edge
+    Every run executes inside recounted, so the incremental external-edge
     counter is recounted from scratch at every single search node.
     """
     results = []
+    nodes_checked = 0
     for g in corpus:
         per_graph = {}
-        for ell in ELLS:
-            per_ell = {}
-            for name in STRATEGIES:
-                emitted = set()
-                stats = enumerate_isolated(
-                    g, ell, name, lambda r: emitted.add(r.vertices), debug=True
-                )
-                per_ell[name] = (frozenset(emitted), stats)
-            per_graph[ell] = per_ell
+        with recounted(g) as recount:
+            for ell in ELLS:
+                per_ell = {}
+                for name in STRATEGIES:
+                    emitted = set()
+                    stats = enumerate_isolated(g, ell, name, lambda r: emitted.add(r.vertices))
+                    per_ell[name] = (frozenset(emitted), stats)
+                per_graph[ell] = per_ell
+        nodes_checked += recount.nodes
         results.append(per_graph)
-    return results
+    return results, nodes_checked
+
+
+@pytest.fixture(scope="module")
+def corpus_runs(corpus_recounted):
+    return corpus_recounted[0]
 
 
 def test_oracle_equivalence_exhaustive_small_scale(corpus, corpus_runs):
@@ -138,17 +146,18 @@ def test_call_count_dominance(corpus_runs):
     _verdict("call-count dominance (combo == softcore exact)", failures)
 
 
-def test_incremental_external_degree_maintenance(corpus_runs):
-    # corpus_runs executed with debug=True: the engine recounts the counter
-    # from scratch at every node and raises on the first mismatch, so
-    # reaching this point with a non-trivial node total is the check
-    nodes_checked = sum(
+def test_incremental_external_degree_maintenance(corpus_recounted):
+    # the corpus ran inside recounted: the counter is recounted from scratch
+    # at every node and the first mismatch raises, so reaching this point
+    # with every visited node of a non-trivial total checked is the check
+    corpus_runs, nodes_checked = corpus_recounted
+    visited = sum(
         stats.recursive_calls
         for per_graph in corpus_runs
         for per_ell in per_graph.values()
         for _, stats in per_ell.values()
     )
-    failures = [] if nodes_checked > 100_000 else [("nodes checked", nodes_checked)]
+    failures = [] if nodes_checked == visited > 100_000 else [("checked", nodes_checked, visited)]
     _verdict(f"incremental external-degree counter ({nodes_checked} nodes recounted)", failures)
 
 

@@ -2,25 +2,22 @@ import random
 
 import pytest
 
-from isoclique import STRATEGIES, enumerate_all_maximal, enumerate_isolated, oracle
-from isoclique.enumeration import (
-    SearchNode,
-    _check_node,
-    _local_pivot,
-    child_ext_cp,
-    from_scratch_ext_cp,
-    select_pivot,
-)
+import oracle
+from isoclique import STRATEGIES, enumerate_all_maximal, enumerate_isolated
+from isoclique.enumeration import SearchNode, _local_pivot, child_ext_cp, select_pivot
 from isoclique.pruning import bit_indices
 from graphutil import (
     bitset_view,
+    check_node,
     complete_graph,
     count_search_nodes,
     empty_graph,
     erdos_renyi,
     external_degree,
+    from_scratch_ext_cp,
     graph_from_edges,
     moon_moser,
+    recounted,
     star_graph,
     triangle,
     triangle_pendant,
@@ -196,13 +193,14 @@ def test_select_pivot_requires_candidates():
 
 def test_enumerate_triangle_pendant():
     g = triangle_pendant()
-    got, stats = collect(g, 1, "combo", debug=True)
-    assert [r.vertices for r in got] == [(0, 1, 2)]
-    assert stats.emitted == 1
-    assert stats.filtered_at_leaf + stats.emitted >= 1
+    with recounted(g):
+        got, stats = collect(g, 1, "combo")
+        assert [r.vertices for r in got] == [(0, 1, 2)]
+        assert stats.emitted == 1
+        assert stats.filtered_at_leaf + stats.emitted >= 1
 
-    got, _ = collect(g, 2, "combo", debug=True)
-    assert [r.vertices for r in got] == [(0, 1, 2), (0, 3)]
+        got, _ = collect(g, 2, "combo")
+        assert [r.vertices for r in got] == [(0, 1, 2), (0, 3)]
 
 
 def test_enumerate_reports_external_degrees():
@@ -254,8 +252,9 @@ def test_debug_mode_recounts_every_node():
     rng = random.Random(61)
     for _ in range(30):
         g = erdos_renyi(rng.randint(1, 12), rng.random(), rng)
-        for ell in (1, 3):
-            collect(g, ell, "combo", debug=True)  # raises on any mismatch
+        with recounted(g):
+            for ell in (1, 3):
+                collect(g, ell, "combo")  # raises on any mismatch
 
 
 def test_debug_checker_detects_corruption():
@@ -264,19 +263,19 @@ def test_debug_checker_detects_corruption():
     g = triangle_pendant()
     bad = SearchNode(c=[0], p=0b0110, x=0, ext_cp=7)
     with pytest.raises(AssertionError, match="external-edge counter"):
-        _check_node(g, bad, range(4))
+        check_node(g, bad, range(4))
     # ext_cp consistent (N(1) minus {1, 3} is {0, 2}) but vertex 3 is not
     # adjacent to the clique, so the adjacency invariant fires
     not_adjacent = SearchNode(c=[1], p=0b1000, x=0, ext_cp=2)
     with pytest.raises(AssertionError, match="not adjacent"):
-        _check_node(g, not_adjacent, range(4))
+        check_node(g, not_adjacent, range(4))
     # the same nodes over a root child's universe
     universe = [1, 2, 3]
-    _check_node(g, SearchNode(c=[0], p=0b011, x=0, ext_cp=1), universe)
+    check_node(g, SearchNode(c=[0], p=0b011, x=0, ext_cp=1), universe)
     with pytest.raises(AssertionError, match="external-edge counter"):
-        _check_node(g, SearchNode(c=[0], p=0b011, x=0, ext_cp=7), universe)
+        check_node(g, SearchNode(c=[0], p=0b011, x=0, ext_cp=7), universe)
     with pytest.raises(AssertionError, match="not adjacent"):
-        _check_node(g, SearchNode(c=[1], p=0b100, x=0, ext_cp=2), universe)
+        check_node(g, SearchNode(c=[1], p=0b100, x=0, ext_cp=2), universe)
 
 
 def test_enumerate_all_maximal_examples():

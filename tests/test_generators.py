@@ -4,7 +4,12 @@ import random
 import tracemalloc
 
 import pytest
-from graphutil import reference_generate_ba, reference_generate_feature_model
+from graphutil import (
+    canonical_edge_list,
+    reference_generate_ba,
+    reference_generate_feature_model,
+    validate,
+)
 
 from isoclique import (
     BAConfig,
@@ -14,7 +19,6 @@ from isoclique import (
     parse_generator_spec,
 )
 from isoclique.generators import canonical_spec, generate_ba, generate_feature_model
-from isoclique.graph import canonical_edge_list
 
 
 def ba_edge_count(n, m):
@@ -49,7 +53,7 @@ def rederive_feature_classes(cfg):
 
 def test_ba_with_single_attachment_is_a_tree():
     g = generate_ba(BAConfig(n=5, m=1, seed=123))
-    g.validate()
+    validate(g)
     assert g.vertex_count == 5
     assert g.edge_count == 4
     assert is_connected(g)
@@ -59,7 +63,7 @@ def test_ba_edge_counts_follow_construction():
     for n, m in [(10, 2), (50, 5), (200, 7), (333, 12)]:
         for seed in (0, 1):
             g = generate_ba(BAConfig(n=n, m=m, seed=seed))
-            g.validate()
+            validate(g)
             assert g.vertex_count == n
             assert g.edge_count == ba_edge_count(n, m)
 
@@ -82,18 +86,18 @@ def test_ba_config_validation():
 
 def test_feature_model_extremes():
     empty = generate_feature_model(FeatureModelConfig(n=10, m=3, p=0.0, seed=1))
-    empty.validate()
+    validate(empty)
     assert (empty.vertex_count, empty.edge_count) == (10, 0)
 
     full = generate_feature_model(FeatureModelConfig(n=7, m=3, p=1.0, seed=1))
-    full.validate()
+    validate(full)
     assert full.edge_count == 7 * 6 // 2
 
 
 def test_feature_classes_induce_cliques():
     cfg = FeatureModelConfig(n=200, m=25, p=0.1, seed=2024)
     g = generate_feature_model(cfg)
-    g.validate()
+    validate(g)
     classes = rederive_feature_classes(cfg)
     class_edges = set()
     for members in classes:
@@ -191,7 +195,7 @@ def test_generators_match_edge_list_references(spec):
     else:
         reference = reference_generate_feature_model(cfg)
     g = generate(cfg)
-    g.validate()
+    validate(g)
     assert (g.vertex_count, g.edge_count, g.adjacency) == (
         reference.vertex_count,
         reference.edge_count,

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from isoclique import EdgeListParseError, Graph, load_edge_list, load_edge_list_report
-from isoclique.graph import canonical_edge_list, induced_degrees, intersect_with_neighbors
+from isoclique.graph import induced_degrees, intersect_with_neighbors
 from graphutil import (
+    canonical_edge_list,
     erdos_renyi,
     graph_from_edges,
     path_graph,
@@ -13,12 +14,13 @@ from graphutil import (
     reference_load,
     star_graph,
     triangle,
+    validate,
 )
 
 
 def test_load_triangle():
     g = load_edge_list(io.StringIO("1 2\n2 3\n3 1\n"))
-    g.validate()
+    validate(g)
     assert g.vertex_count == 3
     assert g.edge_count == 3
     assert g.labels == ("1", "2", "3")
@@ -27,7 +29,7 @@ def test_load_triangle():
 def test_load_drops_duplicates_and_self_loops():
     report = load_edge_list_report(io.StringIO("a b\nb a\na a\n"))
     g = report.graph
-    g.validate()
+    validate(g)
     assert (g.vertex_count, g.edge_count) == (2, 1)
     assert report.self_loops_dropped == 1
     assert report.duplicate_edges_dropped == 1
@@ -113,7 +115,7 @@ def test_from_edges_matches_set_reference():
             assert str(caught.value) == str(err)
             continue
         g = Graph.from_edges(n, iter(edges))
-        g.validate()
+        validate(g)
         assert (g.adjacency, g.edge_count) == expected
         assert g.vertex_count == n and g.labels is None
     assert refused > 0
@@ -162,7 +164,7 @@ def test_loader_matches_reference_parser():
                 assert str(caught.value) == str(err)
                 continue
             report = load_edge_list_report(source)
-            report.graph.validate()
+            validate(report.graph)
             graph, loops, duplicates = expected
             assert report.graph == graph
             assert (report.self_loops_dropped, report.duplicate_edges_dropped) == (loops, duplicates)
@@ -241,5 +243,5 @@ def test_canonical_writer_layout():
 def test_construction_paths_validate():
     rng = random.Random(19)
     for _ in range(10):
-        erdos_renyi(rng.randint(0, 10), rng.random(), rng).validate()
-    load_edge_list(io.StringIO("a b\nb c\n")).validate()
+        validate(erdos_renyi(rng.randint(0, 10), rng.random(), rng))
+    validate(load_edge_list(io.StringIO("a b\nb c\n")))

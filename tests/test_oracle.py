@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from isoclique import oracle
+import isoclique
+import oracle
 from graphutil import (
     complete_binary_tree,
     complete_graph,
@@ -91,16 +92,25 @@ def _imported_names(tree):
 
 
 def test_engine_does_not_import_the_oracle():
-    # the oracle checks the engine, so it must share no code with it
-    package = Path(oracle.__file__).parent
+    # the oracle checks the engine, so the two must share no code: the
+    # package holds no oracle and imports none, and the oracle takes only
+    # Graph from the package and nothing from the engine or the test helpers
+    package = Path(isoclique.__file__).parent
     scanned = []
     offenders = []
     for path in sorted(package.glob("*.py")):
-        if path.name in ("__init__.py", "oracle.py"):
-            continue
         scanned.append(path.name)
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if any("oracle" in name.split(".") for name in _imported_names(tree)):
             offenders.append(path.name)
     assert {"enumeration.py", "pruning.py"} <= set(scanned)
+    assert "oracle.py" not in scanned
     assert offenders == []
+
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set(_imported_names(tree))
+    assert {"isoclique", "isoclique.Graph"} <= imported
+    assert not any(
+        name.split(".")[0] in ("isoclique", "graphutil")
+        for name in imported - {"isoclique", "isoclique.Graph"}
+    )

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from isoclique import enumerate_isolated, enumeration, oracle, pruning
+import oracle
+from isoclique import enumerate_isolated, pruning
 from isoclique.enumeration import RunStats
 from isoclique.graph import induced_degrees
 from isoclique.pruning import STRATEGIES, bit_indices, evaluate_strategy, get_strategy
@@ -16,6 +17,7 @@ from graphutil import (
     graph_from_edges,
     path_graph,
     prune_test,
+    recounted,
     star_graph,
     triangle,
     triangle_pendant,
@@ -111,7 +113,7 @@ def test_ub_softcore_matches_naive_scan():
         assert ub_softcore(counts) == brute_softcore(counts)
 
 
-def test_popcount_degrees_match_induced_degrees(monkeypatch):
+def test_popcount_degrees_match_induced_degrees():
     # the helper's view, and the engine's own popcounts at every tested node
     # (root children included), equal the adjacency-list recount in bit order
     rng = random.Random(19)
@@ -122,20 +124,13 @@ def test_popcount_degrees_match_induced_degrees(monkeypatch):
         ind = induced_degrees(g, p)
         assert bitset_view(g, p)[1] == [ind[v] for v in p]
 
-    universe = []
-    real_check = enumeration._check_node
-
-    def check(g, node, local=None):
-        universe[:] = local or []  # debug checks each node before it is tested
-        real_check(g, node, local)
-
-    monkeypatch.setattr(enumeration, "_check_node", check)
     tested = 0
 
     def recording_fits(p, bits, counts, masks, t):
         nonlocal tested
         assert bits == bit_indices(p)
-        members = [universe[i] for i in bits]
+        # recounted checks each node before it is tested, over its universe
+        members = [recount.universe[i] for i in bits]
         ind = induced_degrees(g, members)
         assert counts == [ind[v] for v in members]
         tested += 1
@@ -143,7 +138,8 @@ def test_popcount_degrees_match_induced_degrees(monkeypatch):
 
     for _ in range(30):
         g = erdos_renyi(rng.randint(2, 14), rng.random(), rng)
-        enumerate_isolated(g, 1, (("record", recording_fits),), debug=True)
+        with recounted(g) as recount:
+            enumerate_isolated(g, 1, (("record", recording_fits),))
     assert tested > 100
 
 

@@ -15,12 +15,17 @@ from isoclique import (
     STRATEGIES,
     enumerate_all_maximal,
     enumerate_isolated,
-    enumeration,
     generate,
     parse_generator_spec,
 )
 from isoclique.enumeration import split_root
-from graphutil import count_search_nodes, external_degree, graph_from_edges
+from graphutil import (
+    check_root_child,
+    count_search_nodes,
+    external_degree,
+    graph_from_edges,
+    recounted,
+)
 
 
 def graph(spec):
@@ -58,8 +63,10 @@ def test_matches_networkx_find_cliques(spec, ells):
     [(1, 2_874, 0), (10, 11_824, 5_552), (50, 14_587, 10_364), (250, 14_773, 11_211)],
 )
 def test_golden_counters_ba3000_combo(ell, nodes, emitted):
-    # debug recounts the invariants at every node, the root's children included
-    stats = enumerate_isolated(graph("ba:n=3000,m=4,seed=1"), ell, "combo", debug=True)
+    # the invariants are recounted at every node, the root's children included
+    g = graph("ba:n=3000,m=4,seed=1")
+    with recounted(g):
+        stats = enumerate_isolated(g, ell, "combo")
     assert stats.recursive_calls == nodes
     assert stats.emitted == emitted
 
@@ -98,9 +105,11 @@ EMITTED_BA800 = {1: 0, 5: 0, 10: 1_075, 250: 3_847}
 def test_debug_root_children_ba800(strategy, ell, nodes, fired, filtered, evals):
     # hubs retire early and sit in later root children's X; at ell 1 root
     # children are pruned at every stage, at ell 250 every one survives, and
-    # debug recounts each of them and every node below, and checks each
-    # surviving root child's adjacency rows
-    stats = enumerate_isolated(graph("ba:n=800,m=6,seed=3"), ell, strategy, debug=True)
+    # recounted checks each of them and every node below, and each root
+    # child's adjacency rows and stored branch
+    g = graph("ba:n=800,m=6,seed=3")
+    with recounted(g):
+        stats = enumerate_isolated(g, ell, strategy)
     assert stats.recursive_calls == nodes
     assert dict(stats.prune_firings) == fired
     assert stats.filtered_at_leaf == filtered
@@ -212,21 +221,31 @@ def test_shared_root_split_changes_nothing(spec, monkeypatch):
     assert len(constructed) == 2 * visited
     assert shared == own
 
-    # debug checks every supplied root child's rows, pruned ones included
-    checked = []
-    real_check = enumeration._check_rows
-    monkeypatch.setattr(
-        enumeration, "_check_rows", lambda *a: checked.append(1) or real_check(*a)
-    )
-    debugged = run_digest(g, "combo", 10, split=split, debug=True)
-    assert debugged == own[calls.index(("combo", 10))]
-    assert len(checked) == sum(1 for child in split.children if child[3] is not None)
-
     # a split is tied to the graph object it was prepared for
     with pytest.raises(ValueError, match="another graph"):
         enumerate_isolated(graph(spec), 10, "combo", split=split)
     with pytest.raises(ValueError, match="another graph"):
         enumerate_all_maximal(graph(spec), split=split)
+
+
+@pytest.mark.parametrize("spec", ["ba:n=800,m=6,seed=3", "gnmp:n=350,m=30,p=0.06,seed=12"])
+def test_recount_checks_every_node_and_root_child(spec, monkeypatch):
+    # the gate is only as good as its reach: recounted must see every node a
+    # run counts and every root child, with and without a shared split, must
+    # not change the run, and must nest with count_search_nodes
+    g = graph(spec)
+    split = split_root(g)
+    constructed = count_search_nodes(monkeypatch)
+    visited = 0
+    for strategy, ell in [("combo", 1), ("none", 250), ("all", None)]:
+        plain = run_digest(g, strategy, ell)
+        for kwargs in ({}, {"split": split}):
+            with recounted(g) as recount:
+                assert run_digest(g, strategy, ell, **kwargs) == plain
+            assert recount.nodes == plain[1][0]
+            assert recount.root_children == len(split.children)
+        visited += 3 * plain[1][0]
+    assert len(constructed) == visited
 
 
 def test_debug_catches_a_corrupt_shared_row():
@@ -235,23 +254,23 @@ def test_debug_catches_a_corrupt_shared_row():
     _, p, _, masks, _ = next(child for child in split.children if child[3] is not None)
     i = (p & -p).bit_length() - 1
     masks[i] |= 1 << i  # no vertex is its own neighbour
-    with pytest.raises(AssertionError, match="mask row"):
-        enumerate_isolated(g, 250, "none", debug=True, split=split)
+    with recounted(g), pytest.raises(AssertionError, match="mask row"):
+        enumerate_isolated(g, 250, "none", split=split)
 
 
 @pytest.mark.parametrize("strategy, ell", [("none", 250), ("combo", 1)])
 def test_debug_catches_a_corrupt_shared_branch(strategy, ell):
-    # debug recomputes the pivot of every root child with candidates before
-    # its prune test, so a wrong stored branch is caught whether the root
-    # child survives (none at ell 250) or is pruned (combo at ell 1)
+    # recounted recomputes the pivot of every root child with candidates
+    # before its prune test, so a wrong stored branch is caught whether the
+    # root child survives (none at ell 250) or is pruned (combo at ell 1)
     g = graph("ba:n=800,m=6,seed=3")
     split = split_root(g)
     k, (v, p, x, masks, branch) = next(
         (k, child) for k, child in enumerate(split.children) if child[1]
     )
     split.children[k] = (v, p, x, masks, branch ^ (p & -p))
-    with pytest.raises(AssertionError, match=f"stored branch of root child {v}"):
-        enumerate_isolated(g, ell, strategy, debug=True, split=split)
+    with recounted(g), pytest.raises(AssertionError, match=f"stored branch of root child {v}"):
+        enumerate_isolated(g, ell, strategy, split=split)
 
 
 def hub_graph():
@@ -272,25 +291,15 @@ def test_hub_rows_match_brute_force(make):
     split = split_root(g)
     hub_pairs = 0
     for v, p, x, masks, branch in split.children:
-        if masks is None:
-            assert p == 0 and branch == 0
-            continue
+        check_root_child(g, v, p, x, masks, branch)
         universe = adjacency[v]
         members = [i for i in range(len(universe)) if p >> i & 1]
         # a P member of more than 4·deg(v) neighbours takes the hub path
         hub_pairs += sum(len(adjacency[universe[i]]) > 4 * len(universe) for i in members)
-        rows = []
-        for u in universe:
-            nbrs = set(adjacency[u])
-            rows.append(sum(1 << j for j, w in enumerate(universe) if w in nbrs))
-        for i, row in enumerate(rows):
-            assert masks[i] == (row if p >> i & 1 else row & p)
-        counted = [i for i in range(len(universe)) if (p | x) >> i & 1]
-        pivot = min(counted, key=lambda i: (-(rows[i] & p).bit_count(), i))
-        assert branch == p & ~rows[pivot]
     assert hub_pairs > 0
 
-    # debug checks every root child's rows and stored branch, and every node
+    # recounted checks every root child's rows and stored branch, and every node
     calls = [(s, ell) for s in STRATEGIES for ell in (1, 10)]
-    own = [run_digest(g, s, ell, debug=True) for s, ell in calls]
-    assert [run_digest(g, s, ell, debug=True, split=split) for s, ell in calls] == own
+    with recounted(g):
+        own = [run_digest(g, s, ell) for s, ell in calls]
+        assert [run_digest(g, s, ell, split=split) for s, ell in calls] == own
