@@ -19,11 +19,15 @@ builds its local rows, X's from P's by symmetry and a hub's by
 filtering N(v) through the hub's neighbours, and picks its pivot, in
 root order.
 _search_subproblem visits the root child and every node below it with
-one block (count, leaf, prune test, pivot), on an explicit stack,
-so deep cliques cannot hit the interpreter recursion limit. A pivot
-counts X's bits first, then those of P's bits that the node's prune test
-did not count, and stops at a count no later bit can beat: |P| for a bit
-of X, |P| - 1 for a bit of P, whose row lacks its own bit.
+one block (count, leaf, prune test, pivot), on an explicit stack of
+the open node's ancestors, so deep cliques cannot hit the interpreter
+recursion limit. It computes each node's isolation threshold t and asks
+the bounds only when t >= 1. A pivot counts X's bits first, then those
+of P's bits that the node's prune test did not count, and stops at a
+count no later bit can beat: |P| for a bit of X, |P| - 1 for a bit of
+P, whose row lacks its own bit. A node with one candidate a scans no
+pivot: it branches on a unless a bit of X is adjacent to a, which is
+the branch the full scan picks.
 
 A run consumes that generator one root child at a time. Several runs on
 one graph can share its output instead, a RootSplit (see split_root). A
@@ -52,9 +56,11 @@ class SearchNode:
     P and X are bitsets: over V at the root, and over a root child's
     neighbourhood below it (see _search_subproblem). ``branch`` holds the
     bits of P outside the pivot's neighbourhood not yet branched on.
-    ``ext_cp`` counts the edges from C to vertices outside C and P; it is
-    kept current as candidates retire into X, and the tests recount it from
-    scratch at every node they wrap (see recounted in tests/graphutil.py).
+    ``ext_cp`` counts the edges from C to vertices outside C and P; the
+    tests recount it from scratch at every node they wrap (see recounted in
+    tests/graphutil.py). The fields hold the node as visited; the search
+    brings P, X, ext_cp and branch up to date, as candidates retire into X,
+    only when it stacks the node below a deeper open one.
     """
 
     c: list[int]
@@ -163,17 +169,6 @@ def _local_pivot(
     return pivot
 
 
-def child_ext_cp(ext_cp: int, c_size: int, p_size: int, p_child_size: int, degree: int) -> int:
-    """External edge count of the child node (C + v, P ∩ N(v)).
-
-    ``ext_cp``, ``c_size`` and ``p_size`` describe the parent, ``degree`` is
-    v's degree in the graph. Every candidate that drops out of P is adjacent
-    to all of C and so adds c_size newly external edges; v itself adds its
-    edges that leave C and the child's candidate set. O(1).
-    """
-    return ext_cp + c_size * (p_size - p_child_size - 1) + (degree - c_size - p_child_size)
-
-
 # A P member u with more than this many times deg(v) neighbours gets its row
 # within N(v) by filtering N(v) through a set of N(u), not by scanning N(u).
 _HUB_FACTOR = 4
@@ -237,9 +232,16 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None, 
             for w in universe:
                 bit[w] = 0
             for i in p_bits:
-                for j in bit_indices(masks[i] & x):
-                    masks[j] |= 1 << i
-            branch = p & ~masks[_local_pivot(masks, p, None, None, x)]
+                hits = masks[i] & x
+                while hits:
+                    low = hits & -hits
+                    hits ^= low
+                    masks[low.bit_length() - 1] |= 1 << i
+            if len(p_bits) == 1:
+                # as in _search_subproblem: no pivot scan for one candidate
+                branch = 0 if masks[p_bits[0]] & x else p
+            else:
+                branch = p & ~masks[_local_pivot(masks, p, None, None, x)]
         yield v, p, x, masks, branch
 
 
@@ -287,13 +289,23 @@ def _search_subproblem(
     inside it. A child's sets are ``P & masks[i]`` and ``X & masks[i]``;
     retiring i moves its bit from P to X. One popcount per vertex,
     ``(masks[i] & P).bit_count()``, serves both the pivot and the bounds.
-    Each pass of the loop visits one node (leaf, prune test, pivot), stacks
-    it if it has branches to walk, and splits off the next child of the
-    deepest stacked node. ``masks`` is only read.
+    ``masks`` is only read.
+
+    Each pass of the loop visits one node (leaf, prune test, pivot) and then
+    splits off the next child of the open node, the deepest node with
+    branches left. The open node's frame lives in locals (``top_*``): a
+    leaf, a dead end or a pruned node is finished where it is visited, and
+    a sibling only retires its bit into those locals. The open node's
+    SearchNode gets its P, X, ext_cp and branch written back only when a
+    child with branches opens below it and it goes on the stack, and the
+    locals are reloaded from it when that child's subtree is done. The
+    node, emitted and filtered counts are summed in locals and added to
+    ``stats`` on return.
     """
     adjacency = g.adjacency
     universe = adjacency[v]
-    stack: list[SearchNode] = []
+    nodes = emitted = filtered = 0
+    stack: list[SearchNode] = []  # the open node's ancestors
 
     def induced() -> tuple[list[int], list[int]]:
         # P's bits and popcount degrees at the node under test, kept for its pivot
@@ -309,56 +321,93 @@ def _search_subproblem(
             counts.append((masks[i] & p).bit_count())
         return p_bits, counts
 
-    # with C empty child_ext_cp reduces to deg(v) - |P|
+    # no node is open until the root child opens with its branch
+    top = None
+    top_branch = 0
     c = [v]
-    ext = len(universe) - p.bit_count()
+    c_size = 1
+    p_size = p.bit_count()
+    # with C empty a child's ext_cp reduces to deg(v) - |P|
+    ext = len(universe) - p_size
     while True:
-        stats.recursive_calls += 1
+        nodes += 1
         node = SearchNode(c, p, x, ext)
         if not p:
             # a leaf when X is empty too; ext is then the clique's full cut
             if not x:
-                if ext < ell * len(c):
-                    stats.emitted += 1
+                if ext < ell * c_size:
+                    emitted += 1
                     if sink is not None:
                         sink(CliqueReport(tuple(sorted(c)), ext))
                 else:
-                    stats.filtered_at_leaf += 1
+                    filtered += 1
         else:
             p_bits = counts = fired = None
             if stages:
-                fired = evaluate_strategy(stages, len(c), p, masks, ext, ell, stats, induced)
-            if fired is None:
-                # only the root child, the one node with C = [v], comes with its branch
-                if len(c) > 1:
-                    branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, x)]
-                node.branch = branch
-                stack.append(node)
-            else:
+                # Growing C by k <= omega_bar candidates strands the other |P| - k,
+                # each adding |C| edges to ext, so the subtree is sterile exactly
+                # when omega_bar <= t (floor division is exact for a negative
+                # numerator too, as ell + |C| >= 2). No bound is below 1.
+                t = (ext + c_size * (p_size - ell)) // (ell + c_size)
+                if t >= 1:
+                    fired = evaluate_strategy(stages, p, masks, t, stats, induced)
+            if fired is not None:
                 stats.prune_firings[fired] += 1
+            else:
+                # only the root child, the one node with C = [v], comes with its branch
+                if c_size > 1:
+                    if p_size == 1:
+                        # the pivot is an X bit next to P's one bit a if there is
+                        # one, else a bit whose row lacks a, as rows are symmetric
+                        branch = 0 if masks[p.bit_length() - 1] & x else p
+                    else:
+                        branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, x)]
+                if branch:
+                    if top is not None:
+                        top.p = top_p
+                        top.x = top_x
+                        top.ext_cp = top_base - top_c_size * (top_p.bit_count() - 2)
+                        top.branch = top_branch
+                        stack.append(top)
+                    top = node
+                    top_c = c
+                    top_c_size = c_size
+                    top_p = p
+                    top_x = x
+                    # C's cut, ext + |C|·|P| as P lies in N(C), less 2|C|: it stays
+                    # put as P's bits retire, each moving |C| edges into ext
+                    top_base = ext + c_size * (p_size - 2)
+                    top_branch = branch
         # the next node is the next unbranched bit of the deepest open node
-        while stack and not stack[-1].branch:
-            stack.pop()
-        if not stack:
-            return
-        node = stack[-1]
-        rest = node.branch
-        low = rest & -rest
-        node.branch = rest ^ low
+        while not top_branch:
+            if not stack:
+                stats.recursive_calls += nodes
+                stats.emitted += emitted
+                stats.filtered_at_leaf += filtered
+                return
+            top = stack.pop()
+            top_c = top.c
+            top_c_size = len(top_c)
+            top_p = top.p
+            top_x = top.x
+            top_base = top.ext_cp + top_c_size * (top_p.bit_count() - 2)
+            top_branch = top.branch
+        low = top_branch & -top_branch
+        top_branch ^= low
         i = low.bit_length() - 1
         w = universe[i]
-        parent_p = node.p
-        p = parent_p & masks[i]
-        x = node.x & masks[i]
-        c_size = len(node.c)
-        ext = child_ext_cp(
-            node.ext_cp, c_size, parent_p.bit_count(), p.bit_count(), len(adjacency[w])
-        )
+        row = masks[i]
+        p = top_p & row
+        x = top_x & row
+        p_size = p.bit_count()
+        c = top_c + [w]
+        c_size = top_c_size + 1
+        # C + w's cut is C's, less the 2|C| edge ends between C and w, plus
+        # deg(w); |C + w|·|P| of it goes to the child's candidates
+        ext = top_base + len(adjacency[w]) - c_size * p_size
         # retire i into X at once: the child's sets are already split off
-        node.p = parent_p ^ low
-        node.x |= low
-        node.ext_cp += c_size
-        c = node.c + [w]
+        top_p ^= low
+        top_x |= low
 
 
 def enumerate_isolated(

@@ -9,8 +9,9 @@ an upper bound on how large a clique P can supply turns into a lower
 bound on the external edges of anything grown here. When that lower
 bound already breaks the isolation budget, the whole subtree is sterile
 and can be skipped without losing any qualifying clique. The budget
-comes down to one integer per node, the threshold t of evaluate_strategy:
-the subtree is sterile exactly when the clique bound is at most t.
+comes down to one integer per node, the threshold t that the search
+computes and hands to evaluate_strategy: the subtree is sterile exactly
+when the clique bound is at most t.
 
 Four bounds are available, cheapest and loosest first, with their tests:
 the candidate count (a popcount), the maximum induced degree plus one (a
@@ -130,28 +131,22 @@ def get_strategy(name: str) -> Stages:
 
 def evaluate_strategy(
     stages: Stages,
-    c_size: int,
     p: int,
     masks: Sequence[int],
-    ext_cp: int,
-    ell: int,
+    t: int,
     stats,
     degrees: Callable[[], tuple[Sequence[int], Sequence[int]]],
 ) -> str | None:
-    """Name of the first stage whose bound proves the subtree sterile, or None.
+    """Name of the first stage whose bound on the clique number of the
+    non-empty candidates ``p`` is at most ``t``, or None.
 
-    Growing C by w <= omega_bar of the non-empty candidates ``p`` strands
-    the other |P| - w, each adding |C| external edges to ``ext_cp``, so the
-    subtree is sterile when omega_bar <= t = (ext_cp + |C| * (|P| - ell)) //
-    (ell + |C|), exactly, negative numerators included. No bound is below 1,
-    so a node with t < 1 is not tested. ``size`` reads only ``p``; other
-    stages read ``degrees()``, P's bits in ascending order and their induced
+    ``t`` is the node's isolation threshold, computed by the search (see
+    _search_subproblem in isoclique.enumeration), which asks only when
+    t >= 1: no bound is below 1. ``size`` reads only ``p``; other stages
+    read ``degrees()``, P's bits in ascending order and their induced
     degrees in that order, called at most once and counted in
     ``stats.induced_degree_evals``.
     """
-    t = (ext_cp + c_size * (p.bit_count() - ell)) // (ell + c_size)
-    if t < 1:
-        return None
     bits = counts = None
     for name, fits in stages:
         if counts is None and name != "size":

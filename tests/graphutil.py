@@ -1,9 +1,11 @@
 """Small graph builders shared across the test modules, a structural check
 and the canonical text of a graph, set-based references for the package's
 graph builder and edge-list loader, edge-list references for its two
-generators, the reference count of a vertex set's external edges, a counter
-of the engine's search nodes, the per-node recount the engine's runs are
-checked under, and the value forms of the pruning bounds that the engine's
+generators, the oracle-sized graph corpus of the acceptance suite, the
+reference count of a vertex set's external edges and of a
+child node's external-edge counter, a counter of the engine's search nodes,
+the per-node recount the engine's runs are checked under, and the value
+forms of the pruning bounds and the isolation threshold that the engine's
 threshold tests are checked against."""
 
 from __future__ import annotations
@@ -199,6 +201,22 @@ def erdos_renyi(n: int, p: float, rng: random.Random) -> Graph:
     return graph_from_edges(n, edges)
 
 
+CORPUS_SEED = 0x5EED
+CORPUS_SIZE = 500
+
+
+def oracle_corpus() -> list[Graph]:
+    """The acceptance suite's CORPUS_SIZE seeded random graphs, of 4 to 12
+    vertices each, small enough for the brute-force oracle."""
+    rng = random.Random(CORPUS_SEED)
+    graphs = []
+    for _ in range(CORPUS_SIZE):
+        n = rng.randint(4, 12)
+        p = rng.choice([0.2, 0.4, 0.6, 0.8])
+        graphs.append(erdos_renyi(n, p, rng))
+    return graphs
+
+
 def external_degree(g: Graph, vertices) -> int:
     """Number of edges with exactly one endpoint in ``vertices``."""
     members = set(vertices)
@@ -221,6 +239,18 @@ def from_scratch_ext_cp(g: Graph, c, p) -> int:
             if u not in blocked:
                 count += 1
     return count
+
+
+def child_ext_cp(ext_cp: int, c_size: int, p_size: int, p_child_size: int, degree: int) -> int:
+    """External edge count of the child node (C + v, P ∩ N(v)).
+
+    ``ext_cp``, ``c_size`` and ``p_size`` describe the parent, ``degree`` is
+    v's degree in the graph. Every candidate that drops out of P is adjacent
+    to all of C and so adds c_size newly external edges; v itself adds its
+    edges that leave C and the child's candidate set. The engine's loop
+    keeps an equivalent form inline.
+    """
+    return ext_cp + c_size * (p_size - p_child_size - 1) + (degree - c_size - p_child_size)
 
 
 def _members(bits: int, universe) -> list:
@@ -281,12 +311,13 @@ def check_root_child(g: Graph, v: int, p: int, x: int, masks, branch: int) -> No
 
 class Recount:
     """What recounted has checked so far: ``nodes`` search nodes and
-    ``root_children`` root children, and ``universe``, the vertices that
-    the bits of the last checked node's P and X stand for."""
+    ``root_children`` root children, ``node``, the last checked node, and
+    ``universe``, the vertices that the bits of its P and X stand for."""
 
     def __init__(self) -> None:
         self.nodes = 0
         self.root_children = 0
+        self.node = None
         self.universe = ()
 
 
@@ -310,6 +341,7 @@ def recounted(g: Graph):
         built = real_node(*args, **kwargs)
         recount.universe = g.adjacency[built.c[0]] if built.c else root
         check_node(g, built, recount.universe)
+        recount.node = built
         recount.nodes += 1
         return built
 
@@ -400,6 +432,12 @@ def ub_degeneracy(p: int, counts, masks) -> int:
             return k + 1
         live = keep
         degs = [(masks[i] & p).bit_count() for i in live]
+
+
+def isolation_threshold(c_size: int, p_size: int, ext_cp: int, ell: int) -> int:
+    """The threshold t that the engine tests a node's bounds against:
+    prune_test(..., omega_bar, ...) holds exactly when omega_bar <= t."""
+    return (ext_cp + c_size * (p_size - ell)) // (ell + c_size)
 
 
 def prune_test(c_size: int, p_size: int, ext_cp: int, omega_bar: int, ell: int) -> bool:

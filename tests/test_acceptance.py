@@ -21,11 +21,13 @@ from isoclique import (
 )
 from isoclique.generators import generate_ba, generate_feature_model
 from graphutil import (
+    CORPUS_SEED,
     bitset_view,
     canonical_edge_list,
     complete_binary_tree,
     erdos_renyi,
     moon_moser,
+    oracle_corpus,
     recounted,
     ub_degeneracy,
     ub_degree,
@@ -35,8 +37,6 @@ from graphutil import (
 
 STRATEGIES = ("none", "size", "degree", "softcore", "degeneracy", "combo")
 ELLS = tuple(range(1, 7))
-CORPUS_SEED = 0x5EED
-CORPUS_SIZE = 500
 
 
 def _verdict(name, failures):
@@ -47,13 +47,7 @@ def _verdict(name, failures):
 
 @pytest.fixture(scope="module")
 def corpus():
-    rng = random.Random(CORPUS_SEED)
-    graphs = []
-    for _ in range(CORPUS_SIZE):
-        n = rng.randint(4, 12)
-        p = rng.choice([0.2, 0.4, 0.6, 0.8])
-        graphs.append(erdos_renyi(n, p, rng))
-    return graphs
+    return oracle_corpus()
 
 
 @pytest.fixture(scope="module")

@@ -3,12 +3,14 @@ import random
 import pytest
 
 import oracle
-from isoclique import STRATEGIES, enumerate_all_maximal, enumerate_isolated
-from isoclique.enumeration import SearchNode, _local_pivot, child_ext_cp, select_pivot
+from isoclique import STRATEGIES, enumerate_all_maximal, enumerate_isolated, enumeration
+from isoclique.enumeration import SearchNode, _local_pivot, _root_children, select_pivot
 from isoclique.pruning import bit_indices
 from graphutil import (
     bitset_view,
     check_node,
+    check_root_child,
+    child_ext_cp,
     complete_graph,
     count_search_nodes,
     empty_graph,
@@ -184,6 +186,111 @@ def test_local_pivot_matches_select_pivot_on_dense_graphs():
 )
 def test_local_pivot_exits(n, edges, p, x, pivot, read, read_counted):
     assert local_pivots(graph_from_edges(n, edges), p, x) == (pivot, read, read_counted)
+
+
+def no_single_candidate_scan(monkeypatch):
+    """Make _local_pivot fail on a candidate set of one bit: the engine
+    gives such a node its branch without a pivot scan."""
+    real = enumeration._local_pivot
+
+    def scan(masks, p, p_bits, counts, x):
+        assert p.bit_count() > 1, "pivot scanned for a single candidate"
+        return real(masks, p, p_bits, counts, x)
+
+    monkeypatch.setattr(enumeration, "_local_pivot", scan)
+
+
+def hub_and(edges):
+    # vertex 3 with leaves 4..8 is the root pivot, so 0, 1, 2 and 3 are the
+    # root children, in that order
+    return graph_from_edges(9, edges + [(3, leaf) for leaf in range(4, 9)])
+
+
+@pytest.mark.parametrize(
+    "edges, branch",
+    [
+        # root child 1: P = {2} (bit 1), X = {0} (bit 0), and 0-2 is an edge:
+        # the pivot is 0, whose row holds 2, so there is nothing to branch on
+        ([(0, 1), (1, 2), (0, 2)], 0),
+        # the path 0-1-2: no X bit is adjacent to 2, so root child 1 branches on it
+        ([(0, 1), (1, 2)], 0b10),
+    ],
+    ids=["x-neighbour", "no-x-neighbour"],
+)
+def test_single_candidate_root_child(edges, branch, monkeypatch):
+    no_single_candidate_scan(monkeypatch)
+    g = hub_and(edges)
+    children = {child[0]: child for child in _root_children(g)}
+    assert sorted(children) == [0, 1, 2, 3]
+    v, p, x, masks, got = children[1]
+    assert (p, x, got) == (0b10, 0b01, branch)
+    for child in children.values():
+        check_root_child(g, *child)  # the branch the full pivot scan gives
+
+
+def single_candidate_nodes(g, monkeypatch):
+    """Each node below a root child with one candidate a, as ``(C, a, X,
+    branched)``, when g runs under strategy "none": it branched on a exactly
+    when the next node built is C + a, as the search is depth-first."""
+    built = []
+    real = enumeration.SearchNode
+
+    def node(c, p, x, ext_cp):
+        built.append((c, p, x))
+        return real(c, p, x, ext_cp)
+
+    monkeypatch.setattr(enumeration, "SearchNode", node)
+    enumerate_isolated(g, g.vertex_count + 1, "none")
+    monkeypatch.setattr(enumeration, "SearchNode", real)
+    found = []
+    for k, (c, p, x) in enumerate(built):
+        if len(c) > 1 and p.bit_count() == 1:
+            universe = g.adjacency[c[0]]
+            a = universe[p.bit_length() - 1]
+            xs = [universe[i] for i in bit_indices(x)]
+            branched = k + 1 < len(built) and built[k + 1][0] == c + [a]
+            found.append((c, a, xs, branched))
+    return found
+
+
+@pytest.mark.parametrize(
+    "n, edges, case",
+    [
+        # two K4s sharing vertex 6: at C = [6, 2], P = {5} and X = {1}, which
+        # is adjacent to 5, so the node is a dead end
+        (
+            7,
+            [(0, 3), (0, 4), (3, 4), (1, 2), (1, 5), (2, 5)] + [(6, u) for u in range(6)],
+            ([6, 2], 5, [1], False),
+        ),
+        # at C = [5, 4], P = {2} and X = {1}, which is not adjacent to 2
+        (
+            6,
+            [(0, 2), (0, 3), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5), (4, 5)],
+            ([5, 4], 2, [1], True),
+        ),
+    ],
+    ids=["x-neighbour", "no-x-neighbour"],
+)
+def test_single_candidate_below_root_child(n, edges, case, monkeypatch):
+    no_single_candidate_scan(monkeypatch)
+    g = graph_from_edges(n, edges)
+    assert case in single_candidate_nodes(g, monkeypatch)
+
+
+def test_single_candidate_branch_matches_full_pivot(monkeypatch):
+    # below root children of random graphs, a node with one candidate a
+    # branches on it exactly when select_pivot's pick is not adjacent to a
+    no_single_candidate_scan(monkeypatch)
+    rng = random.Random(113)
+    seen = set()
+    for _ in range(300):
+        g = erdos_renyi(rng.randint(5, 10), rng.uniform(0.3, 0.8), rng)
+        for c, a, xs, branched in single_candidate_nodes(g, monkeypatch):
+            pivot = select_pivot(g, [a], xs)
+            assert branched == (a not in g.adjacency[pivot])
+            seen.add((branched, bool(xs)))
+    assert seen == {(True, False), (True, True), (False, True)}
 
 
 def test_select_pivot_requires_candidates():

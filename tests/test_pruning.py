@@ -4,7 +4,7 @@ import random
 import pytest
 
 import oracle
-from isoclique import enumerate_isolated, pruning
+from isoclique import enumerate_isolated, enumeration, pruning
 from isoclique.enumeration import RunStats
 from isoclique.graph import induced_degrees
 from isoclique.pruning import STRATEGIES, bit_indices, evaluate_strategy, get_strategy
@@ -15,6 +15,7 @@ from graphutil import (
     erdos_renyi,
     external_degree,
     graph_from_edges,
+    isolation_threshold,
     path_graph,
     prune_test,
     recounted,
@@ -29,10 +30,14 @@ from graphutil import (
 
 
 def evaluate(g, stages, c_size, vertices, ext_cp, ell, stats):
-    """evaluate_strategy on the bitset view of ``vertices``."""
+    """The engine's prune step on the bitset view of ``vertices``:
+    evaluate_strategy at the node's isolation threshold, if it is at least 1."""
     p, counts, masks = bitset_view(g, vertices)
+    t = isolation_threshold(c_size, len(vertices), ext_cp, ell)
+    if t < 1:
+        return None
     degrees = (bit_indices(p), counts)
-    return evaluate_strategy(stages, c_size, p, masks, ext_cp, ell, stats, lambda: degrees)
+    return evaluate_strategy(stages, p, masks, t, stats, lambda: degrees)
 
 
 def brute_softcore(counts):
@@ -242,7 +247,7 @@ def test_stages_read_the_supplied_bits(monkeypatch):
 
 def test_threshold_matches_prune_test():
     # prune_test(w) holds exactly when w <= T, negative numerators included,
-    # and evaluate_strategy hands every stage that same T once T >= 1
+    # and evaluate_strategy hands every stage the T it is given
     rng = random.Random(103)
     seen = []
     probe = (("probe", lambda p, bits, counts, masks, t: seen.append(t)),)
@@ -252,37 +257,65 @@ def test_threshold_matches_prune_test():
         p_size = rng.randint(1, 30)
         ext = rng.randint(0, 80)
         ell = rng.randint(1, 300)
-        threshold = (ext + c * (p_size - ell)) // (ell + c)
+        threshold = isolation_threshold(c, p_size, ext, ell)
         thresholds.add(threshold >= 1)
         for w in range(-3, p_size + 3):
             assert prune_test(c, p_size, ext, w, ell) == (w <= threshold)
+        if threshold < 1:
+            continue
         seen.clear()
         p = (1 << p_size) - 1
         zeros = [0] * p_size
         degrees = lambda: (list(range(p_size)), zeros)
-        assert evaluate_strategy(probe, c, p, zeros, ext, ell, RunStats(), degrees) is None
-        assert seen == ([threshold] if threshold >= 1 else [])
+        assert evaluate_strategy(probe, p, zeros, threshold, RunStats(), degrees) is None
+        assert seen == [threshold]
     assert thresholds == {False, True}
 
 
-def test_nodes_below_threshold_one_are_never_tested():
-    # t = (0 + 1 * (2 - 5)) // 6 = -1: no bound can fire, so neither the
-    # degrees nor any stage are asked for, even a stage that always fits
-    calls = []
-    stats = RunStats()
-    always = (("always", lambda p, bits, counts, masks, t: calls.append(t) or True),)
-    masks = [0b10, 0b01]
+def test_nodes_below_threshold_one_are_never_tested(monkeypatch):
+    # the engine asks the bounds at exactly the nodes with candidates whose
+    # threshold t is at least 1, computed on the recounted node, and hands
+    # them that t; nodes with candidates and t < 1 occur and are never asked
+    real_node = enumeration.SearchNode
+    real_evaluate = enumeration.evaluate_strategy
+    due = []  # (node, whether its t is at least 1) for each node with candidates
+    asked = []
 
-    def degrees():
-        calls.append("degrees")
-        return [0, 1], [1, 1]
+    def node(*args, **kwargs):
+        made = real_node(*args, **kwargs)
+        if made.p:
+            t = isolation_threshold(len(made.c), made.p.bit_count(), made.ext_cp, ell)
+            due.append((made, t >= 1))
+        return made
 
-    for stages in (always, get_strategy("degeneracy"), get_strategy("combo")):
-        assert evaluate_strategy(stages, 1, 0b11, masks, 0, 5, stats, degrees) is None
-    assert calls == [] and stats.induced_degree_evals == 0
-    # nine external edges lift t to (9 - 3) // 6 = 1, and the stage fires
-    assert evaluate_strategy(always, 1, 0b11, masks, 9, 5, stats, degrees) == "always"
-    assert calls == ["degrees", 1] and stats.induced_degree_evals == 1
+    def evaluate_checked(stages, p, masks, t, stats, degrees):
+        at = recount.node  # its ext_cp has just been recounted from scratch
+        assert p == at.p and t >= 1
+        assert t == isolation_threshold(len(at.c), p.bit_count(), at.ext_cp, ell)
+        asked.append(at)
+        return real_evaluate(stages, p, masks, t, stats, degrees)
+
+    monkeypatch.setattr(enumeration, "SearchNode", node)
+    monkeypatch.setattr(enumeration, "evaluate_strategy", evaluate_checked)
+    rng = random.Random(107)
+    graphs = [erdos_renyi(rng.randint(4, 12), rng.random(), rng) for _ in range(40)]
+    graphs += [star_graph(6), complete_binary_tree(4)]
+    tested = untested = 0
+    for g in graphs:
+        with recounted(g) as recount:
+            for ell in (1, 2, 3, 6):
+                for name in STRATEGIES:
+                    due.clear()
+                    asked.clear()
+                    enumerate_isolated(g, ell, name)
+                    if not STRATEGIES[name]:
+                        assert asked == []
+                        continue
+                    kept = [n for n, at_least_one in due if at_least_one]
+                    assert [id(n) for n in asked] == [id(n) for n in kept]
+                    tested += len(kept)
+                    untested += len(due) - len(kept)
+    assert tested > 1000 and untested > 1000
 
 
 def test_prune_fires_only_on_sterile_subtrees():
@@ -330,15 +363,19 @@ def test_supplied_degrees_are_read_once_and_only_past_size():
     combo = get_strategy("combo")
     stats = RunStats()
     pair = bitset_view(g, [1, 2])[0]
-    assert evaluate_strategy(combo, 2, pair, masks, 100, 1, stats, degrees) == "size"
+    # the pair at |C| 2, ext 100, ell 1, then P at |C| 3, ext 3, ell 1
+    high = isolation_threshold(2, 2, 100, 1)
+    low = isolation_threshold(3, 4, 3, 1)
+    assert (high, low) == (34, 3)
+    assert evaluate_strategy(combo, pair, masks, high, stats, degrees) == "size"
     assert calls == [] and stats.induced_degree_evals == 0
-    assert evaluate_strategy(combo, 3, p, masks, 3, 1, stats, degrees) == "softcore"
+    assert evaluate_strategy(combo, p, masks, low, stats, degrees) == "softcore"
     assert calls == [1] and stats.induced_degree_evals == 1
     # the bounds read the supplied degrees, not a recount: claim P is a clique
     softcore = get_strategy("softcore")
     clique = [3, 3, 3, 3]
     claimed = lambda: (bits, clique)
-    assert evaluate_strategy(softcore, 3, p, masks, 3, 1, RunStats(), claimed) is None
+    assert evaluate_strategy(softcore, p, masks, low, RunStats(), claimed) is None
 
 
 def test_combo_and_softcore_decide_alike():

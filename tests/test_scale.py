@@ -18,12 +18,15 @@ from isoclique import (
     generate,
     parse_generator_spec,
 )
+from isoclique import enumeration
 from isoclique.enumeration import split_root
+from isoclique.pruning import bit_indices
 from graphutil import (
     check_root_child,
     count_search_nodes,
     external_degree,
     graph_from_edges,
+    oracle_corpus,
     recounted,
 )
 
@@ -246,6 +249,39 @@ def test_recount_checks_every_node_and_root_child(spec, monkeypatch):
             assert recount.root_children == len(split.children)
         visited += 3 * plain[1][0]
     assert len(constructed) == visited
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: graph("gnmp:n=350,m=30,p=0.06,seed=12"),
+        lambda: graph("ba:n=800,m=6,seed=3"),
+        # a corpus graph where counts kept from an earlier node reach a pivot
+        lambda: oracle_corpus()[467],
+    ],
+    ids=["gnmp350-seed12", "ba800", "corpus467"],
+)
+def test_pivot_reads_only_its_own_nodes_counts(make, monkeypatch):
+    # a pivot handed a prune test's popcounts must get those of its own P:
+    # counts that outlive their node, such as a root child's reaching its
+    # first child, pick a wrong pivot, which the emitted cliques may not show
+    real = enumeration._local_pivot
+    given = []
+
+    def checked(masks, p, p_bits, counts, x):
+        if counts is not None:
+            assert p_bits == bit_indices(p)
+            assert counts == [(masks[i] & p).bit_count() for i in p_bits]
+            given.append(len(p_bits))
+        return real(masks, p, p_bits, counts, x)
+
+    monkeypatch.setattr(enumeration, "_local_pivot", checked)
+    g = make()
+    split = split_root(g)
+    for strategy in STRATEGIES:
+        for ell in (1, 3, 10, 50):
+            enumerate_isolated(g, ell, strategy, split=split)
+    assert len(given) > 20
 
 
 def test_debug_catches_a_corrupt_shared_row():
