@@ -178,28 +178,27 @@ def _timed_split(g: Graph):
     return split, (perf_counter() - start) * 1000.0
 
 
-def _format_clique(labels: tuple[str, ...], vertices) -> str:
-    return " ".join([labels[v] for v in vertices]) + "\n"
-
-
 def _cmd_enumerate(args) -> int:
     g, _ = _resolve_graph(args)
-    labels = g.all_labels()
+    label = g.all_labels().__getitem__
     with _open_out(args) as out:
         if args.count_only:
             stats = enumerate_isolated(g, args.ell, args.strategy)
             print(stats.emitted, file=out)
             return 0
+        write = out.write
+
+        def emit(report) -> None:
+            write(" ".join(map(label, report.vertices)) + "\n")
+
         if args.sort:
             reports = []
             stats = enumerate_isolated(g, args.ell, args.strategy, reports.append)
             reports.sort(key=lambda r: r.vertices)
-            out.writelines([_format_clique(labels, report.vertices) for report in reports])
+            for report in reports:
+                emit(report)
         else:
-            write = out.write
-            stats = enumerate_isolated(
-                g, args.ell, args.strategy, lambda r: write(_format_clique(labels, r.vertices))
-            )
+            stats = enumerate_isolated(g, args.ell, args.strategy, emit)
         print(_stats_line(stats), file=out)
     return 0
 

@@ -13,40 +13,45 @@ whose leaf filter keeps every clique.
 
 P and X are bitsets everywhere: over V at the root, bit v standing for
 vertex v, and over N(v) at and below a root child v, since everything
-there lies inside N(v). One generator, _root_children, picks the root
-pivot, splits each root child's P and X off the child's adjacency list,
+there lies inside N(v). One generator, _root_children, takes the root
+pivot, the lowest id of top degree, splits each root child's P and X
+off the child's adjacency list at the child's own position in it,
 builds its local rows, X's from P's by symmetry and a hub's by
 filtering N(v) through the hub's neighbours, and picks its pivot, in
 root order.
-_search_subproblem visits the root child and every node below it with
-one block (count, leaf, prune test, pivot), on an explicit stack of
-the open node's ancestors, so deep cliques cannot hit the interpreter
-recursion limit. It computes each node's isolation threshold t and asks
-the bounds only when t >= 1. A pivot counts X's bits first, then those
-of P's bits that the node's prune test did not count, and stops at a
-count no later bit can beat: |P| for a bit of X, |P| - 1 for a bit of
-P, whose row lacks its own bit. A node with one candidate a scans no
-pivot: it branches on a unless a bit of X is adjacent to a, which is
-the branch the full scan picks.
 
-A run consumes that generator one root child at a time. Several runs on
-one graph can share its output instead, a RootSplit (see split_root). A
-run handed one picks no root pivot, splits nothing, builds no rows and
-picks no pivot at a root child.
+One call of _search_subproblem per run visits every root child and
+every node below it with one block (count, leaf, prune test, pivot), on
+an explicit stack of the open node's ancestors, so deep cliques cannot
+hit the interpreter recursion limit. It computes each node's isolation
+threshold t and asks the bounds only when t >= 1. A pivot counts X's
+bits first, then those of P's bits that the node's prune test did not
+count, and stops at a count no later bit can beat: |P| for a bit of X,
+|P| - 1 for a bit of P, whose row lacks its own bit. A node with one
+candidate a scans no pivot: it branches on a unless a bit of X is
+adjacent to a, which is the branch the full scan picks. The sink gets
+each clique as a CliqueReport tuple built without a Python frame.
+
+A run's call consumes that generator one root child at a time. Several
+runs on one graph can share its output instead, a RootSplit (see
+split_root). A run handed one picks no root pivot, splits nothing,
+builds no rows and picks no pivot at a root child.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from time import perf_counter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # The search no longer calls intersect_with_neighbors. perfbench's tracer hooks
 # it under this module, so it stays importable here and its graph.intersect
 # span reads zero calls until the benchmark drops that hook.
 from .graph import Graph, intersect_with_neighbors  # noqa: F401
-from .pruning import Stages, bit_indices, evaluate_strategy, get_strategy
+from .pruning import Stages, evaluate_strategy, get_strategy
 
 
 @dataclass(slots=True)
@@ -86,9 +91,12 @@ class RunStats:
         return sum(self.prune_firings.values())
 
 
-@dataclass(frozen=True)
-class CliqueReport:
-    """An emitted maximal clique with its external edge count."""
+class CliqueReport(NamedTuple):
+    """An emitted maximal clique with its external edge count.
+
+    A tuple, so it is immutable, its fields read by name or by index, and
+    it compares equal to a plain ``(vertices, external_degree)`` tuple.
+    """
 
     vertices: tuple[int, ...]
     external_degree: int
@@ -101,6 +109,10 @@ class CliqueReport:
 Sink = Callable[[CliqueReport], None]
 
 
+# The engine calls no select_pivot: the root's pivot, with P = V and X empty,
+# is the lowest id of top degree (see _root_children). perfbench's tracer hooks
+# it under this module and the tests check _local_pivot against it, so it stays
+# until the benchmark drops that hook.
 def select_pivot(g: Graph, p: Sequence[int], x: Sequence[int]) -> int:
     """Vertex of P ∪ X with the most neighbors inside P; ties go to the
     smallest id, which keeps runs reproducible."""
@@ -178,20 +190,25 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None, 
     """The root's children ``(v, P, X, masks, branch)`` in root order, P
     and X as bitsets over N(v), where bit i stands for N(v)[i].
 
-    At the root C is empty, so P and X partition V: one retired flag per
-    vertex stands in for both sets, and each root child is split off its
-    own adjacency list in O(deg): the retired neighbours form X, the rest P.
-    ``masks`` holds the rows _search_subproblem reads, or is None when P is
-    empty: ``masks[i]`` is N(N(v)[i]) within N(v) for i in P, and within P
-    for i in X, filled from P's rows one step per edge between P and X,
-    since below the root child an X row is only read against a subset of P.
-    The row of u in P scans N(u), unless u is a hub of more than
-    _HUB_FACTOR·deg(v) neighbours: its row filters N(v) through a set of
-    N(u), built once per hub and kept while the generator runs. A row then
-    costs at most _HUB_FACTOR·min(deg(u), deg(v)) lookups, and the rows of
-    a run _HUB_FACTOR·Σ min(deg) over edges, not Σ deg² over vertices;
-    Chiba and Nishizeki (SIAM J. Comput. 1985) bound that sum by
-    2·arboricity·m. ``branch`` is the bits of P the root child branches on,
+    At the root C is empty and X starts empty, so P = V and the root pivot
+    is the lowest id of top degree; its neighbours ``skip`` are never root
+    children. The others are visited in id order, each retiring into X as it
+    is left, so the retired neighbours of v are its neighbours below v
+    outside ``skip``. N(v) is ascending, so they fill the prefix of N(v)
+    below position k = bisect_left(N(v), v), except where members of
+    ``skip`` sit in it: X is that prefix less those held positions, and P
+    the held positions plus every position from k on. ``masks`` holds the
+    rows _search_subproblem reads, or is None when P is empty: ``masks[i]``
+    is N(N(v)[i]) within N(v) for i in P, and within P for i in X, filled
+    from P's rows one step per edge between P and X, since below the root
+    child an X row is only read against a subset of P. The row of u in P
+    scans N(u), unless u is a hub of more than _HUB_FACTOR·deg(v)
+    neighbours: its row filters N(v) through a set of N(u), built once per
+    hub and kept while the generator runs. A row then costs at most
+    _HUB_FACTOR·min(deg(u), deg(v)) lookups, and the rows of a run
+    _HUB_FACTOR·Σ min(deg) over edges, not Σ deg² over vertices; Chiba and
+    Nishizeki (SIAM J. Comput. 1985) bound that sum by 2·arboricity·m.
+    ``branch`` is the bits of P the root child branches on,
     ``P & ~masks[pivot]`` for its local pivot, or 0 when P is empty. Each
     child's rows are built when it is reached, so a consumer that drops
     them before the next holds one child's rows at a time.
@@ -200,8 +217,11 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None, 
     if not n:
         return
     adjacency = g.adjacency
-    skip = set(adjacency[select_pivot(g, range(n), [])])
-    retired = bytearray(n)
+    degrees = list(map(len, adjacency))
+    # select_pivot(g, range(n), []): with P = V a vertex's count is its degree
+    skip = set(adjacency[degrees.index(max(degrees))])
+    held = skip.__contains__
+    shift = (1).__lshift__
     bit = [0] * n  # bit[w] is w's bit in the current N(v), else 0
     lookup = bit.__getitem__
     hubs: dict[int, frozenset[int]] = {}  # N(u) of each hub u met so far
@@ -209,39 +229,44 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None, 
         if v in skip:
             continue
         universe = adjacency[v]
-        x = sum(1 << i for i, u in enumerate(universe) if retired[u])
-        retired[v] = 1
-        p = ((1 << len(universe)) - 1) ^ x
-        masks = None
-        branch = 0
-        if p:
-            for i, w in enumerate(universe):
-                bit[w] = 1 << i
-            masks = [0] * len(universe)
-            p_bits = bit_indices(p)
-            hub_degree = _HUB_FACTOR * len(universe)
-            for i in p_bits:
-                u = universe[i]
-                nbrs = adjacency[u]
-                if len(nbrs) > hub_degree:
-                    members = hubs.get(u)
-                    if members is None:
-                        members = hubs[u] = frozenset(nbrs)
-                    nbrs = filter(members.__contains__, universe)
-                masks[i] = sum(map(lookup, nbrs))
-            for w in universe:
-                bit[w] = 0
+        size = len(universe)
+        k = bisect_left(universe, v)
+        # the positions below k held by skip, ascending, then the rest of P
+        p_bits = list(compress(range(k), map(held, universe)))
+        x = ((1 << k) - 1) ^ sum(map(shift, p_bits))
+        if k == size and not p_bits:
+            yield v, 0, x, None, 0
+            continue
+        p_bits.extend(range(k, size))
+        p = ((1 << size) - 1) ^ x
+        for i, w in enumerate(universe):
+            bit[w] = 1 << i
+        masks = [0] * size
+        hub_degree = _HUB_FACTOR * size
+        for i in p_bits:
+            u = universe[i]
+            nbrs = adjacency[u]
+            if len(nbrs) > hub_degree:
+                members = hubs.get(u)
+                if members is None:
+                    members = hubs[u] = frozenset(nbrs)
+                nbrs = filter(members.__contains__, universe)
+            masks[i] = sum(map(lookup, nbrs))
+        for w in universe:
+            bit[w] = 0
+        if x:
             for i in p_bits:
                 hits = masks[i] & x
                 while hits:
                     low = hits & -hits
                     hits ^= low
                     masks[low.bit_length() - 1] |= 1 << i
-            if len(p_bits) == 1:
-                # as in _search_subproblem: no pivot scan for one candidate
-                branch = 0 if masks[p_bits[0]] & x else p
-            else:
-                branch = p & ~masks[_local_pivot(masks, p, None, None, x)]
+        if len(p_bits) == 1:
+            # as in _search_subproblem: no pivot scan for one candidate
+            branch = 0 if masks[p_bits[0]] & x else p
+        else:
+            counts = [(masks[i] & p).bit_count() for i in p_bits]
+            branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, x)]
         yield v, p, x, masks, branch
 
 
@@ -268,19 +293,17 @@ def split_root(g: Graph) -> RootSplit:
 
 def _search_subproblem(
     g: Graph,
-    v: int,
-    p: int,
-    x: int,
-    masks: list[int] | None,
-    branch: int,
+    children: Iterable[tuple[int, int, int, list[int] | None, int]],
     ell: int,
     stages: Stages,
     sink: Sink | None,
     stats: RunStats,
 ) -> None:
-    """Visit root child v, given as _root_children yields it, and every node
-    below it, on local bitsets. ``branch`` stands in for the root child's
-    pivot if its prune test keeps it.
+    """Visit each root child ``(v, P, X, masks, branch)`` of ``children``,
+    given as _root_children yields it, and every node below it, on local
+    bitsets. ``branch`` stands in for the root child's pivot if its prune
+    test keeps it. One call serves a whole run: its locals are set up, and
+    its counters added to ``stats``, once.
 
     Everything below v lies inside N(v), so P and X are ints over
     ``universe`` = N(v): bit i stands for ``universe[i]``, in vertex-id
@@ -291,19 +314,18 @@ def _search_subproblem(
     ``(masks[i] & P).bit_count()``, serves both the pivot and the bounds.
     ``masks`` is only read.
 
-    Each pass of the loop visits one node (leaf, prune test, pivot) and then
-    splits off the next child of the open node, the deepest node with
-    branches left. The open node's frame lives in locals (``top_*``): a
-    leaf, a dead end or a pruned node is finished where it is visited, and
-    a sibling only retires its bit into those locals. The open node's
+    Each pass of the node loop visits one node (leaf, prune test, pivot)
+    and then splits off the next child of the open node, the deepest node
+    with branches left. The open node's frame lives in locals (``top_*``):
+    a leaf, a dead end or a pruned node is finished where it is visited,
+    and a sibling only retires its bit into those locals. The open node's
     SearchNode gets its P, X, ext_cp and branch written back only when a
     child with branches opens below it and it goes on the stack, and the
     locals are reloaded from it when that child's subtree is done. The
-    node, emitted and filtered counts are summed in locals and added to
-    ``stats`` on return.
+    root child is done when no open node is left.
     """
     adjacency = g.adjacency
-    universe = adjacency[v]
+    degree = list(map(len, adjacency))
     nodes = emitted = filtered = 0
     stack: list[SearchNode] = []  # the open node's ancestors
 
@@ -321,93 +343,100 @@ def _search_subproblem(
             counts.append((masks[i] & p).bit_count())
         return p_bits, counts
 
-    # no node is open until the root child opens with its branch
-    top = None
-    top_branch = 0
-    c = [v]
-    c_size = 1
-    p_size = p.bit_count()
-    # with C empty a child's ext_cp reduces to deg(v) - |P|
-    ext = len(universe) - p_size
-    while True:
-        nodes += 1
-        node = SearchNode(c, p, x, ext)
-        if not p:
-            # a leaf when X is empty too; ext is then the clique's full cut
-            if not x:
-                if ext < ell * c_size:
-                    emitted += 1
-                    if sink is not None:
-                        sink(CliqueReport(tuple(sorted(c)), ext))
-                else:
-                    filtered += 1
-        else:
-            p_bits = counts = fired = None
-            if stages:
-                # Growing C by k <= omega_bar candidates strands the other |P| - k,
-                # each adding |C| edges to ext, so the subtree is sterile exactly
-                # when omega_bar <= t (floor division is exact for a negative
-                # numerator too, as ell + |C| >= 2). No bound is below 1.
-                t = (ext + c_size * (p_size - ell)) // (ell + c_size)
-                if t >= 1:
-                    fired = evaluate_strategy(stages, p, masks, t, stats, induced)
-            if fired is not None:
-                stats.prune_firings[fired] += 1
-            else:
-                # only the root child, the one node with C = [v], comes with its branch
-                if c_size > 1:
-                    if p_size == 1:
-                        # the pivot is an X bit next to P's one bit a if there is
-                        # one, else a bit whose row lacks a, as rows are symmetric
-                        branch = 0 if masks[p.bit_length() - 1] & x else p
-                    else:
-                        branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, x)]
-                if branch:
-                    if top is not None:
-                        top.p = top_p
-                        top.x = top_x
-                        top.ext_cp = top_base - top_c_size * (top_p.bit_count() - 2)
-                        top.branch = top_branch
-                        stack.append(top)
-                    top = node
-                    top_c = c
-                    top_c_size = c_size
-                    top_p = p
-                    top_x = x
-                    # C's cut, ext + |C|·|P| as P lies in N(C), less 2|C|: it stays
-                    # put as P's bits retire, each moving |C| edges into ext
-                    top_base = ext + c_size * (p_size - 2)
-                    top_branch = branch
-        # the next node is the next unbranched bit of the deepest open node
-        while not top_branch:
-            if not stack:
-                stats.recursive_calls += nodes
-                stats.emitted += emitted
-                stats.filtered_at_leaf += filtered
-                return
-            top = stack.pop()
-            top_c = top.c
-            top_c_size = len(top_c)
-            top_p = top.p
-            top_x = top.x
-            top_base = top.ext_cp + top_c_size * (top_p.bit_count() - 2)
-            top_branch = top.branch
-        low = top_branch & -top_branch
-        top_branch ^= low
-        i = low.bit_length() - 1
-        w = universe[i]
-        row = masks[i]
-        p = top_p & row
-        x = top_x & row
+    for v, p, x, masks, branch in children:
+        universe = adjacency[v]
+        # no node is open until the root child opens with its branch
+        top = None
+        top_branch = 0
+        c = [v]
+        c_size = 1
         p_size = p.bit_count()
-        c = top_c + [w]
-        c_size = top_c_size + 1
-        # C + w's cut is C's, less the 2|C| edge ends between C and w, plus
-        # deg(w); |C + w|·|P| of it goes to the child's candidates
-        ext = top_base + len(adjacency[w]) - c_size * p_size
-        # retire i into X at once: the child's sets are already split off
-        top_p ^= low
-        top_x |= low
+        # with C empty a child's ext_cp reduces to deg(v) - |P|
+        ext = degree[v] - p_size
+        while True:
+            nodes += 1
+            node = SearchNode(c, p, x, ext)
+            if not p:
+                # a leaf when X is empty too; ext is then the clique's full cut
+                if not x:
+                    if ext < ell * c_size:
+                        emitted += 1
+                        if sink is not None:
+                            sink(tuple.__new__(CliqueReport, (tuple(sorted(c)), ext)))
+                    else:
+                        filtered += 1
+            else:
+                p_bits = counts = fired = None
+                if stages:
+                    # Growing C by k <= omega_bar candidates strands the other |P| - k,
+                    # each adding |C| edges to ext, so the subtree is sterile exactly
+                    # when omega_bar <= t (floor division is exact for a negative
+                    # numerator too, as ell + |C| >= 2). No bound is below 1.
+                    t = (ext + c_size * (p_size - ell)) // (ell + c_size)
+                    if t >= 1:
+                        fired = evaluate_strategy(stages, p, masks, t, stats, induced)
+                if fired is not None:
+                    stats.prune_firings[fired] += 1
+                else:
+                    # only the root child, the one node with C = [v], comes with its branch
+                    if c_size > 1:
+                        if p_size == 1:
+                            # the pivot is an X bit next to P's one bit a if there is
+                            # one, else a bit whose row lacks a, as rows are symmetric
+                            branch = 0 if masks[p.bit_length() - 1] & x else p
+                        else:
+                            branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, x)]
+                    if branch:
+                        if top is not None:
+                            top.p = top_p
+                            top.x = top_x
+                            top.ext_cp = top_base - top_c_size * (top_p.bit_count() - 2)
+                            top.branch = top_branch
+                            stack.append(top)
+                        top = node
+                        top_c = c
+                        top_c_size = c_size
+                        top_p = p
+                        top_x = x
+                        # C's cut, ext + |C|·|P| as P lies in N(C), less 2|C|: it stays
+                        # put as P's bits retire, each moving |C| edges into ext
+                        top_base = ext + c_size * (p_size - 2)
+                        top_branch = branch
+            # the next node is the next unbranched bit of the deepest open node
+            while not top_branch:
+                if not stack:
+                    break
+                top = stack.pop()
+                top_c = top.c
+                top_c_size = len(top_c)
+                top_p = top.p
+                top_x = top.x
+                top_base = top.ext_cp + top_c_size * (top_p.bit_count() - 2)
+                top_branch = top.branch
+            else:
+                # an open node has a branch left: split off its next child
+                low = top_branch & -top_branch
+                top_branch ^= low
+                i = low.bit_length() - 1
+                w = universe[i]
+                row = masks[i]
+                p = top_p & row
+                x = top_x & row
+                p_size = p.bit_count()
+                c = top_c + [w]
+                c_size = top_c_size + 1
+                # C + w's cut is C's, less the 2|C| edge ends between C and w, plus
+                # deg(w); |C + w|·|P| of it goes to the child's candidates
+                ext = top_base + degree[w] - c_size * p_size
+                # retire i into X at once: the child's sets are already split off
+                top_p ^= low
+                top_x |= low
+                continue
+            # no open node is left: the root child's subtree is done
+            break
+    stats.recursive_calls += nodes
+    stats.emitted += emitted
+    stats.filtered_at_leaf += filtered
 
 
 def enumerate_isolated(
@@ -446,8 +475,7 @@ def enumerate_isolated(
         # the root of a vertexless graph is its only leaf, and 0 < ell * 0 fails
         stats.filtered_at_leaf += 1
     children = _root_children(g) if split is None else split.children
-    for v, p, x, masks, branch in children:
-        _search_subproblem(g, v, p, x, masks, branch, ell, stages, sink, stats)
+    _search_subproblem(g, children, ell, stages, sink, stats)
     stats.wall_time = perf_counter() - start
     return stats
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 
 _FINISH_BATCH = 1024  # rows Graph._from_rows finishes per step
@@ -82,13 +82,6 @@ class Graph:
         if self.labels is not None:
             return self.labels
         return tuple(map(str, range(self.vertex_count)))
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each edge once as (u, v) with u < v, ascending."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if v > u:
-                    yield u, v
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
-"""Small graph builders shared across the test modules, a structural check
-and the canonical text of a graph, set-based references for the package's
-graph builder and edge-list loader, edge-list references for its two
-generators, the oracle-sized graph corpus of the acceptance suite, the
-reference count of a vertex set's external edges and of a
-child node's external-edge counter, a counter of the engine's search nodes,
-the per-node recount the engine's runs are checked under, and the value
-forms of the pruning bounds and the isolation threshold that the engine's
-threshold tests are checked against."""
+"""Small graph builders shared across the test modules, a structural check, the
+edges and the canonical text of a graph, set-based references for the
+package's graph builder and edge-list loader, edge-list references for its
+two generators, the oracle-sized graph corpus of the acceptance suite, the
+reference count of a vertex set's external edges and of a child node's
+external-edge counter, a flag-based reference of the root's split, a counter
+of the engine's search nodes, the per-node recount the engine's runs are
+checked under, and the value forms of the pruning bounds and the isolation
+threshold that the engine's threshold tests are checked against."""
 
 from __future__ import annotations
 
@@ -48,6 +48,14 @@ def canonical_edge_list(g: Graph, header_comments=()) -> str:
     buf = io.StringIO()
     write_edge_list(g, buf, header_comments)
     return buf.getvalue()
+
+
+def edges(g: Graph):
+    """Yield each edge of ``g`` once as (u, v) with u < v, ascending."""
+    for u, nbrs in enumerate(g.adjacency):
+        for v in nbrs:
+            if v > u:
+                yield u, v
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -281,6 +289,46 @@ def check_node(g: Graph, node, universe) -> None:
             raise AssertionError(f"vertex {v} in P or X is not adjacent to all of C={c}")
 
 
+def local_rows(g: Graph, v: int) -> list[int]:
+    """Every neighbour's full row within N(v), bit j standing for N(v)[j]."""
+    universe = g.adjacency[v]
+    rows = []
+    for u in universe:
+        adjacent = set(g.adjacency[u])
+        rows.append(sum(1 << j for j, w in enumerate(universe) if w in adjacent))
+    return rows
+
+
+def reference_root_children(g: Graph) -> list:
+    """The root's children ``(v, P, X, masks, branch)`` that _root_children
+    yields, from one retired flag per vertex: the root pivot by select_pivot
+    over P = V, each root child's X its neighbours flagged so far, every row
+    by brute force and each pivot as check_root_child picks it."""
+    n = g.vertex_count
+    if not n:
+        return []
+    skip = set(g.adjacency[enumeration.select_pivot(g, range(n), [])])
+    retired = bytearray(n)
+    children = []
+    for v in range(n):
+        if v in skip:
+            continue
+        universe = g.adjacency[v]
+        x = sum(1 << i for i, u in enumerate(universe) if retired[u])
+        retired[v] = 1
+        p = ((1 << len(universe)) - 1) ^ x
+        masks = None
+        branch = 0
+        if p:
+            rows = local_rows(g, v)
+            masks = [row if p >> i & 1 else row & p for i, row in enumerate(rows)]
+            bits = _members(p | x, range(len(universe)))
+            pivot = min(bits, key=lambda i: (-(rows[i] & p).bit_count(), i))
+            branch = p & ~rows[pivot]
+        children.append((v, p, x, masks, branch))
+    return children
+
+
 def check_root_child(g: Graph, v: int, p: int, x: int, masks, branch: int) -> None:
     """Check a root child ``(v, P, X, masks, branch)``, as the engine's
     _root_children yields it and a RootSplit stores it, against the
@@ -296,10 +344,7 @@ def check_root_child(g: Graph, v: int, p: int, x: int, masks, branch: int) -> No
             raise AssertionError(f"root child {v} has no candidates but rows or a branch")
         return
     universe = g.adjacency[v]
-    rows = []
-    for u in universe:
-        adjacent = set(g.adjacency[u])
-        rows.append(sum(1 << j for j, w in enumerate(universe) if w in adjacent))
+    rows = local_rows(g, v)
     for i, row in enumerate(rows):
         if masks[i] != (row if p >> i & 1 else row & p):
             raise AssertionError(f"mask row of vertex {universe[i]} does not match its adjacency")
@@ -329,9 +374,11 @@ def recounted(g: Graph):
     It wraps the two names the engine looks up. Each SearchNode goes through
     check_node as it is built, before its prune test, over range(n) when its
     C is empty and over N(C[0]) below the root. Each call of
-    _search_subproblem, with or without a shared split, first puts its root
-    child through check_root_child. Both names are restored on exit, so the
-    block nests with count_search_nodes and with perfbench's tracer."""
+    _search_subproblem, with or without a shared split, gets its root
+    children through a generator that puts each through check_root_child
+    as the search takes it, before any node below it is built. Both names
+    are restored on exit, so the block nests with count_search_nodes and
+    with perfbench's tracer."""
     recount = Recount()
     real_node = enumeration.SearchNode
     real_search = enumeration._search_subproblem
@@ -345,10 +392,14 @@ def recounted(g: Graph):
         recount.nodes += 1
         return built
 
-    def search(graph, v, p, x, masks, branch, *rest):
-        check_root_child(g, v, p, x, masks, branch)
-        recount.root_children += 1
-        return real_search(graph, v, p, x, masks, branch, *rest)
+    def checked(children):
+        for child in children:
+            check_root_child(g, *child)
+            recount.root_children += 1
+            yield child
+
+    def search(graph, children, *rest):
+        return real_search(graph, checked(children), *rest)
 
     enumeration.SearchNode = node
     enumeration._search_subproblem = search

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +66,26 @@ def test_enumerate_sort_follows_vertex_ids_not_labels(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "enumerate", "--graph", str(path), "--ell", "1", "--sort")
     assert code == 0
     assert data_lines(out) == ["b c a", "z y x"]
+
+
+# sha256 of enumerate's output on ba:n=800,m=6,seed=3, every clique line in
+# order and the stats line without elapsed_ms, recorded before the streaming
+# sink formatted its lines itself; ell 5 emits no clique, ell 20 emits 2,337
+@pytest.mark.parametrize(
+    "ell, sort, digest",
+    [
+        ("5", False, "1a05bfbfb3d831623fa57954edd1fb51225edc2ede470d24f745646692e9d2b8"),
+        ("5", True, "1a05bfbfb3d831623fa57954edd1fb51225edc2ede470d24f745646692e9d2b8"),
+        ("20", False, "c6f457dff5641e76f761046e7f154ad8a4b803b43f0963bef56cc009dd0030d5"),
+        ("20", True, "c9af4a0a5e63ff1c48284b5e42cd18c2df98246b50b25d652e7e4577760965f2"),
+    ],
+)
+def test_enumerate_output_pinned(capsys, ell, sort, digest):
+    argv = ["enumerate", "--gen", "ba:n=800,m=6,seed=3", "--ell", ell] + ["--sort"] * sort
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    text = re.sub(r" elapsed_ms=\S+", "", out)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_enumerate_from_generator_spec(capsys):

@@ -3,7 +3,13 @@ import random
 import pytest
 
 import oracle
-from isoclique import STRATEGIES, enumerate_all_maximal, enumerate_isolated, enumeration
+from isoclique import (
+    STRATEGIES,
+    CliqueReport,
+    enumerate_all_maximal,
+    enumerate_isolated,
+    enumeration,
+)
 from isoclique.enumeration import SearchNode, _local_pivot, _root_children, select_pivot
 from isoclique.pruning import bit_indices
 from graphutil import (
@@ -319,6 +325,26 @@ def test_enumerate_reports_external_degrees():
             assert report.external_degree == external_degree(g, report.vertices)
             assert report.size == len(report.vertices)
             assert report.vertices == tuple(sorted(report.vertices))
+
+
+def test_clique_report_is_an_immutable_named_pair():
+    report = CliqueReport((0, 1, 2), 4)
+    assert report.vertices == report[0] == (0, 1, 2)
+    assert report.external_degree == report[1] == 4
+    assert report.size == 3
+    assert report == ((0, 1, 2), 4)
+    with pytest.raises(AttributeError):
+        report.vertices = (0,)
+    with pytest.raises(AttributeError):
+        report.size = 1
+    # the engine builds its reports without CliqueReport's own constructor
+    got = []
+    enumerate_isolated(triangle_pendant(), 2, "combo", got.append)
+    assert all(type(r) is CliqueReport for r in got)
+    assert [(r.vertices, r.external_degree, r.size) for r in got] == [
+        ((0, 1, 2), 1, 3),
+        ((0, 3), 2, 2),
+    ]
 
 
 def test_huge_ell_equals_plain_maximal_enumeration():

@@ -7,6 +7,7 @@ from isoclique import EdgeListParseError, Graph, load_edge_list, load_edge_list_
 from isoclique.graph import induced_degrees, intersect_with_neighbors
 from graphutil import (
     canonical_edge_list,
+    edges,
     erdos_renyi,
     graph_from_edges,
     path_graph,
@@ -87,7 +88,7 @@ def test_degree_counts_match_edge_recount():
     rng = random.Random(7)
     g = erdos_renyi(10, 0.3, rng)
     for v in range(10):
-        recount = sum(1 for u, w in g.edges() if v in (u, w))
+        recount = sum(1 for u, w in edges(g) if v in (u, w))
         assert len(g.adjacency[v]) == recount
 
 

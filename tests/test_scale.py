@@ -24,10 +24,14 @@ from isoclique.pruning import bit_indices
 from graphutil import (
     check_root_child,
     count_search_nodes,
+    edges,
+    empty_graph,
     external_degree,
     graph_from_edges,
     oracle_corpus,
     recounted,
+    reference_root_children,
+    star_graph,
 )
 
 
@@ -44,7 +48,7 @@ def test_matches_networkx_find_cliques(spec, ells):
     g = graph(spec)
     ref = nx.Graph()
     ref.add_nodes_from(range(g.vertex_count))
-    ref.add_edges_from(g.edges())
+    ref.add_edges_from(edges(g))
     expected = {tuple(sorted(clique)) for clique in nx.find_cliques(ref)}
 
     got = []
@@ -339,3 +343,41 @@ def test_hub_rows_match_brute_force(make):
     with recounted(g):
         own = [run_digest(g, s, ell) for s, ell in calls]
         assert [run_digest(g, s, ell, split=split) for s, ell in calls] == own
+
+
+def skip_on_both_sides():
+    # the root pivot 3 (degree 5, tied with 5, which has the higher id) holds
+    # 0, 2, 5, 7 and 8; root child 4 has the retired 1 and the held 2 below
+    # it, and the held 5 and the later root child 6 above it
+    return graph_from_edges(
+        9,
+        [(3, 0), (3, 2), (3, 5), (3, 7), (3, 8), (4, 1), (4, 2), (4, 5), (4, 6)]
+        + [(6, 1), (6, 5), (6, 7), (1, 0), (2, 5), (5, 7)],
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        hub_graph,
+        lambda: graph("ba:n=300,m=3,seed=2"),
+        lambda: graph("ba:n=800,m=6,seed=3"),
+        lambda: graph("gnmp:n=350,m=30,p=0.06,seed=12"),
+        *(lambda k=k: oracle_corpus()[k] for k in (0, 1, 2, 3, 467)),
+        lambda: star_graph(6),
+        skip_on_both_sides,
+        lambda: graph_from_edges(7, [(1, 2), (2, 4), (1, 4), (4, 6)]),
+        lambda: empty_graph(4),
+        lambda: empty_graph(0),
+    ],
+    ids=[
+        "hubs", "ba300", "ba800", "gnmp350-seed12",
+        *(f"corpus{k}" for k in (0, 1, 2, 3, 467)),
+        "star", "skip-on-both-sides", "isolated", "edgeless", "empty",
+    ],
+)
+def test_root_split_matches_flag_reference(make):
+    # _root_children takes a root child's X from the prefix of N(v) below v,
+    # less the pivot's neighbours held there; the flags it replaced must agree
+    g = make()
+    assert list(enumeration._root_children(g)) == reference_root_children(g)
