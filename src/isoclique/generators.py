@@ -62,11 +62,18 @@ def generate_ba(cfg: BAConfig) -> Graph:
     Starts from a complete seed on m+1 vertices, so every later vertex
     can always find m distinct targets. Each of vertices m+1 .. n-1 draws
     targets uniformly from a pool holding every existing vertex once per
-    incident edge; duplicate draws within one vertex's round are retried.
+    incident edge (Batagelj and Brandes's repeated-endpoint list);
+    duplicate draws within one vertex's round are retried. A draw is made
+    as ``randrange`` makes it, from ``getrandbits``: the pool's bit length
+    in bits, drawn again until it falls below the pool's size, the same
+    numbers CPython's ``Random.randrange(len(pool))`` returns, without its
+    two frames per draw. The pool grows only between rounds.
     Each round fills the rows as it draws: v's row gets its targets in
-    ascending order and each target's row gets v, with no edge list.
+    ascending order and each target's row gets v, with no edge list, so
+    every row reaches the finishing step sorted and distinct.
     """
     rng = random.Random(cfg.seed)
+    getrandbits = rng.getrandbits
     n, m = cfg.n, cfg.m
     pool: list[int] = []  # one entry per edge endpoint: degree-weighted sampling
     seed_size = m + 1
@@ -74,11 +81,14 @@ def generate_ba(cfg: BAConfig) -> Graph:
     for u in range(seed_size):
         pool.extend([u] * m)
     for v in range(seed_size, n):
+        size = len(pool)
+        k = size.bit_length()
         targets: set[int] = set()
         while len(targets) < m:
-            t = pool[rng.randrange(len(pool))]
-            if t not in targets:
-                targets.add(t)
+            r = getrandbits(k)
+            while r >= size:
+                r = getrandbits(k)
+            targets.add(pool[r])
         ordered = sorted(targets)
         for t in ordered:
             rows[t].append(v)

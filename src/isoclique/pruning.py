@@ -38,16 +38,6 @@ from typing import Callable, Sequence
 from .graph import induced_degrees  # noqa: F401
 
 
-def bit_indices(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _fits_size(
     p: int, bits: Sequence[int] | None, counts: Sequence[int] | None, masks: Sequence[int], t: int
 ) -> bool:

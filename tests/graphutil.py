@@ -5,8 +5,9 @@ two generators, the oracle-sized graph corpus of the acceptance suite, the
 reference count of a vertex set's external edges and of a child node's
 external-edge counter, a flag-based reference of the root's split, a counter
 of the engine's search nodes, the per-node recount the engine's runs are
-checked under, and the value forms of the pruning bounds and the isolation
-threshold that the engine's threshold tests are checked against."""
+checked under, a bitset's set bits, and the value forms of the pruning bounds
+and the isolation threshold that the engine's threshold tests are checked
+against."""
 
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from isoclique import (
     enumeration,
     write_edge_list,
 )
-from isoclique.pruning import bit_indices
 
 
 def validate(g: Graph) -> None:
@@ -423,6 +423,16 @@ def count_search_nodes(monkeypatch) -> list:
 
     monkeypatch.setattr(enumeration, "SearchNode", counted)
     return constructed
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def bitset_view(g: Graph, vertices) -> tuple[int, list[int], list[int]]:

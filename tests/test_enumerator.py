@@ -11,8 +11,8 @@ from isoclique import (
     enumeration,
 )
 from isoclique.enumeration import SearchNode, _local_pivot, _root_children, select_pivot
-from isoclique.pruning import bit_indices
 from graphutil import (
+    bit_indices,
     bitset_view,
     check_node,
     check_root_child,

@@ -169,11 +169,22 @@ def test_generate_dispatch():
             "ba:n=3000,m=4,seed=1",
             "a86f09168a97b49f6934df2c40be3f2da290c36f7948070d8fe7b69652b1dfba",
         ),
+        # the benchmark's graphs
+        (
+            "ba:n=6000,m=8,seed=1",
+            "06dc2df1343a3132afb46a1fcc8820bc60525c995f6da21dc78b3b11f4f547f7",
+        ),
+        (
+            "gnmp:n=350,m=30,p=0.06,seed=12",
+            "f6d2326dd7e5515c9b44401166feec6b5c2bb3e65a931ec6412a1339821cc670",
+        ),
     ],
 )
 def test_generated_bytes_are_pinned(spec, digest):
-    # sha256 of the canonical edge list, recorded when both the generator and
-    # Graph.from_edges still deduplicated edges
+    # sha256 of the canonical edge list: the first two recorded when both the
+    # generator and Graph.from_edges still deduplicated edges, the last two
+    # when BA still drew through randrange and the writer wrote one f-string
+    # per edge
     text = canonical_edge_list(generate(parse_generator_spec(spec)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

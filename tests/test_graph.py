@@ -1,10 +1,18 @@
+import hashlib
 import io
 import random
 
 import pytest
 
-from isoclique import EdgeListParseError, Graph, load_edge_list, load_edge_list_report
-from isoclique.graph import induced_degrees, intersect_with_neighbors
+from isoclique import (
+    EdgeListParseError,
+    Graph,
+    generate,
+    load_edge_list,
+    load_edge_list_report,
+    parse_generator_spec,
+)
+from isoclique.graph import _FINISH_BATCH, induced_degrees, intersect_with_neighbors
 from graphutil import (
     canonical_edge_list,
     edges,
@@ -120,6 +128,38 @@ def test_from_edges_matches_set_reference():
         assert (g.adjacency, g.edge_count) == expected
         assert g.vertex_count == n and g.labels is None
     assert refused > 0
+
+
+def random_row(rng: random.Random, shape: str) -> list[int]:
+    """A neighbour row of one of the shapes that reach the finishing step."""
+    values = rng.sample(range(200), rng.randint(1, 30))
+    if shape == "sorted":
+        return sorted(values)
+    if shape == "shuffled":
+        return values
+    if shape == "repeats":
+        row = values + rng.choices(values, k=rng.randint(1, 30))
+        rng.shuffle(row)
+        return row
+    if shape == "empty":
+        return []
+    return [values[0]] * rng.randint(2, 6)  # one value repeated
+
+
+ROW_SHAPES = ("sorted", "shuffled", "repeats", "empty", "one value")
+
+
+def test_finishing_step_matches_sorted_set_reference():
+    # the shapes in turn, in one call, up to more rows than one batch finishes
+    rng = random.Random(31)
+    for count in (0, 1, 7, _FINISH_BATCH, 2 * _FINISH_BATCH + 37):
+        rows = [random_row(rng, ROW_SHAPES[i % len(ROW_SHAPES)]) for i in range(count)]
+        expected = tuple(tuple(sorted(set(row))) for row in rows)
+        g = Graph._from_rows(rows, None)
+        assert g.adjacency == expected
+        assert all(type(row) is tuple for row in g.adjacency)
+        assert g.vertex_count == count
+        assert g.edge_count == sum(map(len, expected)) // 2
 
 
 LOADER_LABELS = ["a", "b", "c", "7", "10", "#c", "%p", "x_1"]
@@ -239,6 +279,29 @@ def test_canonical_writer_layout():
     g = load_edge_list(io.StringIO("a b\n"))
     text = canonical_edge_list(g, header_comments=["hello"])
     assert text.splitlines() == ["# hello", "# n=2", "# m=1", "a a", "b b", "a b"]
+    lines = ["# a comment\n", "a x_1\n", "10 a\n", "ü 10\n", "x_1 ü\n", "a a\n", "ü a\n"]
+    lines += ["solo solo\n", "x_1 10 3.5\n", "10 x_1\n"]
+    text = canonical_edge_list(load_edge_list(lines), ["labelled", "source: test"])
+    assert text == (
+        "# labelled\n# source: test\n# n=5\n# m=6\n"
+        "a a\nx_1 x_1\n10 10\nü ü\nsolo solo\n"
+        "a x_1\na 10\na ü\nx_1 10\nx_1 ü\n10 ü\n"
+    )
+
+
+def test_labelled_writer_bytes_are_pinned():
+    # a generated graph's edges, both orientations, shuffled and relabelled,
+    # loaded so ids follow first appearance; sha256 recorded when every edge
+    # was written by its own f-string
+    g = generate(parse_generator_spec("ba:n=500,m=5,seed=2"))
+    names = [f"{('a', 'x_', '', 'ü')[v % 4]}{v}" for v in range(g.vertex_count)]
+    pairs = [(names[u], names[v]) for u, nbrs in enumerate(g.adjacency) for v in nbrs]
+    random.Random(5).shuffle(pairs)
+    loaded = load_edge_list([f"{a} {b}\n" for a, b in pairs])
+    text = canonical_edge_list(loaded, ["labelled", "ba:n=500,m=5,seed=2"])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4a7869e53e5c06e7edc6bcb3f925a3950946a6124c81273d5e99be1ea6b7229c"
+    )
 
 
 def test_construction_paths_validate():

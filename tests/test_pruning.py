@@ -4,11 +4,12 @@ import random
 import pytest
 
 import oracle
-from isoclique import enumerate_isolated, enumeration, pruning
+from isoclique import enumerate_isolated, enumeration
 from isoclique.enumeration import RunStats
 from isoclique.graph import induced_degrees
-from isoclique.pruning import STRATEGIES, bit_indices, evaluate_strategy, get_strategy
+from isoclique.pruning import STRATEGIES, evaluate_strategy, get_strategy
 from graphutil import (
+    bit_indices,
     bitset_view,
     complete_binary_tree,
     complete_graph,
@@ -230,19 +231,16 @@ def test_threshold_tests_match_bound_values():
                 assert test(p, bits, counts, masks, t) == (value <= t), (name, t, value)
 
 
-def test_stages_read_the_supplied_bits(monkeypatch):
+def test_stages_read_the_supplied_bits():
     # the degeneracy peel starts from the bits it is handed, as decoded by the
     # caller along with the counts, and decodes P no second time
     p, counts, masks = bitset_view(complete_binary_tree(4), range(15))
-    bits = bit_indices(p)
-
-    def no_decode(mask):
-        raise AssertionError("P decoded again")
-
-    monkeypatch.setattr(pruning, "bit_indices", no_decode)
     fits = dict(STRATEGIES["degeneracy"])["degeneracy"]
-    assert fits(p, bits, counts, masks, 2)  # degeneracy 1, plus one, fits under 2
-    assert not fits(p, bits, counts, masks, 1)
+    assert fits(p, bit_indices(p), counts, masks, 2)  # degeneracy 1, plus one, fits under 2
+    assert not fits(p, bit_indices(p), counts, masks, 1)
+    # handed only the root, bit 0, with its two children counted: at t = 2
+    # nothing in that list peels, though all of P would
+    assert not fits(p, [0], [2], masks, 2)
 
 
 def test_threshold_matches_prune_test():

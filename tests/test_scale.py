@@ -20,8 +20,8 @@ from isoclique import (
 )
 from isoclique import enumeration
 from isoclique.enumeration import split_root
-from isoclique.pruning import bit_indices
 from graphutil import (
+    bit_indices,
     check_root_child,
     count_search_nodes,
     edges,
