@@ -22,15 +22,17 @@ root order.
 
 One call of _search_subproblem per run visits every root child and
 every node below it with one block (count, leaf, prune test, pivot), on
-an explicit stack of the open node's ancestors, so deep cliques cannot
-hit the interpreter recursion limit. It computes each node's isolation
-threshold t and asks the bounds only when t >= 1. A pivot counts X's
-bits first, then those of P's bits that the node's prune test did not
-count, and stops at a count no later bit can beat: |P| for a bit of X,
-|P| - 1 for a bit of P, whose row lacks its own bit. A node with one
-candidate a scans no pivot: it branches on a unless a bit of X is
-adjacent to a, which is the branch the full scan picks. The sink gets
-each clique as a CliqueReport tuple built without a Python frame.
+an explicit stack of tuples, one per ancestor of the open node with
+branches left, so deep cliques cannot hit the interpreter recursion
+limit. It builds a SearchNode per node only for an observer that rebinds
+that name. It computes each node's isolation threshold t and asks the
+bounds only when t >= 1. A pivot counts X's bits first, then those of
+P's bits that the node's prune test did not count, and stops at a count
+no later bit can beat: |P| for a bit of X, |P| - 1 for a bit of P,
+whose row lacks its own bit. A node with one candidate a scans no
+pivot: it branches on a unless a bit of X is adjacent to a, which is
+the branch the full scan picks. The sink gets each clique as a
+CliqueReport tuple built without a Python frame.
 
 A run's call consumes that generator one root child at a time. Several
 runs on one graph can share its output instead, a RootSplit (see
@@ -56,23 +58,31 @@ from .pruning import Stages, evaluate_strategy, get_strategy
 
 @dataclass(slots=True)
 class SearchNode:
-    """One live node of the search tree plus its child-iteration state.
+    """One visited node of the search tree, as an observer sees it.
 
     P and X are bitsets: over V at the root, and over a root child's
-    neighbourhood below it (see _search_subproblem). ``branch`` holds the
-    bits of P outside the pivot's neighbourhood not yet branched on.
-    ``ext_cp`` counts the edges from C to vertices outside C and P; the
-    tests recount it from scratch at every node they wrap (see recounted in
-    tests/graphutil.py). The fields hold the node as visited; the search
-    brings P, X, ext_cp and branch up to date, as candidates retire into X,
-    only when it stacks the node below a deeper open one.
+    neighbourhood below it (see _search_subproblem). ``ext_cp`` counts the
+    edges from C to vertices outside C and P; the tests recount it from
+    scratch at every node they observe (see recounted in tests/graphutil.py).
+
+    The search builds none for its own use. When this module's name
+    SearchNode is rebound to another callable of ``(c, p, x, ext_cp)``, such
+    as a wrapper of this class, every run calls it once per visited node,
+    the root included, before the node's prune test.
     """
 
     c: list[int]
     p: int
     x: int
     ext_cp: int
-    branch: int = 0
+
+
+# The class itself, to tell an observer rebound at the name SearchNode. The
+# hook is that name, not a separate _visit global, because perfbench's tracer
+# (NODE_HOOK) and its node-count test count constructions of SearchNode, and
+# the benchmark changes only on its own. Once it counts nodes from RunStats,
+# an explicit hook can take this one's place (ROADMAP item 2(c)).
+_NODE = SearchNode
 
 
 @dataclass
@@ -318,16 +328,19 @@ def _search_subproblem(
     and then splits off the next child of the open node, the deepest node
     with branches left. The open node's frame lives in locals (``top_*``):
     a leaf, a dead end or a pruned node is finished where it is visited,
-    and a sibling only retires its bit into those locals. The open node's
-    SearchNode gets its P, X, ext_cp and branch written back only when a
-    child with branches opens below it and it goes on the stack, and the
-    locals are reloaded from it when that child's subtree is done. The
-    root child is done when no open node is left.
+    and a sibling only retires its bit into those locals. When a child with
+    branches opens below it, the open node goes on the stack as the tuple of
+    those locals if it has branches left, and they are unpacked from it when
+    that child's subtree is done. The root child is done when no open node
+    is left. A SearchNode is built for a visited node only when the name is
+    rebound to an observer (see SearchNode).
     """
     adjacency = g.adjacency
     degree = list(map(len, adjacency))
     nodes = emitted = filtered = 0
-    stack: list[SearchNode] = []  # the open node's ancestors
+    visit = SearchNode if SearchNode is not _NODE else None
+    # (C, |C|, P, X, base, branch) of each ancestor of the open node with branches left
+    stack = []
 
     def induced() -> tuple[list[int], list[int]]:
         # P's bits and popcount degrees at the node under test, kept for its pivot
@@ -346,7 +359,6 @@ def _search_subproblem(
     for v, p, x, masks, branch in children:
         universe = adjacency[v]
         # no node is open until the root child opens with its branch
-        top = None
         top_branch = 0
         c = [v]
         c_size = 1
@@ -355,7 +367,8 @@ def _search_subproblem(
         ext = degree[v] - p_size
         while True:
             nodes += 1
-            node = SearchNode(c, p, x, ext)
+            if visit is not None:
+                visit(c, p, x, ext)
             if not p:
                 # a leaf when X is empty too; ext is then the clique's full cut
                 if not x:
@@ -387,13 +400,8 @@ def _search_subproblem(
                         else:
                             branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, x)]
                     if branch:
-                        if top is not None:
-                            top.p = top_p
-                            top.x = top_x
-                            top.ext_cp = top_base - top_c_size * (top_p.bit_count() - 2)
-                            top.branch = top_branch
-                            stack.append(top)
-                        top = node
+                        if top_branch:
+                            stack.append((top_c, top_c_size, top_p, top_x, top_base, top_branch))
                         top_c = c
                         top_c_size = c_size
                         top_p = p
@@ -403,37 +411,28 @@ def _search_subproblem(
                         top_base = ext + c_size * (p_size - 2)
                         top_branch = branch
             # the next node is the next unbranched bit of the deepest open node
-            while not top_branch:
+            if not top_branch:
                 if not stack:
+                    # no open node is left: the root child's subtree is done
                     break
-                top = stack.pop()
-                top_c = top.c
-                top_c_size = len(top_c)
-                top_p = top.p
-                top_x = top.x
-                top_base = top.ext_cp + top_c_size * (top_p.bit_count() - 2)
-                top_branch = top.branch
-            else:
-                # an open node has a branch left: split off its next child
-                low = top_branch & -top_branch
-                top_branch ^= low
-                i = low.bit_length() - 1
-                w = universe[i]
-                row = masks[i]
-                p = top_p & row
-                x = top_x & row
-                p_size = p.bit_count()
-                c = top_c + [w]
-                c_size = top_c_size + 1
-                # C + w's cut is C's, less the 2|C| edge ends between C and w, plus
-                # deg(w); |C + w|·|P| of it goes to the child's candidates
-                ext = top_base + degree[w] - c_size * p_size
-                # retire i into X at once: the child's sets are already split off
-                top_p ^= low
-                top_x |= low
-                continue
-            # no open node is left: the root child's subtree is done
-            break
+                # a stacked node always has a branch left
+                top_c, top_c_size, top_p, top_x, top_base, top_branch = stack.pop()
+            low = top_branch & -top_branch
+            top_branch ^= low
+            i = low.bit_length() - 1
+            w = universe[i]
+            row = masks[i]
+            p = top_p & row
+            x = top_x & row
+            p_size = p.bit_count()
+            c = top_c + [w]
+            c_size = top_c_size + 1
+            # C + w's cut is C's, less the 2|C| edge ends between C and w, plus
+            # deg(w); |C + w|·|P| of it goes to the child's candidates
+            ext = top_base + degree[w] - c_size * p_size
+            # retire i into X at once: the child's sets are already split off
+            top_p ^= low
+            top_x |= low
     stats.recursive_calls += nodes
     stats.emitted += emitted
     stats.filtered_at_leaf += filtered
@@ -469,8 +468,8 @@ def enumerate_isolated(
     # bound can meet, so the root is never evaluated.
     n = g.vertex_count
     stats.recursive_calls += 1
-    # built only so each counted node is one SearchNode: perfbench's tracer and tests count them
-    SearchNode(c=[], p=(1 << n) - 1, x=0, ext_cp=0)
+    if SearchNode is not _NODE:  # an observer sees the root too
+        SearchNode([], (1 << n) - 1, 0, 0)
     if not n:
         # the root of a vertexless graph is its only leaf, and 0 < ell * 0 fails
         stats.filtered_at_leaf += 1

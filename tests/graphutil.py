@@ -371,9 +371,11 @@ def recounted(g: Graph):
     """Within the block, check every search node and every root child that
     the engine builds while it runs on ``g``, and yield the Recount.
 
-    It wraps the two names the engine looks up. Each SearchNode goes through
-    check_node as it is built, before its prune test, over range(n) when its
-    C is empty and over N(C[0]) below the root. Each call of
+    It wraps the two names the engine looks up. The engine builds a
+    SearchNode only while that name is rebound, and then calls it once per
+    visited node, before the node's prune test: each node goes through
+    check_node there, over range(n) when its C is empty and over N(C[0])
+    below the root. Each call of
     _search_subproblem, with or without a shared split, gets its root
     children through a generator that puts each through check_root_child
     as the search takes it, before any node below it is built. Both names
@@ -411,9 +413,9 @@ def recounted(g: Graph):
 
 
 def count_search_nodes(monkeypatch) -> list:
-    """Record one entry per SearchNode the engine constructs from now on;
-    every visited node is constructed once, so the count must equal the
-    runs' summed ``recursive_calls``."""
+    """Record one entry per SearchNode the engine constructs from now on.
+    Rebinding the name makes the engine construct one per visited node, so
+    the count must equal the runs' summed ``recursive_calls``."""
     constructed = []
     real_node = enumeration.SearchNode
 

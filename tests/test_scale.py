@@ -214,7 +214,7 @@ def run_digest(g, strategy, ell, **kwargs):
 def test_shared_root_split_changes_nothing(spec, monkeypatch):
     # one split serves every strategy, factor and the plain pass, and each
     # run emits the same sequence with the same counters as a run that splits
-    # the root itself; either way every visited node is one SearchNode
+    # the root itself; either way the rebound SearchNode sees every visited node
     g = graph(spec)
     constructed = count_search_nodes(monkeypatch)
     split = split_root(g)
@@ -253,6 +253,58 @@ def test_recount_checks_every_node_and_root_child(spec, monkeypatch):
             assert recount.root_children == len(split.children)
         visited += 3 * plain[1][0]
     assert len(constructed) == visited
+
+
+def test_an_unobserved_run_builds_no_search_node(monkeypatch):
+    # with the name SearchNode left as the class, no run builds a node; the
+    # count sits on the class's __init__, which a rebound name would bypass
+    g = graph("ba:n=800,m=6,seed=3")
+    split = split_root(g)
+    built = []
+    real_init = enumeration.SearchNode.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration.SearchNode, "__init__", init)
+    streaming = enumerate_isolated(g, 10, "combo")
+    shared = enumerate_isolated(g, 10, "combo", split=split)
+    assert streaming.recursive_calls == shared.recursive_calls == 4_379
+    assert built == []
+    enumeration.SearchNode([], 0, 0, 0)
+    assert built == [1]  # the count is live
+
+
+# sha256 over "C P X ext_cp\n", P and X in hex, per call of a SearchNode
+# rebound to an observer, the root included, in visit order, with and without
+# a shared split; recorded when the engine still built every node for itself
+OBSERVED_NODES = [
+    ("ba:n=800,m=6,seed=3", "combo", 10, 4_379, "fd70644b3e6ea8a6647bf6a7ea1b3420fd42aa5155416120d33f1b107a327d0d"),
+    ("ba:n=800,m=6,seed=3", "none", 50, 5_710, "f0a629ae442d11dc22427db8f0ce10e7fea9508eb5eb094c5028412f147c0a96"),
+    ("gnmp:n=350,m=30,p=0.06,seed=12", "combo", 10, 2_015, "70834d7ab2983199c72e7da29ac9ce2e7f7643cc36fd7dd2da56578b8cfcf471"),
+    ("gnmp:n=350,m=30,p=0.06,seed=12", "none", 50, 5_861, "37b103cc14260bc2fb3e30a65ebe87c1b074db0ca2e3f598b8a9ee3373c5129c"),
+]
+
+
+@pytest.mark.parametrize("spec, strategy, ell, nodes, digest", OBSERVED_NODES)
+def test_observers_see_the_pinned_nodes(spec, strategy, ell, nodes, digest, monkeypatch):
+    g = graph(spec)
+    split = split_root(g)
+    real = enumeration.SearchNode
+    for kwargs in ({}, {"split": split}):
+        sha = hashlib.sha256()
+        seen = []
+
+        def node(c, p, x, ext_cp):
+            seen.append(1)
+            sha.update(f"{c} {p:x} {x:x} {ext_cp}\n".encode())
+            return real(c, p, x, ext_cp)
+
+        monkeypatch.setattr(enumeration, "SearchNode", node)
+        stats = enumerate_isolated(g, ell, strategy, **kwargs)
+        assert stats.recursive_calls == len(seen) == nodes
+        assert sha.hexdigest() == digest
 
 
 @pytest.mark.parametrize(
