@@ -18,15 +18,21 @@ pivot, the lowest id of top degree, splits each root child's P and X
 off the child's adjacency list at the child's own position in it,
 builds its local rows, X's from P's by symmetry and a hub's by
 filtering N(v) through the hub's neighbours, and picks its pivot, in
-root order.
+root order. A root child with no edge inside P branches on all of P,
+which is what its pivot gives, with no X rows filled and no pivot scan.
 
 One call of _search_subproblem per run visits every root child and
-every node below it with one block (count, leaf, prune test, pivot), on
-an explicit stack of tuples, one per ancestor of the open node with
-branches left, so deep cliques cannot hit the interpreter recursion
-limit. It builds a SearchNode per node only for an observer that rebinds
-that name. It computes each node's isolation threshold t and asks the
-bounds only when t >= 1. A pivot counts X's bits first, then those of
+every node below it, on an explicit stack of tuples, one per ancestor
+of the open node with branches left, so deep cliques cannot hit the
+interpreter recursion limit. A root child is prune-tested and opens
+with the branch it came with. Below it, a child with candidates goes
+through one block (count, prune test, pivot); a child without
+candidates, a leaf or a dead end, is counted, observed and emitted or
+filtered by the branching step that splits it off, and its clique is
+built as a list only for the sink or an observer. It builds a
+SearchNode per node only for an observer that rebinds that name. It
+computes each node's isolation threshold t and asks the bounds only
+when t >= 1. A pivot counts X's bits first, then those of
 P's bits that the node's prune test did not count, and stops at a count
 no later bit can beat: |P| for a bit of X, |P| - 1 for a bit of P,
 whose row lacks its own bit. A node with one candidate a scans no
@@ -219,7 +225,10 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None, 
     _HUB_FACTOR·Σ min(deg) over edges, not Σ deg² over vertices; Chiba and
     Nishizeki (SIAM J. Comput. 1985) bound that sum by 2·arboricity·m.
     ``branch`` is the bits of P the root child branches on,
-    ``P & ~masks[pivot]`` for its local pivot, or 0 when P is empty. Each
+    ``P & ~masks[pivot]`` for its local pivot, or 0 when P is empty. When
+    every row of P is 0, so are X's, every count is 0 and the pivot is the
+    lowest bit of P | X, whose empty row leaves all of P: such a child
+    gets ``branch = P`` with no X rows filled and no pivot scan. Each
     child's rows are built when it is reached, so a consumer that drops
     them before the next holds one child's rows at a time.
     """
@@ -264,6 +273,12 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None, 
             masks[i] = sum(map(lookup, nbrs))
         for w in universe:
             bit[w] = 0
+        if not any(masks):
+            # no edge within P, so X's rows, filled from P's, are 0 as well:
+            # every count is 0, the pivot is the lowest bit of P | X, and its
+            # empty row leaves all of P to branch on
+            yield v, p, x, masks, p
+            continue
         if x:
             for i in p_bits:
                 hits = masks[i] & x
@@ -324,16 +339,24 @@ def _search_subproblem(
     ``(masks[i] & P).bit_count()``, serves both the pivot and the bounds.
     ``masks`` is only read.
 
-    Each pass of the node loop visits one node (leaf, prune test, pivot)
-    and then splits off the next child of the open node, the deepest node
-    with branches left. The open node's frame lives in locals (``top_*``):
-    a leaf, a dead end or a pruned node is finished where it is visited,
-    and a sibling only retires its bit into those locals. When a child with
-    branches opens below it, the open node goes on the stack as the tuple of
-    those locals if it has branches left, and they are unpacked from it when
-    that child's subtree is done. The root child is done when no open node
-    is left. A SearchNode is built for a visited node only when the name is
-    rebound to an observer (see SearchNode).
+    A root child is counted, observed and finished where it is visited if
+    it has no candidates, its prune test fires or its branch is empty;
+    otherwise it opens with its ``branch``. Each pass of the loop below it
+    is one branching step: it splits off the next child of the open node,
+    the deepest node with branches left. A child without candidates is
+    finished there: it is counted, observed with the ``(C + w, 0, X,
+    ext)`` a node block would see, and emitted or filtered if X is empty
+    too. It needs no |P| and no |C|·|P| product, and C + w is built only
+    for the sink or an observer. A child with candidates goes through the
+    node block (count, prune test, pivot). The open node's frame lives in
+    locals (``top_*``): a pruned node or one without branches is finished
+    where it is visited, and a sibling only retires its bit into those
+    locals. When a child with branches opens below it, the open node goes
+    on the stack as the tuple of those locals if it has branches left, and
+    they are unpacked from it when that child's subtree is done. The root
+    child is done when no open node is left. A SearchNode is built for a
+    visited node only when the name is rebound to an observer (see
+    SearchNode).
     """
     adjacency = g.adjacency
     degree = list(map(len, adjacency))
@@ -357,60 +380,43 @@ def _search_subproblem(
         return p_bits, counts
 
     for v, p, x, masks, branch in children:
-        universe = adjacency[v]
-        # no node is open until the root child opens with its branch
-        top_branch = 0
-        c = [v]
-        c_size = 1
+        nodes += 1
+        if not p:
+            # a dead end, or a leaf when v has no neighbours at all: then {v}
+            # has no cut and qualifies at every factor
+            if visit is not None:
+                visit([v], 0, x, degree[v])
+            if not x:
+                emitted += 1
+                if sink is not None:
+                    sink(tuple.__new__(CliqueReport, ((v,), 0)))
+            continue
         p_size = p.bit_count()
         # with C empty a child's ext_cp reduces to deg(v) - |P|
         ext = degree[v] - p_size
-        while True:
-            nodes += 1
-            if visit is not None:
-                visit(c, p, x, ext)
-            if not p:
-                # a leaf when X is empty too; ext is then the clique's full cut
-                if not x:
-                    if ext < ell * c_size:
-                        emitted += 1
-                        if sink is not None:
-                            sink(tuple.__new__(CliqueReport, (tuple(sorted(c)), ext)))
-                    else:
-                        filtered += 1
-            else:
-                p_bits = counts = fired = None
-                if stages:
-                    # Growing C by k <= omega_bar candidates strands the other |P| - k,
-                    # each adding |C| edges to ext, so the subtree is sterile exactly
-                    # when omega_bar <= t (floor division is exact for a negative
-                    # numerator too, as ell + |C| >= 2). No bound is below 1.
-                    t = (ext + c_size * (p_size - ell)) // (ell + c_size)
-                    if t >= 1:
-                        fired = evaluate_strategy(stages, p, masks, t, stats, induced)
+        if visit is not None:
+            visit([v], p, x, ext)
+        if stages:
+            # the prune test below, at |C| = 1
+            t = (ext + p_size - ell) // (ell + 1)
+            if t >= 1:
+                fired = evaluate_strategy(stages, p, masks, t, stats, induced)
                 if fired is not None:
                     stats.prune_firings[fired] += 1
-                else:
-                    # only the root child, the one node with C = [v], comes with its branch
-                    if c_size > 1:
-                        if p_size == 1:
-                            # the pivot is an X bit next to P's one bit a if there is
-                            # one, else a bit whose row lacks a, as rows are symmetric
-                            branch = 0 if masks[p.bit_length() - 1] & x else p
-                        else:
-                            branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, x)]
-                    if branch:
-                        if top_branch:
-                            stack.append((top_c, top_c_size, top_p, top_x, top_base, top_branch))
-                        top_c = c
-                        top_c_size = c_size
-                        top_p = p
-                        top_x = x
-                        # C's cut, ext + |C|·|P| as P lies in N(C), less 2|C|: it stays
-                        # put as P's bits retire, each moving |C| edges into ext
-                        top_base = ext + c_size * (p_size - 2)
-                        top_branch = branch
-            # the next node is the next unbranched bit of the deepest open node
+                    continue
+        if not branch:
+            continue
+        universe = adjacency[v]
+        # the root child is the open node, with the branch it came with
+        top_c = [v]
+        top_c_size = 1
+        top_p = p
+        top_x = x
+        top_base = ext + p_size - 2
+        top_branch = branch
+        while True:
+            # the branching step: split off the next unbranched bit of the
+            # deepest open node
             if not top_branch:
                 if not stack:
                     # no open node is left: the root child's subtree is done
@@ -424,15 +430,65 @@ def _search_subproblem(
             row = masks[i]
             p = top_p & row
             x = top_x & row
+            # retire i into X at once: the child's sets are already split off
+            top_p ^= low
+            top_x |= low
+            if not p:
+                # a child without candidates is finished here, with no pass
+                # through the node block: a leaf when X is empty too, its cut
+                # then the clique's, else a dead end; C + w is built only for
+                # an observer or the sink
+                nodes += 1
+                ext = top_base + degree[w]
+                if visit is not None:
+                    visit(top_c + [w], 0, x, ext)
+                if not x:
+                    if ext < ell * (top_c_size + 1):
+                        emitted += 1
+                        if sink is not None:
+                            sink(tuple.__new__(CliqueReport, (tuple(sorted(top_c + [w])), ext)))
+                    else:
+                        filtered += 1
+                continue
+            # the node block, for a child with candidates
+            nodes += 1
             p_size = p.bit_count()
             c = top_c + [w]
             c_size = top_c_size + 1
             # C + w's cut is C's, less the 2|C| edge ends between C and w, plus
             # deg(w); |C + w|·|P| of it goes to the child's candidates
             ext = top_base + degree[w] - c_size * p_size
-            # retire i into X at once: the child's sets are already split off
-            top_p ^= low
-            top_x |= low
+            if visit is not None:
+                visit(c, p, x, ext)
+            p_bits = counts = None
+            if stages:
+                # Growing C by k <= omega_bar candidates strands the other |P| - k,
+                # each adding |C| edges to ext, so the subtree is sterile exactly
+                # when omega_bar <= t (floor division is exact for a negative
+                # numerator too, as ell + |C| >= 2). No bound is below 1.
+                t = (ext + c_size * (p_size - ell)) // (ell + c_size)
+                if t >= 1:
+                    fired = evaluate_strategy(stages, p, masks, t, stats, induced)
+                    if fired is not None:
+                        stats.prune_firings[fired] += 1
+                        continue
+            if p_size == 1:
+                # the pivot is an X bit next to P's one bit a if there is one,
+                # else a bit whose row lacks a, as rows are symmetric
+                branch = 0 if masks[p.bit_length() - 1] & x else p
+            else:
+                branch = p & ~masks[_local_pivot(masks, p, p_bits, counts, x)]
+            if branch:
+                if top_branch:
+                    stack.append((top_c, top_c_size, top_p, top_x, top_base, top_branch))
+                top_c = c
+                top_c_size = c_size
+                top_p = p
+                top_x = x
+                # C's cut, ext + |C|·|P| as P lies in N(C), less 2|C|: it stays
+                # put as P's bits retire, each moving |C| edges into ext
+                top_base = ext + c_size * (p_size - 2)
+                top_branch = branch
     stats.recursive_calls += nodes
     stats.emitted += emitted
     stats.filtered_at_leaf += filtered

@@ -18,6 +18,7 @@ from graphutil import (
     check_root_child,
     child_ext_cp,
     complete_graph,
+    complete_multipartite,
     count_search_nodes,
     empty_graph,
     erdos_renyi,
@@ -25,6 +26,7 @@ from graphutil import (
     from_scratch_ext_cp,
     graph_from_edges,
     moon_moser,
+    path_graph,
     recounted,
     star_graph,
     triangle,
@@ -425,6 +427,28 @@ def test_enumerate_all_maximal_matches_oracle():
     got = set()
     enumerate_all_maximal(g, lambda r: got.add(r.vertices))
     assert got == oracle.all_maximal_cliques_bruteforce(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: star_graph(6), lambda: path_graph(8), lambda: complete_multipartite([3, 4])],
+    ids=["star", "path", "k34"],
+)
+def test_triangle_free_graphs_match_oracle(make):
+    # no root child has an edge inside its P, and no node below one has a
+    # candidate: every maximal clique is an edge
+    g = make()
+    for ell in range(1, 7):
+        expected = oracle.l_isolated_maximal_cliques_bruteforce(g, ell)
+        for name, strategy in ALL_STRATEGIES.items():
+            got, _ = collect(g, ell, strategy)
+            assert {r.vertices for r in got} == expected, (name, ell)
+            for report in got:
+                assert report.external_degree == external_degree(g, report.vertices)
+    everything = set()
+    enumerate_all_maximal(g, lambda r: everything.add(r.vertices))
+    assert everything == oracle.all_maximal_cliques_bruteforce(g)
+    assert all(len(clique) == 2 for clique in everything)
 
 
 def test_empty_graph_runs_and_emits_nothing(monkeypatch):

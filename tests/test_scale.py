@@ -23,6 +23,7 @@ from isoclique.enumeration import split_root
 from graphutil import (
     bit_indices,
     check_root_child,
+    complete_multipartite,
     count_search_nodes,
     edges,
     empty_graph,
@@ -276,14 +277,22 @@ def test_an_unobserved_run_builds_no_search_node(monkeypatch):
     assert built == [1]  # the count is live
 
 
+# A tree: it has no triangle, so no root child has an edge inside its P, and
+# every node below a root child has no candidates.
+TREE = "ba:n=600,m=1,seed=2"
+
 # sha256 over "C P X ext_cp\n", P and X in hex, per call of a SearchNode
 # rebound to an observer, the root included, in visit order, with and without
-# a shared split; recorded when the engine still built every node for itself
+# a shared split; recorded when the engine still built every node for itself,
+# the tree's rows before nodes without candidates were finished where they
+# are split off
 OBSERVED_NODES = [
     ("ba:n=800,m=6,seed=3", "combo", 10, 4_379, "fd70644b3e6ea8a6647bf6a7ea1b3420fd42aa5155416120d33f1b107a327d0d"),
     ("ba:n=800,m=6,seed=3", "none", 50, 5_710, "f0a629ae442d11dc22427db8f0ce10e7fea9508eb5eb094c5028412f147c0a96"),
     ("gnmp:n=350,m=30,p=0.06,seed=12", "combo", 10, 2_015, "70834d7ab2983199c72e7da29ac9ce2e7f7643cc36fd7dd2da56578b8cfcf471"),
     ("gnmp:n=350,m=30,p=0.06,seed=12", "none", 50, 5_861, "37b103cc14260bc2fb3e30a65ebe87c1b074db0ca2e3f598b8a9ee3373c5129c"),
+    (TREE, "combo", 1, 738, "ce4e0637f51e2e9548f8ac22c230401ecf1c1862095caa1247d5f17fb203180b"),
+    (TREE, "none", 50, 1_157, "922437e570a48d8e246752cfc40a6e66524c6bf402b8dea2aac8d2a48cb60505"),
 ]
 
 
@@ -305,6 +314,81 @@ def test_observers_see_the_pinned_nodes(spec, strategy, ell, nodes, digest, monk
         stats = enumerate_isolated(g, ell, strategy, **kwargs)
         assert stats.recursive_calls == len(seen) == nodes
         assert sha.hexdigest() == digest
+
+
+# (strategy, ell, sha256 of the emitted sequence as run_digest takes it,
+# recursive_calls, prune_firings, emitted, filtered_at_leaf,
+# induced_degree_evals) on the tree, recorded before nodes without candidates
+# were finished where they are split off
+TREE_RUNS = [
+    ("combo", 1, "7456985414aac1ace38c0b42d7ba59fd534adc9498717f12b1619e07008431c4", 738, {"softcore": 81}, 84, 96, 81),
+    ("none", 50, "6e040758807f7de10fa58219f2ef1ec6da5fda75d113a587cdaa5a6aa7c51104", 1_157, {}, 599, 0, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "strategy, ell, digest, nodes, fired, emitted, filtered, evals",
+    TREE_RUNS,
+    ids=[f"{row[0]}-ell{row[1]}" for row in TREE_RUNS],
+)
+def test_tree_runs_are_pinned(strategy, ell, digest, nodes, fired, emitted, filtered, evals):
+    g = graph(TREE)
+    assert g.edge_count == g.vertex_count - 1
+    pinned = (digest, (nodes, fired, emitted, filtered, evals))
+    assert run_digest(g, strategy, ell) == pinned
+    assert run_digest(g, strategy, ell, split=split_root(g)) == pinned
+
+
+@pytest.mark.parametrize("spec", [TREE, "ba:n=800,m=6,seed=3"])
+def test_triangle_free_root_children_scan_no_pivot(spec, monkeypatch):
+    # a root child with no edge inside P gets all of P as its branch without
+    # a pivot scan, and every other one with two candidates or more scans
+    # once; the reference picks each pivot by brute force
+    real = enumeration._local_pivot
+    scanned = []
+
+    def scan(masks, p, p_bits, counts, x):
+        assert any(masks[i] for i in bit_indices(p)), "pivot scanned for a triangle-free root child"
+        scanned.append(1)
+        return real(masks, p, p_bits, counts, x)
+
+    monkeypatch.setattr(enumeration, "_local_pivot", scan)
+    g = graph(spec)
+    children = list(enumeration._root_children(g))
+    assert children == reference_root_children(g)
+    several = [masks for _, p, _, masks, _ in children if p.bit_count() > 1]
+    assert len(scanned) == sum(map(any, several)) < len(several)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: graph(TREE), lambda: complete_multipartite([3, 4])], ids=["tree", "k34"]
+)
+def test_recount_checks_nodes_without_candidates(make, monkeypatch):
+    # on a triangle-free graph every node below a root child has no
+    # candidates and is finished where it is split off; recounted must still
+    # see, check and count each one, at every strategy, with and without a
+    # shared split
+    g = make()
+    split = split_root(g)
+    below = []
+    real = enumeration.SearchNode
+
+    def node(c, p, x, ext_cp):
+        if len(c) > 1:
+            below.append(p)
+        return real(c, p, x, ext_cp)
+
+    for strategy in STRATEGIES:
+        for ell in (1, 2, 50):
+            plain = run_digest(g, strategy, ell)
+            for kwargs in ({}, {"split": split}):
+                monkeypatch.setattr(enumeration, "SearchNode", node)
+                with recounted(g) as recount:
+                    assert run_digest(g, strategy, ell, **kwargs) == plain
+                monkeypatch.setattr(enumeration, "SearchNode", real)
+                assert recount.nodes == plain[1][0]
+                assert recount.root_children == len(split.children)
+    assert below and not any(below)
 
 
 @pytest.mark.parametrize(
