@@ -310,7 +310,8 @@ def _silence_stdout() -> None:
 def main(argv=None) -> int:
     """Run one subcommand. Exit status: 0 on success (also when the reader
     of stdout closes it early), 1 on an unreadable or malformed input
-    file, 2 on a usage error, 3 when strategies disagree."""
+    file, 2 on a usage error, 3 when strategies disagree, 130 when
+    interrupted (Ctrl-C), with the one line ``interrupted`` on stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -323,14 +324,10 @@ def main(argv=None) -> int:
         return 0
     except GeneratorConfigError as exc:
         parser.error(str(exc))  # exits with status 2
-    except EdgeListParseError as exc:
+    except (EdgeListParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     raise AssertionError("unreachable")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,9 +4,9 @@ Each search node owns the classic triple: C, the clique under
 construction; P, the candidates that are adjacent to all of C and may
 still extend it; and X, the vertices adjacent to all of C whose maximal
 cliques were already reported. Branching only on candidates outside the
-pivot's neighborhood keeps the tree small, and a per-node counter of the
-edges leaving C (ignoring P) is maintained incrementally so pruning
-tests and the final isolation filter never rescan the graph. There is
+pivot's neighborhood keeps the tree small, and each node's cut, the
+edges with exactly one end in C, is kept incrementally so pruning tests
+and the final isolation filter never rescan the graph. There is
 one search: listing every maximal clique (enumerate_all_maximal) is the
 isolated search at factor n + 1 under strategy "none", for n vertices,
 whose leaf filter keeps every clique.
@@ -67,9 +67,10 @@ class SearchNode:
     """One visited node of the search tree, as an observer sees it.
 
     P and X are bitsets: over V at the root, and over a root child's
-    neighbourhood below it (see _search_subproblem). ``ext_cp`` counts the
-    edges from C to vertices outside C and P; the tests recount it from
-    scratch at every node they observe (see recounted in tests/graphutil.py).
+    neighbourhood below it (see _search_subproblem). ``ext_cp``, C's cut
+    less |C|·|P|, counts the edges from C to vertices outside C and P; the
+    tests recount it at every node they observe (see recounted in
+    tests/graphutil.py).
 
     The search builds none for its own use. When this module's name
     SearchNode is rebound to another callable of ``(c, p, x, ext_cp)``, such
@@ -86,8 +87,8 @@ class SearchNode:
 # The class itself, to tell an observer rebound at the name SearchNode. The
 # hook is that name, not a separate _visit global, because perfbench's tracer
 # (NODE_HOOK) and its node-count test count constructions of SearchNode, and
-# the benchmark changes only on its own. Once it counts nodes from RunStats,
-# an explicit hook can take this one's place (ROADMAP item 2(c)).
+# the benchmark changes only on its own. An explicit hook can take this one's
+# place once the benchmark counts nodes from RunStats.
 _NODE = SearchNode
 
 
@@ -345,18 +346,21 @@ def _search_subproblem(
     is one branching step: it splits off the next child of the open node,
     the deepest node with branches left. A child without candidates is
     finished there: it is counted, observed with the ``(C + w, 0, X,
-    ext)`` a node block would see, and emitted or filtered if X is empty
-    too. It needs no |P| and no |C|·|P| product, and C + w is built only
-    for the sink or an observer. A child with candidates goes through the
-    node block (count, prune test, pivot). The open node's frame lives in
-    locals (``top_*``): a pruned node or one without branches is finished
-    where it is visited, and a sibling only retires its bit into those
-    locals. When a child with branches opens below it, the open node goes
-    on the stack as the tuple of those locals if it has branches left, and
-    they are unpacked from it when that child's subtree is done. The root
-    child is done when no open node is left. A SearchNode is built for a
-    visited node only when the name is rebound to an observer (see
-    SearchNode).
+    cut)`` a node block would see, and emitted or filtered if X is empty
+    too. C + w is built only for the sink or an observer. A child with
+    candidates goes through the node block (count, prune test, pivot).
+
+    A node keeps C's cut, not ``ext_cp``: adding s candidates to C removes
+    at most |C|·s edges from it, so the threshold t, the leaf filter and
+    the next child's cut need no |P|, which only an observer pays for. The
+    open node's frame lives in locals (``top_*``): a pruned node or one
+    without branches is finished where it is visited, and a sibling only
+    retires its bit into those locals. When a child with branches opens
+    below it, the open node goes on the stack as the tuple of those locals
+    if it has branches left, and they are unpacked from it when that
+    child's subtree is done. The root child is done when no open node is
+    left. A SearchNode is built for a visited node only when the name is
+    rebound to an observer (see SearchNode).
     """
     adjacency = g.adjacency
     degree = list(map(len, adjacency))
@@ -391,14 +395,11 @@ def _search_subproblem(
                 if sink is not None:
                     sink(tuple.__new__(CliqueReport, ((v,), 0)))
             continue
-        p_size = p.bit_count()
-        # with C empty a child's ext_cp reduces to deg(v) - |P|
-        ext = degree[v] - p_size
         if visit is not None:
-            visit([v], p, x, ext)
+            visit([v], p, x, degree[v] - p.bit_count())
         if stages:
-            # the prune test below, at |C| = 1
-            t = (ext + p_size - ell) // (ell + 1)
+            # the prune test below, at |C| = 1, where C's cut is deg(v)
+            t = (degree[v] - ell) // (ell + 1)
             if t >= 1:
                 fired = evaluate_strategy(stages, p, masks, t, stats, induced)
                 if fired is not None:
@@ -412,7 +413,7 @@ def _search_subproblem(
         top_c_size = 1
         top_p = p
         top_x = x
-        top_base = ext + p_size - 2
+        top_base = degree[v] - 2
         top_branch = branch
         while True:
             # the branching step: split off the next unbranched bit of the
@@ -433,46 +434,41 @@ def _search_subproblem(
             # retire i into X at once: the child's sets are already split off
             top_p ^= low
             top_x |= low
+            nodes += 1
+            # C + w's cut: C's, less the 2|C| edge ends between C and w, plus deg(w)
+            cut = top_base + degree[w]
             if not p:
                 # a child without candidates is finished here, with no pass
-                # through the node block: a leaf when X is empty too, its cut
-                # then the clique's, else a dead end; C + w is built only for
-                # an observer or the sink
-                nodes += 1
-                ext = top_base + degree[w]
+                # through the node block: a leaf when X is empty too, else a
+                # dead end; C + w is built only for an observer or the sink
                 if visit is not None:
-                    visit(top_c + [w], 0, x, ext)
+                    visit(top_c + [w], 0, x, cut)
                 if not x:
-                    if ext < ell * (top_c_size + 1):
+                    if cut < ell * (top_c_size + 1):
                         emitted += 1
                         if sink is not None:
-                            sink(tuple.__new__(CliqueReport, (tuple(sorted(top_c + [w])), ext)))
+                            sink(tuple.__new__(CliqueReport, (tuple(sorted(top_c + [w])), cut)))
                     else:
                         filtered += 1
                 continue
             # the node block, for a child with candidates
-            nodes += 1
-            p_size = p.bit_count()
             c = top_c + [w]
             c_size = top_c_size + 1
-            # C + w's cut is C's, less the 2|C| edge ends between C and w, plus
-            # deg(w); |C + w|·|P| of it goes to the child's candidates
-            ext = top_base + degree[w] - c_size * p_size
             if visit is not None:
-                visit(c, p, x, ext)
+                visit(c, p, x, cut - c_size * p.bit_count())
             p_bits = counts = None
             if stages:
-                # Growing C by k <= omega_bar candidates strands the other |P| - k,
-                # each adding |C| edges to ext, so the subtree is sterile exactly
-                # when omega_bar <= t (floor division is exact for a negative
-                # numerator too, as ell + |C| >= 2). No bound is below 1.
-                t = (ext + c_size * (p_size - ell)) // (ell + c_size)
+                # Growing C by s <= omega_bar candidates leaves at least
+                # cut - |C|·s edges against a budget of ell·(|C| + s), so the
+                # subtree is sterile exactly when omega_bar <= t (floor division
+                # is exact for a negative numerator too, as ell + |C| >= 2).
+                t = (cut - c_size * ell) // (ell + c_size)
                 if t >= 1:
                     fired = evaluate_strategy(stages, p, masks, t, stats, induced)
                     if fired is not None:
                         stats.prune_firings[fired] += 1
                         continue
-            if p_size == 1:
+            if not p & (p - 1):
                 # the pivot is an X bit next to P's one bit a if there is one,
                 # else a bit whose row lacks a, as rows are symmetric
                 branch = 0 if masks[p.bit_length() - 1] & x else p
@@ -485,9 +481,8 @@ def _search_subproblem(
                 top_c_size = c_size
                 top_p = p
                 top_x = x
-                # C's cut, ext + |C|·|P| as P lies in N(C), less 2|C|: it stays
-                # put as P's bits retire, each moving |C| edges into ext
-                top_base = ext + c_size * (p_size - 2)
+                # C's cut less 2|C|, shared by every child of C
+                top_base = cut - 2 * c_size
                 top_branch = branch
     stats.recursive_calls += nodes
     stats.emitted += emitted

@@ -3,15 +3,16 @@
 A vertex set of size k is isolated at factor ell when strictly fewer
 than ell * k edges leave it. At a search node, any clique the subtree
 can still report is the current clique C extended by some clique of the
-subgraph induced by the candidate set P. Each candidate left behind is
-adjacent to all of C and therefore contributes len(C) external edges, so
-an upper bound on how large a clique P can supply turns into a lower
-bound on the external edges of anything grown here. When that lower
-bound already breaks the isolation budget, the whole subtree is sterile
-and can be skipped without losing any qualifying clique. The budget
-comes down to one integer per node, the threshold t that the search
-computes and hands to evaluate_strategy: the subtree is sterile exactly
-when the clique bound is at most t.
+subgraph induced by the candidate set P. Adding s candidates to C
+removes at most len(C)·s edges from C's cut, the edges with exactly one
+end in C, so an upper bound on how large a clique P can supply turns
+into a lower bound on the external edges of anything grown here. When
+that lower bound already breaks the isolation budget, the whole subtree
+is sterile and can be skipped without losing any qualifying clique. The
+budget comes down to one integer per node, the threshold
+t = (cut - ell·len(C)) // (ell + len(C)) that the search computes and
+hands to evaluate_strategy: the subtree is sterile exactly when the
+clique bound is at most t.
 
 Four bounds are available, cheapest and loosest first, with their tests:
 the candidate count (a popcount), the maximum induced degree plus one (a

@@ -189,7 +189,7 @@ def test_closed_stdout_exits_quietly(extra, lines_read):
     # about 120 kB of cliques, more than a pipe buffer holds
     argv = ["enumerate", "--gen", "ba:n=3000,m=4,seed=1", "--ell", "250", *extra]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "isoclique.cli", *argv],
+        [sys.executable, "-m", "isoclique", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -205,6 +205,32 @@ def test_closed_stdout_exits_quietly(extra, lines_read):
         proc.stderr.close()
     assert err == b""
     assert code == 0
+
+
+INTERRUPTED_GENERATE = """
+import os, signal, sys
+from isoclique import cli
+signal.signal(signal.SIGALRM, signal.default_int_handler)
+signal.setitimer(signal.ITIMER_REAL, 0.5)
+sys.exit(cli.main(["generate", "--gen", "ba:n=3000000,m=4,seed=1", "--out", os.devnull]))
+"""
+
+
+def test_interrupt_exits_with_one_line():
+    # SIGALRM raises KeyboardInterrupt half a second into a generate run that
+    # takes far longer, as Ctrl-C would
+    src_dir = Path(isoclique.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    proc = subprocess.run(
+        [sys.executable, "-c", INTERRUPTED_GENERATE],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 130
+    assert err.splitlines() == ["interrupted"]
+    assert "Traceback" not in err
 
 
 def test_load_diagnostics_reported_on_stderr(capsys, tmp_path):
