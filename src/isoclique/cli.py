@@ -3,7 +3,8 @@
 Subcommands: enumerate (report cliques for one isolation factor), sweep
 (CSV of counts across factors), distribution (CSV of clique sizes and
 their isolated breakdown), compare (call counts and timings across
-pruning strategies), and generate (write a synthetic benchmark graph).
+pruning strategies, whose passes run in forked worker processes), and
+generate (write a synthetic benchmark graph).
 Data goes to stdout or --out; diagnostics go to stderr.
 """
 
@@ -11,13 +12,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import marshal
 import os
+import signal
 import sys
-from collections import defaultdict
-from contextlib import nullcontext
+import threading
+from collections import Counter, defaultdict
+from contextlib import nullcontext, suppress
 from time import perf_counter
+from typing import NoReturn
 
-from .enumeration import enumerate_all_maximal, enumerate_isolated, split_root
+from . import enumeration
+from .enumeration import RunStats, enumerate_all_maximal, enumerate_isolated, split_root
 from .generators import (
     GeneratorConfigError,
     canonical_spec,
@@ -246,29 +252,163 @@ def _cmd_distribution(args) -> int:
     return 0
 
 
+class WorkerError(RuntimeError):
+    """A worker process of ``compare`` could not start or sent no result."""
+
+
+def _compare_jobs(passes: int) -> int:
+    """How many processes share ``compare``'s ``passes``: one per CPU this
+    process may run on, at most one per pass. It is 1 where os.fork or the
+    CPU affinity calls are missing; while another thread runs, as a forked
+    child could block on a lock that thread held; and while an observer is
+    bound at enumeration.SearchNode, since an observer counts in its own
+    process."""
+    if (
+        not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+        or enumeration.SearchNode is not enumeration._NODE
+    ):
+        return 1
+    return min(passes, len(os.sched_getaffinity(0)))
+
+
+def _pass(g: Graph, ell: int, name: str, split) -> tuple[RunStats, int]:
+    """One strategy's run over the shared split, and an order-sensitive hash
+    of the cliques it emits. Tuples of ints hash alike in every process."""
+    digest = 0
+
+    def sink(report) -> None:
+        nonlocal digest
+        digest = hash((digest, report.vertices))
+
+    stats = enumerate_isolated(g, ell, name, sink, split=split)
+    return stats, digest
+
+
+def _leave_parent_cpu() -> None:
+    """Move this forked worker off the CPU it was forked on, then allow it
+    every CPU again. A forked child starts on its parent's CPU, and the
+    scheduler may leave it there, so the two would take turns on one CPU
+    while another idles. The CPU is field 39 of /proc/self/stat, the 37th
+    after the parenthesised command name. Best effort: the move is skipped
+    where it fails."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        with open("/proc/self/stat", "rb") as fh:
+            stat = fh.read()
+        others = allowed - {int(stat[stat.rindex(b")") + 2 :].split()[36])}
+        if others:
+            os.sched_setaffinity(0, others)
+            os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
+def _worker(g: Graph, ell: int, share: list[str], split, write: int) -> NoReturn:
+    """Run ``share``'s passes in a forked worker, write their RunStats fields
+    and hashes to the pipe's ``write`` end as marshal data, and exit: with
+    status 0 once the data is written, else 1. Never returns, whatever it
+    raises, so the worker cannot run its caller's code."""
+    code = 1
+    try:
+        _leave_parent_cpu()
+        runs = [_pass(g, ell, name, split) for name in share]
+        data = marshal.dumps(
+            [(dict(vars(stats), prune_firings=dict(stats.prune_firings)), digest) for stats, digest in runs]
+        )
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_passes(g: Graph, ell: int, names: list[str], split, jobs: int) -> dict[str, tuple[RunStats, int]]:
+    """Each strategy of ``names`` run over ``split`` as _pass runs it, keyed
+    in the order of ``names``.
+
+    The passes are dealt round-robin over ``jobs`` processes. This one runs
+    the first share and forks a worker for each other share, which inherits
+    the graph and the split (see _worker). Every worker is reaped before
+    this returns or raises: on any exception, Ctrl-C included, the workers
+    left are killed first. A worker that fails raises WorkerError.
+    """
+    shares = [names[i::jobs] for i in range(jobs)]
+    pending = []  # (pid, read end, share) of each worker not yet reaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(read)
+                os.close(write)
+                raise WorkerError(f"cannot start a worker process: {exc.strerror}") from None
+            if not pid:
+                _worker(g, ell, share, split, write)
+            os.close(write)
+            pending.append((pid, open(read, "rb"), share))
+        runs = {name: _pass(g, ell, name, split) for name in shares[0]}
+        while pending:
+            pid, pipe, share = pending[0]
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del pending[0]
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise WorkerError(f"the worker process running {','.join(share)} {how}")
+            for name, (fields, digest) in zip(share, marshal.loads(data)):
+                fields["prune_firings"] = Counter(fields["prune_firings"])
+                runs[name] = RunStats(**fields), digest
+    except BaseException:
+        for pid, pipe, _ in pending:
+            pipe.close()
+            # the worker may have been reaped just before the exception
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        raise
+    return {name: runs[name] for name in names}
+
+
+def _disagreement(runs: dict[str, tuple[RunStats, int]]) -> str | None:
+    """None when every pass of ``runs`` emitted the cliques the baseline
+    "none" emitted, in the same order, judged by count and hash; else a
+    message naming the strategies that differ."""
+    expected = runs["none"][0].emitted, runs["none"][1]
+    odd = [name for name, (stats, digest) in runs.items() if (stats.emitted, digest) != expected]
+    if not odd:
+        return None
+    counts = ", ".join(f"{name}={stats.emitted}" for name, (stats, _) in runs.items())
+    return (
+        f"strategies {', '.join(odd)} disagree with none on the reported cliques, their count "
+        f"or their order (emitted: {counts}); this indicates a pruning soundness bug"
+    )
+
+
 def _cmd_compare(args) -> int:
     g, label = _resolve_graph(args)
     shown = list(dict.fromkeys(args.strategies))
     # the baseline run is needed for the call percentages even if not shown
     names = shown if "none" in shown else ["none", *shown]
     split, rows_ms = _timed_split(g)
-    runs = {name: enumerate_isolated(g, args.ell, name, split=split) for name in names}
-
-    emitted = {stats.emitted for stats in runs.values()}
-    if len(emitted) > 1:
-        detail = ", ".join(f"{name}={runs[name].emitted}" for name in names)
-        print(
-            f"internal error: strategies disagree on the reported clique count ({detail}); "
-            "this indicates a pruning soundness bug",
-            file=sys.stderr,
-        )
+    jobs = _compare_jobs(len(names))
+    passes = _run_passes(g, args.ell, names, split, jobs)
+    problem = _disagreement(passes)
+    if problem is not None:
+        print(f"internal error: {problem}", file=sys.stderr)
         return 3
+    runs = {name: stats for name, (stats, _) in passes.items()}
 
     base_calls = runs["none"].recursive_calls
     slowest = max(runs[name].wall_time for name in shown)
     with _open_out(args) as out:
         print(
-            f"# graph={label} ell={args.ell} baseline_calls={base_calls} rows_ms={rows_ms:.2f}",
+            f"# graph={label} ell={args.ell} baseline_calls={base_calls} rows_ms={rows_ms:.2f} "
+            f"jobs={jobs}",
             file=out,
         )
         print(
@@ -310,8 +450,10 @@ def _silence_stdout() -> None:
 def main(argv=None) -> int:
     """Run one subcommand. Exit status: 0 on success (also when the reader
     of stdout closes it early), 1 on an unreadable or malformed input
-    file, 2 on a usage error, 3 when strategies disagree, 130 when
-    interrupted (Ctrl-C), with the one line ``interrupted`` on stderr."""
+    file, 2 on a usage error, 3 when strategies disagree, 4 when memory
+    runs out or a worker process of ``compare`` fails, with a one-line
+    ``error:`` on stderr, and 130 when interrupted (Ctrl-C), with the one
+    line ``interrupted`` on stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -327,6 +469,12 @@ def main(argv=None) -> int:
     except (EdgeListParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

@@ -1,19 +1,44 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
+from graphutil import count_search_nodes
 
 import isoclique
-from isoclique import load_edge_list
+from isoclique import cli, load_edge_list
 from isoclique.cli import main
+from isoclique.enumeration import CliqueReport, RunStats, split_root
 
 TRIANGLE_PENDANT = "a b\nb c\nc a\na d\n"
+
+# compare forks one worker per usable CPU beyond its own, where os.fork and
+# the CPU affinity calls exist
+forks = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+    reason="compare runs its passes serially on this platform",
+)
+
+
+def usable_cpus(monkeypatch, count):
+    """Make compare see ``count`` usable CPUs, so that it runs ``count``
+    processes for its six passes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    # every compare below runs in at most two processes, whatever the machine has
+    if hasattr(os, "sched_getaffinity"):
+        usable_cpus(monkeypatch, 2)
 
 
 @pytest.fixture
@@ -435,3 +460,155 @@ def test_generate_seed_flag_fills_missing_seed(capsys, tmp_path):
     run_cli(capsys, "generate", "--gen", "ba:n=20,m=2", "--seed", "77", "--out", str(a))
     run_cli(capsys, "generate", "--gen", "ba:n=20,m=2,seed=77", "--out", str(b))
     assert a.read_text() == b.read_text()
+
+
+def compare_columns(out):
+    """The ``calls`` and ``emitted`` columns of a compare table, per strategy."""
+    return {name: (row["calls"], row["emitted"]) for name, row in parse_compare(out).items()}
+
+
+@forks
+@pytest.mark.parametrize(
+    "spec", ["gnmp:n=350,m=30,p=0.06,seed=12", "ba:n=3000,m=4,seed=1", "ba:n=2000,m=1,seed=1"]
+)
+def test_parallel_compare_matches_serial(capsys, monkeypatch, spec):
+    g = isoclique.generate(isoclique.parse_generator_spec(spec))
+    split = split_root(g)
+    names = list(isoclique.STRATEGIES)
+    for ell in (1, 5, 50):
+        serial = cli._run_passes(g, ell, names, split, 1)
+        parallel = cli._run_passes(g, ell, names, split, 2)
+        assert list(parallel) == names
+        for name in names:
+            # every RunStats field but wall_time, and the emitted sequence's hash
+            (a, a_digest), (b, b_digest) = serial[name], parallel[name]
+            assert dataclasses.replace(a, wall_time=0.0) == dataclasses.replace(b, wall_time=0.0)
+            assert a_digest == b_digest
+        tables = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            code, out, _ = run_cli(capsys, "compare", "--gen", spec, "--ell", str(ell))
+            assert code == 0
+            assert header_field(out.splitlines()[0], "jobs") == str(cpus)
+            tables.append(compare_columns(out))
+        assert tables[0] == tables[1]
+        assert tables[0]["none"] == (serial["none"][0].recursive_calls, serial["none"][0].emitted)
+
+
+def test_compare_check_sees_order_not_only_counts(monkeypatch):
+    def run_emitting(*cliques):
+        def run(g, ell, strategy, sink, *, split):
+            for vertices in cliques:
+                sink(CliqueReport(vertices, 0))
+            return RunStats(emitted=len(cliques))
+
+        monkeypatch.setattr(cli, "enumerate_isolated", run)
+        return cli._pass(None, 1, "none", None)
+
+    none = run_emitting((0, 1), (2, 3))
+    assert cli._disagreement({"none": none, "size": run_emitting((0, 1), (2, 3))}) is None
+    swapped = run_emitting((2, 3), (0, 1))
+    assert swapped[0].emitted == none[0].emitted
+    problem = cli._disagreement({"none": none, "size": swapped, "combo": none})
+    assert problem.startswith("strategies size disagree with none on the reported cliques")
+
+
+def test_compare_exits_3_on_reordered_output(capsys, monkeypatch):
+    # one strategy emits the baseline's cliques in reverse order: same count
+    real = cli.enumerate_isolated
+
+    def reordered(g, ell, strategy, sink, *, split):
+        if strategy != "softcore":
+            return real(g, ell, strategy, sink, split=split)
+        reports = []
+        stats = real(g, ell, strategy, reports.append, split=split)
+        for report in reversed(reports):
+            sink(report)
+        return stats
+
+    monkeypatch.setattr(cli, "enumerate_isolated", reordered)
+    code, out, err = run_cli(capsys, "compare", "--gen", "ba:n=800,m=6,seed=3", "--ell", "20")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: strategies softcore disagree with none")
+    assert err.count("\n") == 1
+
+
+def test_compare_with_observer_runs_serially(capsys, monkeypatch):
+    nodes = count_search_nodes(monkeypatch)
+    code, out, _ = run_cli(capsys, "compare", "--gen", "gnmp:n=350,m=30,p=0.06,seed=12", "--ell", "50")
+    assert code == 0
+    assert header_field(out.splitlines()[0], "jobs") == "1"
+    assert len(nodes) == sum(calls for calls, _ in compare_columns(out).values())
+
+
+def test_compare_with_another_thread_runs_serially(capsys, pendant_file):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        code, out, _ = run_cli(capsys, "compare", "--graph", pendant_file, "--ell", "1")
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert code == 0
+    assert header_field(out.splitlines()[0], "jobs") == "1"
+
+
+@forks
+@pytest.mark.parametrize(
+    "fault, status, message",
+    [
+        (None, 0, ""),
+        ("raise", 4, "error: the worker process running size,softcore,combo exited with status 1\n"),
+        ("kill", 4, f"error: the worker process running size,softcore,combo was killed by signal {int(signal.SIGKILL)}\n"),
+        ("interrupt", 130, "interrupted\n"),
+    ],
+)
+def test_no_worker_outlives_compare(capsys, monkeypatch, fault, status, message):
+    parent = os.getpid()
+    real = cli.enumerate_isolated
+
+    def faulty(g, ell, strategy, sink, *, split):
+        in_worker = os.getpid() != parent
+        if in_worker and fault == "raise":
+            raise MemoryError
+        if in_worker and fault == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if not in_worker and fault == "interrupt":
+            # Ctrl-C in the parent at its first clique, while the worker runs
+            def sink(report):
+                raise KeyboardInterrupt
+
+        return real(g, ell, strategy, sink, split=split)
+
+    monkeypatch.setattr(cli, "enumerate_isolated", faulty)
+    code, _, err = run_cli(capsys, "compare", "--gen", "gnmp:n=350,m=30,p=0.06,seed=12", "--ell", "50")
+    assert (code, err) == (status, message)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+OUT_OF_MEMORY = """
+import os, resource, sys
+from isoclique import cli
+with open("/proc/self/status") as fh:
+    size_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+limit = (size_kib + 64 * 1024) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(cli.main(["generate", "--gen", "ba:n=100000000,m=2,seed=1", "--out", os.devnull]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_out_of_memory_exits_with_one_line():
+    # a child process whose address space may grow by 64 MiB generates a
+    # graph that needs far more
+    src_dir = Path(isoclique.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY], capture_output=True, env=env, timeout=120
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.decode().splitlines() == ["error: out of memory"]
