@@ -24,12 +24,7 @@ from typing import NoReturn
 
 from . import enumeration
 from .enumeration import RunStats, enumerate_all_maximal, enumerate_isolated, split_root
-from .generators import (
-    GeneratorConfigError,
-    canonical_spec,
-    generate,
-    parse_generator_spec,
-)
+from .generators import GeneratorConfigError, canonical_spec, generate, parse_generator_spec
 from .graph import EdgeListParseError, Graph, load_edge_list_report, write_edge_list
 from .pruning import STRATEGIES
 
@@ -75,9 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--gen",
         metavar="SPEC",
         help="generator spec, e.g. ba:n=100,m=5,seed=1 or gnmp:n=50,m=10,p=0.1,seed=1",
-    )
-    source.add_argument(
-        "--seed", type=int, default=0, help="seed used when the generator spec omits one"
     )
 
     out = argparse.ArgumentParser(add_help=False)
@@ -132,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", parents=[out], help="write a synthetic graph")
     p_gen.add_argument("--gen", metavar="SPEC", required=True, help="generator spec")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.set_defaults(handler=_cmd_generate)
+    p_gen.set_defaults(handler=_cmd_generate, graph=None)
 
     return parser
 
@@ -159,7 +150,7 @@ def _resolve_graph(args) -> tuple[Graph, str]:
                 file=sys.stderr,
             )
         return report.graph, args.graph
-    cfg = parse_generator_spec(args.gen, default_seed=args.seed)
+    cfg = parse_generator_spec(args.gen)
     return generate(cfg), canonical_spec(cfg)
 
 
@@ -428,10 +419,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    cfg = parse_generator_spec(args.gen, default_seed=args.seed)
-    g = generate(cfg)
+    g, label = _resolve_graph(args)
     with _open_out(args) as out:
-        write_edge_list(g, out, header_comments=[f"generated: {canonical_spec(cfg)}"])
+        write_edge_list(g, out, header_comments=[f"generated: {label}"])
     return 0
 
 

@@ -401,9 +401,7 @@ def _search_subproblem(
             # the prune test below, at |C| = 1, where C's cut is deg(v)
             t = (degree[v] - ell) // (ell + 1)
             if t >= 1:
-                fired = evaluate_strategy(stages, p, masks, t, stats, induced)
-                if fired is not None:
-                    stats.prune_firings[fired] += 1
+                if evaluate_strategy(stages, p, masks, t, stats, induced) is not None:
                     continue
         if not branch:
             continue
@@ -464,9 +462,7 @@ def _search_subproblem(
                 # is exact for a negative numerator too, as ell + |C| >= 2).
                 t = (cut - c_size * ell) // (ell + c_size)
                 if t >= 1:
-                    fired = evaluate_strategy(stages, p, masks, t, stats, induced)
-                    if fired is not None:
-                        stats.prune_firings[fired] += 1
+                    if evaluate_strategy(stages, p, masks, t, stats, induced) is not None:
                         continue
             if not p & (p - 1):
                 # the pivot is an X bit next to P's one bit a if there is one,

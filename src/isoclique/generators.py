@@ -9,12 +9,13 @@ same graph byte for byte within this implementation. Both models fill
 the graph's neighbour rows as they draw, with no edge list, and hand
 them to the graph's finishing step, which turns the rows into sorted
 tuples in place.
+
+A family is one config dataclass, one generator and one ``FAMILIES`` entry;
+specs are parsed and written from the dataclass's fields, in field order.
 """
 
-from __future__ import annotations
-
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .graph import Graph
 
@@ -77,24 +78,29 @@ def generate_ba(cfg: BAConfig) -> Graph:
     n, m = cfg.n, cfg.m
     pool: list[int] = []  # one entry per edge endpoint: degree-weighted sampling
     seed_size = m + 1
-    rows: list[list[int]] = [[u for u in range(seed_size) if u != v] for v in range(seed_size)]
-    for u in range(seed_size):
-        pool.extend([u] * m)
-    for v in range(seed_size, n):
-        size = len(pool)
-        k = size.bit_length()
-        targets: set[int] = set()
-        while len(targets) < m:
-            r = getrandbits(k)
-            while r >= size:
+    try:
+        rows: list[list[int]] = [[u for u in range(seed_size) if u != v] for v in range(seed_size)]
+        for u in range(seed_size):
+            pool.extend([u] * m)
+        for v in range(seed_size, n):
+            size = len(pool)
+            k = size.bit_length()
+            targets: set[int] = set()
+            while len(targets) < m:
                 r = getrandbits(k)
-            targets.add(pool[r])
-        ordered = sorted(targets)
-        for t in ordered:
-            rows[t].append(v)
-        rows.append(ordered)
-        pool += ordered
-        pool.extend([v] * m)
+                while r >= size:
+                    r = getrandbits(k)
+                targets.add(pool[r])
+            ordered = sorted(targets)
+            for t in ordered:
+                rows[t].append(v)
+            rows.append(ordered)
+            pool += ordered
+            pool.extend([v] * m)
+    except MemoryError:
+        # drop the lists first: unwinding needs memory for each traceback entry
+        rows = pool = None
+        raise
     del pool
     return Graph._from_rows(rows, None)
 
@@ -108,46 +114,53 @@ def generate_feature_model(cfg: FeatureModelConfig) -> Graph:
     sharing several features repeats, and the finishing step keeps it once.
     """
     rng = random.Random(cfg.seed)
-    classes: list[list[int]] = [[] for _ in range(cfg.m)]
-    for v in range(cfg.n):
-        for f in range(cfg.m):
-            if rng.random() < cfg.p:
-                classes[f].append(v)
-    rows: list[list[int]] = [[] for _ in range(cfg.n)]
-    for members in classes:
-        for i, u in enumerate(members):
-            row = rows[u]
-            row += members[:i]
-            row += members[i + 1 :]
+    try:
+        classes: list[list[int]] = [[] for _ in range(cfg.m)]
+        for v in range(cfg.n):
+            for f in range(cfg.m):
+                if rng.random() < cfg.p:
+                    classes[f].append(v)
+        rows: list[list[int]] = [[] for _ in range(cfg.n)]
+        for members in classes:
+            for i, u in enumerate(members):
+                row = rows[u]
+                row += members[:i]
+                row += members[i + 1 :]
+    except MemoryError:
+        classes = rows = None  # as in generate_ba
+        raise
     return Graph._from_rows(rows, None)
 
 
-def generate(cfg: BAConfig | FeatureModelConfig) -> Graph:
-    if isinstance(cfg, BAConfig):
-        return generate_ba(cfg)
-    if isinstance(cfg, FeatureModelConfig):
-        return generate_feature_model(cfg)
+FAMILIES = {
+    "ba": (BAConfig, generate_ba),
+    "gnmp": (FeatureModelConfig, generate_feature_model),
+}
+
+
+def _kind(cfg) -> str:
+    for kind, (config, _) in FAMILIES.items():
+        if isinstance(cfg, config):
+            return kind
     raise TypeError(f"unsupported generator config {type(cfg).__name__}")
 
 
-_SPEC_FIELDS = {
-    "ba": {"n": int, "m": int, "seed": int},
-    "gnmp": {"n": int, "m": int, "p": float, "seed": int},
-}
-_REQUIRED = {"ba": ("n", "m"), "gnmp": ("n", "m", "p")}
+def generate(cfg) -> Graph:
+    """The graph of ``cfg``, a config of one of the ``FAMILIES``."""
+    return FAMILIES[_kind(cfg)][1](cfg)
 
 
-def parse_generator_spec(spec: str, default_seed: int = 0) -> BAConfig | FeatureModelConfig:
-    """Parse a spec string like ``ba:n=100,m=5,seed=7`` or
-    ``gnmp:n=50,m=10,p=0.1``; a missing seed falls back to default_seed."""
+def parse_generator_spec(spec: str):
+    """Parse a spec like ``gnmp:n=50,m=10,p=0.1``: a kind of ``FAMILIES``, then
+    its config's fields, each at most once; fields with a default may be left out."""
     kind, sep, body = spec.partition(":")
     kind = kind.strip()
-    if not sep or kind not in _SPEC_FIELDS:
-        raise GeneratorConfigError(
-            f"unknown generator spec {spec!r}; expected 'ba:...' or 'gnmp:...'"
-        )
-    types = _SPEC_FIELDS[kind]
-    fields: dict[str, object] = {}
+    if not sep or kind not in FAMILIES:
+        expected = " or ".join(f"'{name}:...'" for name in FAMILIES)
+        raise GeneratorConfigError(f"unknown generator spec {spec!r}; expected {expected}")
+    config = FAMILIES[kind][0]
+    types = {f.name: f.type for f in fields(config)}
+    values: dict[str, object] = {}
     for item in body.split(","):
         item = item.strip()
         if not item:
@@ -156,27 +169,22 @@ def parse_generator_spec(spec: str, default_seed: int = 0) -> BAConfig | Feature
         key = key.strip()
         if not sep or key not in types:
             raise GeneratorConfigError(f"bad field {item!r} in generator spec {spec!r}")
-        if key in fields:
+        if key in values:
             raise GeneratorConfigError(f"field {key!r} is repeated in generator spec {spec!r}")
         try:
-            fields[key] = types[key](raw.strip())
+            values[key] = types[key](raw.strip())
         except ValueError:
             raise GeneratorConfigError(
                 f"field {key!r} in generator spec {spec!r} is not a valid {types[key].__name__}"
             ) from None
-    missing = [name for name in _REQUIRED[kind] if name not in fields]
+    missing = [f.name for f in fields(config) if f.default is MISSING and f.name not in values]
     if missing:
-        raise GeneratorConfigError(
-            f"generator spec {spec!r} is missing {', '.join(missing)}"
-        )
-    fields.setdefault("seed", default_seed)
-    return BAConfig(**fields) if kind == "ba" else FeatureModelConfig(**fields)
+        raise GeneratorConfigError(f"generator spec {spec!r} is missing {', '.join(missing)}")
+    return config(**values)
 
 
-def canonical_spec(cfg: BAConfig | FeatureModelConfig) -> str:
-    """Normalized spec string for a config; stable across runs."""
-    if isinstance(cfg, BAConfig):
-        return f"ba:n={cfg.n},m={cfg.m},seed={cfg.seed}"
-    if isinstance(cfg, FeatureModelConfig):
-        return f"gnmp:n={cfg.n},m={cfg.m},p={cfg.p!r},seed={cfg.seed}"
-    raise TypeError(f"unsupported generator config {type(cfg).__name__}")
+def canonical_spec(cfg) -> str:
+    """Normalized spec string for a config, every field in field order;
+    stable across runs."""
+    kind = _kind(cfg)
+    return kind + ":" + ",".join(f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg))

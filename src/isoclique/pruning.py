@@ -136,7 +136,7 @@ def evaluate_strategy(
     t >= 1: no bound is below 1. ``size`` reads only ``p``; other stages
     read ``degrees()``, P's bits in ascending order and their induced
     degrees in that order, called at most once and counted in
-    ``stats.induced_degree_evals``.
+    ``stats.induced_degree_evals``. A firing counts in ``stats.prune_firings``.
     """
     bits = counts = None
     for name, fits in stages:
@@ -144,5 +144,6 @@ def evaluate_strategy(
             bits, counts = degrees()
             stats.induced_degree_evals += 1
         if fits(p, bits, counts, masks, t):
+            stats.prune_firings[name] += 1
             return name
     return None

@@ -454,12 +454,33 @@ def test_generate_empty_feature_model(capsys, tmp_path):
     assert (g.vertex_count, g.edge_count) == (10, 0)
 
 
-def test_generate_seed_flag_fills_missing_seed(capsys, tmp_path):
-    a = tmp_path / "a.txt"
-    b = tmp_path / "b.txt"
-    run_cli(capsys, "generate", "--gen", "ba:n=20,m=2", "--seed", "77", "--out", str(a))
-    run_cli(capsys, "generate", "--gen", "ba:n=20,m=2,seed=77", "--out", str(b))
-    assert a.read_text() == b.read_text()
+@pytest.mark.parametrize(
+    "spec, header",
+    [
+        ("gnmp:n=350,m=30,p=0.06,seed=12", "# generated: gnmp:n=350,m=30,p=0.06,seed=12"),
+        ("gnmp:n=4,m=2,p=1", "# generated: gnmp:n=4,m=2,p=1.0,seed=0"),
+        ("ba:n=6,m=2,seed=3", "# generated: ba:n=6,m=2,seed=3"),
+        ("ba: m=2 ,n=6", "# generated: ba:n=6,m=2,seed=0"),
+    ],
+)
+def test_generate_header_is_the_canonical_spec(capsys, spec, header):
+    code, out, _ = run_cli(capsys, "generate", "--gen", spec)
+    assert code == 0
+    assert out.splitlines()[0] == header
+
+
+def test_seed_flag_is_usage_error(capsys, pendant_file):
+    # a spec carries its own seed, 0 when it omits one; there is no second source
+    for argv in (
+        ["generate", "--gen", "ba:n=6,m=2,seed=3"],
+        ["generate", "--gen", "ba:n=6,m=2"],
+        ["enumerate", "--gen", "ba:n=6,m=2", "--ell", "1"],
+        ["sweep", "--graph", pendant_file, "--ells", "1"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--seed", "9"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
 
 
 def compare_columns(out):

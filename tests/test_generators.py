@@ -19,7 +19,7 @@ from isoclique import (
     generate,
     parse_generator_spec,
 )
-from isoclique.generators import canonical_spec, generate_ba, generate_feature_model
+from isoclique.generators import FAMILIES, canonical_spec, generate_ba, generate_feature_model
 
 
 def ba_edge_count(n, m):
@@ -131,8 +131,6 @@ def test_parse_generator_spec():
     assert cfg == BAConfig(n=100, m=5, seed=7)
     cfg = parse_generator_spec("gnmp:n=50,m=10,p=0.1")
     assert cfg == FeatureModelConfig(n=50, m=10, p=0.1, seed=0)
-    cfg = parse_generator_spec("gnmp:n=50,m=10,p=0.1", default_seed=9)
-    assert cfg.seed == 9
 
 
 def test_parse_generator_spec_errors():
@@ -143,6 +141,34 @@ def test_parse_generator_spec_errors():
     for bad, key in (("ba:n=100,m=5,seed=1,seed=2", "seed"), ("gnmp:n=5,m=2,p=0.1,p=0.1", "p")):
         with pytest.raises(GeneratorConfigError, match=f"field '{key}' is repeated"):
             parse_generator_spec(bad)
+    # the kind is the spec's prefix, not one of its fields
+    with pytest.raises(GeneratorConfigError, match="bad field 'kind=ba'"):
+        parse_generator_spec("ba:n=5,m=2,kind=ba")
+
+
+def test_unknown_kind_names_every_family():
+    with pytest.raises(GeneratorConfigError) as excinfo:
+        parse_generator_spec("er:n=5,p=0.5")
+    message = str(excinfo.value)
+    assert message == "unknown generator spec 'er:n=5,p=0.5'; expected 'ba:...' or 'gnmp:...'"
+    for kind in FAMILIES:
+        assert f"'{kind}:...'" in message
+
+
+@pytest.mark.parametrize(
+    "spec, canonical",
+    [
+        ("ba:n=10,m=2,seed=3", "ba:n=10,m=2,seed=3"),
+        ("ba: seed=3 , m=2,n=10", "ba:n=10,m=2,seed=3"),
+        ("ba:n=10,m=2", "ba:n=10,m=2,seed=0"),
+        ("gnmp:n=350,m=30,p=0.06,seed=12", "gnmp:n=350,m=30,p=0.06,seed=12"),
+        ("gnmp:n=4,m=2,p=1", "gnmp:n=4,m=2,p=1.0,seed=0"),
+        ("gnmp:seed=5,p=.25,m=2,n=4", "gnmp:n=4,m=2,p=0.25,seed=5"),
+    ],
+)
+def test_canonical_spec_is_pinned(spec, canonical):
+    # kind, then every field as name=repr(value) in field order, the seed too
+    assert canonical_spec(parse_generator_spec(spec)) == canonical
 
 
 def test_canonical_spec_round_trips():

@@ -346,6 +346,8 @@ def test_combo_falls_through_to_softcore():
     assert evaluate(g, get_strategy("size"), 3, p, 3, 1, stats) is None
     assert evaluate(g, get_strategy("combo"), 3, p, 3, 1, stats) == "softcore"
     assert stats.induced_degree_evals == 1
+    # the stage that fired is counted, a pass that fires nothing is not
+    assert stats.prune_firings == {"softcore": 1}
 
 
 def test_supplied_degrees_are_read_once_and_only_past_size():
