@@ -3,22 +3,30 @@
 Subcommands: enumerate (report cliques for one isolation factor), sweep
 (CSV of counts across factors), distribution (CSV of clique sizes and
 their isolated breakdown), compare (call counts and timings across
-pruning strategies, whose passes run in forked worker processes), and
-generate (write a synthetic benchmark graph).
+pruning strategies), and generate (write a synthetic benchmark graph).
 Data goes to stdout or --out; diagnostics go to stderr.
+
+compare and enumerate share their work among forked worker processes,
+one per usable CPU (see _run_shares): compare deals out its strategy
+passes, and enumerate cuts its root children into contiguous ranges of
+vertex ids and writes each range's cliques in root order, so its output
+is the one-process output but for elapsed_ms.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import marshal
 import os
 import signal
 import sys
 import threading
-from collections import Counter, defaultdict
+from bisect import bisect_left
+from collections import defaultdict
 from contextlib import nullcontext, suppress
+from itertools import accumulate
 from time import perf_counter
 from typing import NoReturn
 
@@ -175,28 +183,60 @@ def _timed_split(g: Graph):
     return split, (perf_counter() - start) * 1000.0
 
 
+# enumerate runs in one process on graphs of fewer edges, where a fork and
+# the copy-on-write faults after it cost more than a second CPU wins: best
+# of 15 in-process runs at ell 50 on 2 vCPUs, ba:n=500,m=4 (1,990 edges)
+# took 7.8 ms in one process and 10.6 ms in two, ba:n=1000,m=4 (3,990) 17.4
+# in either, ba:n=2000,m=4 (7,990) 26.1 and 21.4 ms.
+_FORK_MIN_EDGES = 4000
+
+
+def _root_ranges(g: Graph, jobs: int) -> list[range]:
+    """The vertex ids of ``g`` cut into at most ``jobs`` contiguous,
+    non-empty ranges of about equal degree sum, in id order; one range,
+    empty for a vertexless graph, when there is nothing to cut."""
+    n = g.vertex_count
+    if jobs < 2 or n < 2:
+        return [range(n)]
+    sums = list(accumulate(map(len, g.adjacency)))
+    cuts = {bisect_left(sums, sums[-1] * j / jobs) + 1 for j in range(1, jobs)}
+    bounds = [0, *sorted(cut for cut in cuts if cut < n), n]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def _cmd_enumerate(args) -> int:
     g, _ = _resolve_graph(args)
     label = g.all_labels().__getitem__
-    with _open_out(args) as out:
-        if args.count_only:
-            stats = enumerate_isolated(g, args.ell, args.strategy)
-            print(stats.emitted, file=out)
-            return 0
-        write = out.write
 
+    def lines(write):
+        # the sink that writes each clique as a line of labels
         def emit(report) -> None:
             write(" ".join(map(label, report.vertices)) + "\n")
 
+        return emit
+
+    with _open_out(args) as out:
         if args.sort:
+            # every clique is sorted before the first is written, in one process
             reports = []
             stats = enumerate_isolated(g, args.ell, args.strategy, reports.append)
             reports.sort(key=lambda r: r.vertices)
+            emit = lines(out.write)
             for report in reports:
                 emit(report)
-        else:
-            stats = enumerate_isolated(g, args.ell, args.strategy, emit)
-        print(_stats_line(stats), file=out)
+            print(_stats_line(stats), file=out)
+            return 0
+
+        def work(roots: range, write) -> dict:
+            sink = None if args.count_only else lines(write)
+            return _stats_data(enumerate_isolated(g, args.ell, args.strategy, sink, roots=roots))
+
+        jobs = _jobs(g.vertex_count) if g.edge_count >= _FORK_MIN_EDGES else 1
+        start = perf_counter()
+        ranges = _root_ranges(g, jobs)
+        stats = _summed(_run_shares(ranges, work, out.write, lambda r: f"root children {r.start}-{r.stop - 1}"))
+        stats.wall_time = perf_counter() - start
+        print(stats.emitted if args.count_only else _stats_line(stats), file=out)
     return 0
 
 
@@ -244,24 +284,25 @@ def _cmd_distribution(args) -> int:
 
 
 class WorkerError(RuntimeError):
-    """A worker process of ``compare`` could not start or sent no result."""
+    """A worker process could not start, failed or was killed."""
 
 
-def _compare_jobs(passes: int) -> int:
-    """How many processes share ``compare``'s ``passes``: one per CPU this
-    process may run on, at most one per pass. It is 1 where os.fork or the
-    CPU affinity calls are missing; while another thread runs, as a forked
-    child could block on a lock that thread held; and while an observer is
-    bound at enumeration.SearchNode, since an observer counts in its own
-    process."""
+def _jobs(most: int) -> int:
+    """How many processes may share a command's work: one per CPU this
+    process may run on, at most ``most`` and at least 1. It is 1 where
+    os.fork or the CPU affinity calls are missing; while another thread
+    runs, as a forked child could block on a lock that thread held; and
+    while an observer is bound at enumeration.SearchNode, since an
+    observer counts in its own process."""
     if (
-        not hasattr(os, "fork")
+        most < 2
+        or not hasattr(os, "fork")
         or not hasattr(os, "sched_getaffinity")
         or threading.active_count() > 1
         or enumeration.SearchNode is not enumeration._NODE
     ):
         return 1
-    return min(passes, len(os.sched_getaffinity(0)))
+    return min(most, len(os.sched_getaffinity(0)))
 
 
 def _pass(g: Graph, ell: int, name: str, split) -> tuple[RunStats, int]:
@@ -296,64 +337,83 @@ def _leave_parent_cpu() -> None:
         pass
 
 
-def _worker(g: Graph, ell: int, share: list[str], split, write: int) -> NoReturn:
-    """Run ``share``'s passes in a forked worker, write their RunStats fields
-    and hashes to the pipe's ``write`` end as marshal data, and exit: with
-    status 0 once the data is written, else 1. Never returns, whatever it
-    raises, so the worker cannot run its caller's code."""
+def _worker(work, share, pipe_end: int, readers: list[int]) -> NoReturn:
+    """Call work(share, write) in a forked worker, ``write`` collecting the
+    text it writes, then send what it returns as marshal data, then the
+    text's length in UTF-8 bytes and the text, through the pipe's
+    ``pipe_end``, and exit: with status 0 once everything is sent, else 1.
+    The read ends ``readers`` it inherited, its own pipe's included, are
+    closed first, so that its writes fail once its parent is gone. Never
+    returns, whatever it raises, so the worker cannot run its caller's
+    code."""
     code = 1
     try:
+        for fd in readers:
+            os.close(fd)
         _leave_parent_cpu()
-        runs = [_pass(g, ell, name, split) for name in share]
-        data = marshal.dumps(
-            [(dict(vars(stats), prune_firings=dict(stats.prune_firings)), digest) for stats, digest in runs]
-        )
-        with open(write, "wb") as pipe:
-            pipe.write(data)
+        text = []
+        data = work(share, text.append)
+        body = "".join(text).encode()
+        with open(pipe_end, "wb") as pipe:
+            marshal.dump((data, len(body)), pipe)
+            pipe.write(body)
         code = 0
     finally:
         os._exit(code)
 
 
-def _run_passes(g: Graph, ell: int, names: list[str], split, jobs: int) -> dict[str, tuple[RunStats, int]]:
-    """Each strategy of ``names`` run over ``split`` as _pass runs it, keyed
-    in the order of ``names``.
+# Bytes of a worker's text read and written at a time.
+_CHUNK = 1 << 16
 
-    The passes are dealt round-robin over ``jobs`` processes. This one runs
-    the first share and forks a worker for each other share, which inherits
-    the graph and the split (see _worker). Every worker is reaped before
-    this returns or raises: on any exception, Ctrl-C included, the workers
-    left are killed first. A worker that fails raises WorkerError.
+
+def _run_shares(shares: list, work, write, describe) -> list:
+    """What work(share, write) returns for each share of ``shares``, in
+    order, with ``write`` getting all their text, in share order too.
+
+    This process runs the first share and forks a worker for each other
+    share, which inherits everything this process holds and sends its
+    result and text back through a pipe (see _worker); ``work`` must
+    return marshal data. Once the first share is done, each worker's text
+    goes to ``write`` in chunks of _CHUNK bytes, so this process never
+    holds a whole share's text, and the worker is reaped. Every worker is
+    reaped before this returns or raises: on any exception, Ctrl-C or a
+    closed output included, the workers left are killed first. A worker
+    that fails raises WorkerError, naming describe(share).
     """
-    shares = [names[i::jobs] for i in range(jobs)]
     pending = []  # (pid, read end, share) of each worker not yet reaped
     try:
         for share in shares[1:]:
-            read, write = os.pipe()
+            read, pipe_end = os.pipe()
             try:
                 pid = os.fork()
             except OSError as exc:
                 os.close(read)
-                os.close(write)
+                os.close(pipe_end)
                 raise WorkerError(f"cannot start a worker process: {exc.strerror}") from None
             if not pid:
-                _worker(g, ell, share, split, write)
-            os.close(write)
+                _worker(work, share, pipe_end, [read, *(pipe.fileno() for _, pipe, _ in pending)])
+            os.close(pipe_end)
             pending.append((pid, open(read, "rb"), share))
-        runs = {name: _pass(g, ell, name, split) for name in shares[0]}
+        results = [work(shares[0], write)]
         while pending:
             pid, pipe, share = pending[0]
-            data = pipe.read()
+            try:
+                data, left = marshal.load(pipe)
+            except (EOFError, ValueError, TypeError):
+                # a failed worker's message is cut short; its status says why
+                data, left = None, 0
+            decode = codecs.getincrementaldecoder("utf-8")().decode
+            while left and (chunk := pipe.read(min(left, _CHUNK))):
+                left -= len(chunk)
+                write(decode(chunk))
             pipe.close()
             status = os.waitpid(pid, 0)[1]
             del pending[0]
             if status:
                 code = os.waitstatus_to_exitcode(status)
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise WorkerError(f"the worker process running {','.join(share)} {how}")
-            for name, (fields, digest) in zip(share, marshal.loads(data)):
-                fields["prune_firings"] = Counter(fields["prune_firings"])
-                runs[name] = RunStats(**fields), digest
+                raise WorkerError(f"the worker process running {describe(share)} {how}")
+            results.append(data)
     except BaseException:
         for pid, pipe, _ in pending:
             pipe.close()
@@ -362,6 +422,40 @@ def _run_passes(g: Graph, ell: int, names: list[str], split, jobs: int) -> dict[
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         raise
+    return results
+
+
+def _stats_data(stats: RunStats) -> dict:
+    """``stats``'s fields as marshal data."""
+    return dict(vars(stats), prune_firings=dict(stats.prune_firings))
+
+
+def _summed(results: list[dict]) -> RunStats:
+    """The RunStats whose fields are those of ``results``, given as
+    _stats_data gives them, added up: one run's stats from its own fields,
+    or a whole run's from its parts'."""
+    total = RunStats()
+    for fields in results:
+        total.prune_firings.update(fields["prune_firings"])
+        for key, value in fields.items():
+            if key != "prune_firings":
+                setattr(total, key, getattr(total, key) + value)
+    return total
+
+
+def _run_passes(g: Graph, ell: int, names: list[str], split, jobs: int) -> dict[str, tuple[RunStats, int]]:
+    """Each strategy of ``names`` run over ``split`` as _pass runs it, keyed
+    in the order of ``names``. The passes are dealt round-robin over
+    ``jobs`` processes by _run_shares."""
+
+    def work(share, write) -> list:
+        return [(_stats_data(stats), digest) for stats, digest in (_pass(g, ell, name, split) for name in share)]
+
+    shares = [names[i::jobs] for i in range(jobs)]
+    runs = {}
+    for share, results in zip(shares, _run_shares(shares, work, None, ",".join)):
+        for name, (fields, digest) in zip(share, results):
+            runs[name] = _summed([fields]), digest
     return {name: runs[name] for name in names}
 
 
@@ -386,7 +480,7 @@ def _cmd_compare(args) -> int:
     # the baseline run is needed for the call percentages even if not shown
     names = shown if "none" in shown else ["none", *shown]
     split, rows_ms = _timed_split(g)
-    jobs = _compare_jobs(len(names))
+    jobs = _jobs(len(names))
     passes = _run_passes(g, args.ell, names, split, jobs)
     problem = _disagreement(passes)
     if problem is not None:
@@ -441,7 +535,7 @@ def main(argv=None) -> int:
     """Run one subcommand. Exit status: 0 on success (also when the reader
     of stdout closes it early), 1 on an unreadable or malformed input
     file, 2 on a usage error, 3 when strategies disagree, 4 when memory
-    runs out or a worker process of ``compare`` fails, with a one-line
+    runs out or a worker process fails, with a one-line
     ``error:`` on stderr, and 130 when interrupted (Ctrl-C), with the one
     line ``interrupted`` on stderr."""
     parser = build_parser()

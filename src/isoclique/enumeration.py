@@ -40,10 +40,12 @@ pivot: it branches on a unless a bit of X is adjacent to a, which is
 the branch the full scan picks. The sink gets each clique as a
 CliqueReport tuple built without a Python frame.
 
-A run's call consumes that generator one root child at a time. Several
-runs on one graph can share its output instead, a RootSplit (see
-split_root). A run handed one picks no root pivot, splits nothing,
-builds no rows and picks no pivot at a root child.
+A run's call consumes that generator one root child at a time, or only
+the root children in a range of vertex ids, so that processes can share
+one run by ranges (see enumerate_isolated). Several runs on one graph
+can share its output instead, a RootSplit (see split_root). A run
+handed one picks no root pivot, splits nothing, builds no rows and
+picks no pivot at a root child.
 """
 
 from __future__ import annotations
@@ -203,9 +205,14 @@ def _local_pivot(
 _HUB_FACTOR = 4
 
 
-def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None, int]]:
+def _root_children(
+    g: Graph, roots: range | None = None
+) -> Iterator[tuple[int, int, int, list[int] | None, int]]:
     """The root's children ``(v, P, X, masks, branch)`` in root order, P
-    and X as bitsets over N(v), where bit i stands for N(v)[i].
+    and X as bitsets over N(v), where bit i stands for N(v)[i]; only those
+    with v in ``roots``, a range of vertex ids, if it is given. A child's P
+    and X depend on the root order alone, so a range is split as the whole
+    root splits it.
 
     At the root C is empty and X starts empty, so P = V and the root pivot
     is the lowest id of top degree; its neighbours ``skip`` are never root
@@ -245,7 +252,7 @@ def _root_children(g: Graph) -> Iterator[tuple[int, int, int, list[int] | None, 
     bit = [0] * n  # bit[w] is w's bit in the current N(v), else 0
     lookup = bit.__getitem__
     hubs: dict[int, frozenset[int]] = {}  # N(u) of each hub u met so far
-    for v in range(n):
+    for v in range(n) if roots is None else roots:
         if v in skip:
             continue
         universe = adjacency[v]
@@ -492,6 +499,7 @@ def enumerate_isolated(
     sink: Sink | None = None,
     *,
     split: RootSplit | None = None,
+    roots: range | None = None,
 ) -> RunStats:
     """Report every maximal clique of ``g`` whose external edge count is
     strictly below ``ell`` times its size.
@@ -503,24 +511,34 @@ def enumerate_isolated(
     "none" every maximal clique is still visited and merely filtered at
     the leaves. ``split``, from split_root(g), replaces the run's own root
     split and row building; output and counters are the same either way.
+
+    ``roots``, a range of vertex ids, limits the run to the root children
+    in it and their subtrees, and the root itself is counted, and
+    observed, only when the range starts at 0. Runs over contiguous
+    ranges that cover 0..n-1 thus emit the whole run's cliques between
+    them, each its part in the whole run's order, and their counters add
+    up to the whole run's. It cannot be combined with ``split``.
     """
     stages = get_strategy(strategy) if isinstance(strategy, str) else strategy
     if not isinstance(ell, int) or isinstance(ell, bool) or ell < 1:
         raise ValueError("isolation factor must be an integer >= 1")
     if split is not None and split.graph is not g:
         raise ValueError("the root split was prepared for another graph")
+    if split is not None and roots is not None:
+        raise ValueError("a run takes a root split or a range of root children, not both")
     stats = RunStats()
     start = perf_counter()
     # With C empty the prune test reduces to 0 >= omega_bar * ell, which no
     # bound can meet, so the root is never evaluated.
     n = g.vertex_count
-    stats.recursive_calls += 1
-    if SearchNode is not _NODE:  # an observer sees the root too
-        SearchNode([], (1 << n) - 1, 0, 0)
-    if not n:
-        # the root of a vertexless graph is its only leaf, and 0 < ell * 0 fails
-        stats.filtered_at_leaf += 1
-    children = _root_children(g) if split is None else split.children
+    if roots is None or roots.start == 0:
+        stats.recursive_calls += 1
+        if SearchNode is not _NODE:  # an observer sees the root too
+            SearchNode([], (1 << n) - 1, 0, 0)
+        if not n:
+            # the root of a vertexless graph is its only leaf, and 0 < ell * 0 fails
+            stats.filtered_at_leaf += 1
+    children = _root_children(g, roots) if split is None else split.children
     _search_subproblem(g, children, ell, stages, sink, stats)
     stats.wall_time = perf_counter() - start
     return stats

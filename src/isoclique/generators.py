@@ -49,6 +49,8 @@ class FeatureModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # p=1 and p=1.0 are one config, and its spec spells p as a float
+        object.__setattr__(self, "p", float(self.p))
         if self.n < 0:
             raise GeneratorConfigError(f"vertex count must be non-negative, got {self.n}")
         if self.m < 1:

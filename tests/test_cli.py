@@ -8,35 +8,37 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 from graphutil import count_search_nodes
 
 import isoclique
-from isoclique import cli, load_edge_list
+from isoclique import cli, enumeration, load_edge_list
 from isoclique.cli import main
 from isoclique.enumeration import CliqueReport, RunStats, split_root
 
 TRIANGLE_PENDANT = "a b\nb c\nc a\na d\n"
 
-# compare forks one worker per usable CPU beyond its own, where os.fork and
-# the CPU affinity calls exist
+# compare and enumerate fork one worker per usable CPU beyond their own,
+# where os.fork and the CPU affinity calls exist
 forks = pytest.mark.skipif(
     not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
-    reason="compare runs its passes serially on this platform",
+    reason="compare and enumerate run in one process on this platform",
 )
 
 
 def usable_cpus(monkeypatch, count):
-    """Make compare see ``count`` usable CPUs, so that it runs ``count``
-    processes for its six passes."""
+    """Make compare and enumerate see ``count`` usable CPUs, so that they
+    run up to ``count`` processes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
-    # every compare below runs in at most two processes, whatever the machine has
+    # every compare and enumerate below runs in at most two processes, whatever
+    # the machine has
     if hasattr(os, "sched_getaffinity"):
         usable_cpus(monkeypatch, 2)
 
@@ -56,6 +58,10 @@ def run_cli(capsys, *argv):
 
 def data_lines(text):
     return [line for line in text.splitlines() if line and not line.startswith("#")]
+
+
+def without_elapsed(out):
+    return re.sub(r" elapsed_ms=\S+", "", out)
 
 
 def test_enumerate_basic(capsys, pendant_file):
@@ -109,8 +115,7 @@ def test_enumerate_output_pinned(capsys, ell, sort, digest):
     argv = ["enumerate", "--gen", "ba:n=800,m=6,seed=3", "--ell", ell] + ["--sort"] * sort
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    text = re.sub(r" elapsed_ms=\S+", "", out)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256(without_elapsed(out).encode()).hexdigest() == digest
 
 
 def test_enumerate_from_generator_spec(capsys):
@@ -609,6 +614,196 @@ def test_no_worker_outlives_compare(capsys, monkeypatch, fault, status, message)
     assert (code, err) == (status, message)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+STAR = "".join(f"hub leaf{i}\n" for i in range(6))
+
+
+def forks_counted(monkeypatch) -> list:
+    """Record one entry per os.fork call from now on."""
+    calls = []
+    real = os.fork
+
+    def fork():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+@forks
+@pytest.mark.parametrize(
+    "source, ell",
+    [
+        ("ba:n=800,m=6,seed=3", 5),
+        ("ba:n=800,m=6,seed=3", 20),
+        ("gnmp:n=350,m=30,p=0.06,seed=12", 50),
+        ("ba:n=2000,m=1,seed=1", 2),
+        # graphs where a range holds no root child: the root pivot's
+        # neighbours are all of the second range, or there is one vertex or none
+        ("gnmp:n=8,m=1,p=1,seed=0", 1),
+        ("star", 1),
+        ("gnmp:n=1,m=1,p=1,seed=0", 1),
+        ("gnmp:n=0,m=1,p=1,seed=0", 1),
+    ],
+)
+def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source, ell):
+    # fork on graphs of any size, so that tiny graphs are split too
+    monkeypatch.setattr(cli, "_FORK_MIN_EDGES", 0)
+    if source == "star":
+        path = tmp_path / "star.txt"
+        path.write_text(STAR)
+        argv = ["enumerate", "--graph", str(path)]
+        g = load_edge_list(STAR.splitlines())
+    else:
+        argv = ["enumerate", "--gen", source]
+        g = isoclique.generate(isoclique.parse_generator_spec(source))
+    argv += ["--ell", str(ell)]
+    ranges = cli._root_ranges(g, 2)
+    assert [v for r in ranges for v in r] == list(range(g.vertex_count))
+    assert len(ranges) == min(2, max(1, g.vertex_count))
+    if source in ("gnmp:n=8,m=1,p=1,seed=0", "star"):
+        # every vertex of the second range is a neighbour of the root pivot
+        assert not list(enumeration._root_children(g, ranges[1]))
+
+    # the ranges' runs, in forked workers, add up to one run, cliques in order
+    def work(roots, write) -> dict:
+        def sink(report):
+            write(f"{report}\n")
+
+        return cli._stats_data(enumeration.enumerate_isolated(g, ell, "combo", sink, roots=roots))
+
+    whole = []
+    expected = enumeration.enumerate_isolated(g, ell, "combo", lambda r: whole.append(f"{r}\n"))
+    parts = []
+    summed = cli._summed(cli._run_shares(ranges, work, parts.append, str))
+    assert dataclasses.replace(summed, wall_time=0.0) == dataclasses.replace(expected, wall_time=0.0)
+    assert "".join(parts) == "".join(whole)
+
+    forked = forks_counted(monkeypatch)
+    for extra in ((), ("--count-only",), ("--sort",)):
+        outputs = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            before = len(forked)
+            code, out, err = run_cli(capsys, *argv, *extra)
+            assert (code, err) == (0, "")
+            # one worker for the second range, and none for --sort
+            assert len(forked) - before == (cpus == 2 and len(ranges) == 2 and extra != ("--sort",))
+            outputs.append(without_elapsed(out))
+        assert outputs[0] == outputs[1]
+        if not extra:
+            assert outputs[0].endswith(f" emitted={expected.emitted} filtered_at_leaf={expected.filtered_at_leaf}\n")
+            assert len(outputs[0].splitlines()) == expected.emitted + 1
+        elif extra == ("--count-only",):
+            assert outputs[0] == f"{expected.emitted}\n"
+
+
+def test_small_graphs_enumerate_in_one_process(capsys, monkeypatch):
+    forked = forks_counted(monkeypatch)
+    code, out, _ = run_cli(capsys, "enumerate", "--gen", "ba:n=500,m=4,seed=1", "--ell", "5")
+    assert code == 0
+    assert isoclique.generate(isoclique.parse_generator_spec("ba:n=500,m=4,seed=1")).edge_count < cli._FORK_MIN_EDGES
+    assert forked == []
+
+
+def refuse_fork():
+    raise AssertionError("enumerate forked a worker")
+
+
+@pytest.mark.parametrize("holder", ["observer", "thread"])
+def test_enumerate_with_observer_or_thread_runs_serially(capsys, monkeypatch, holder):
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    nodes = count_search_nodes(monkeypatch) if holder == "observer" else None
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if holder == "thread":
+        thread.start()
+    try:
+        code, out, err = run_cli(capsys, "enumerate", "--gen", "ba:n=800,m=6,seed=3", "--ell", "20")
+    finally:
+        release.set()
+        if holder == "thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert (code, err) == (0, "")
+    if holder == "observer":
+        assert len(nodes) == int(header_field(out.splitlines()[-1], "recursive_calls"))
+
+
+@forks
+@pytest.mark.parametrize("fault, status", [(None, 0), ("raise", 4), ("kill", 4), ("interrupt", 130)])
+def test_no_worker_outlives_enumerate(capsys, monkeypatch, fault, status):
+    spec = "ba:n=800,m=6,seed=3"
+    second = cli._root_ranges(isoclique.generate(isoclique.parse_generator_spec(spec)), 2)[1]
+    running = f"the worker process running root children {second.start}-{second.stop - 1}"
+    message = {
+        None: "",
+        "raise": f"error: {running} exited with status 1\n",
+        "kill": f"error: {running} was killed by signal {int(signal.SIGKILL)}\n",
+        "interrupt": "interrupted\n",
+    }[fault]
+    parent = os.getpid()
+    real = cli.enumerate_isolated
+
+    def faulty(g, ell, strategy, sink, **kwargs):
+        in_worker = os.getpid() != parent
+        if in_worker and fault == "raise":
+            raise MemoryError
+        if in_worker and fault == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if in_worker and fault == "interrupt":
+            # a worker that would still run long after the parent stops
+            time.sleep(30)
+        if not in_worker and fault == "interrupt":
+            # Ctrl-C in the parent at its first clique, while the worker runs
+            def sink(report):
+                raise KeyboardInterrupt
+
+        return real(g, ell, strategy, sink, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_isolated", faulty)
+    start = time.monotonic()
+    code, _, err = run_cli(capsys, "enumerate", "--gen", spec, "--ell", "20")
+    assert (code, err) == (status, message)
+    # the parent killed the worker rather than waiting for it
+    assert time.monotonic() - start < 20
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+CLOSED_ENUMERATE = """
+import os, sys
+from isoclique import cli
+os.sched_getaffinity = lambda pid: {0, 1}
+code = cli.main(["enumerate", "--gen", "ba:n=3000,m=4,seed=1", "--ell", "250"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+print("a worker outlived enumerate", file=sys.stderr)
+sys.exit(99)
+"""
+
+
+@forks
+def test_no_worker_outlives_enumerate_with_closed_stdout():
+    # as in `isoclique enumerate ... | head -1`, with two usable CPUs
+    src_dir = Path(isoclique.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CLOSED_ENUMERATE], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (0, b"")
 
 
 OUT_OF_MEMORY = """

@@ -10,7 +10,7 @@ from isoclique import (
     enumerate_isolated,
     enumeration,
 )
-from isoclique.enumeration import SearchNode, _local_pivot, _root_children, select_pivot
+from isoclique.enumeration import SearchNode, _local_pivot, _root_children, select_pivot, split_root
 from graphutil import (
     bit_indices,
     bitset_view,
@@ -585,3 +585,9 @@ def test_invalid_ell_rejected():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         enumerate_isolated(triangle(), 1, "fastest")
+
+
+def test_split_and_root_range_rejected_together():
+    g = triangle()
+    with pytest.raises(ValueError, match="not both"):
+        enumerate_isolated(g, 1, "none", split=split_root(g), roots=range(1, 3))

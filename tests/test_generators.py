@@ -171,6 +171,15 @@ def test_canonical_spec_is_pinned(spec, canonical):
     assert canonical_spec(parse_generator_spec(spec)) == canonical
 
 
+def test_canonical_spec_reads_p_as_a_float():
+    # a config built in Python with an int p is the one the spec parser builds
+    built = FeatureModelConfig(n=4, m=2, p=1)
+    assert built == parse_generator_spec("gnmp:n=4,m=2,p=1")
+    assert type(built.p) is float
+    assert canonical_spec(built) == "gnmp:n=4,m=2,p=1.0,seed=0"
+    assert canonical_spec(FeatureModelConfig(n=4, m=2, p=0)) == "gnmp:n=4,m=2,p=0.0,seed=0"
+
+
 def test_canonical_spec_round_trips():
     for spec in ("ba:n=10,m=2,seed=3", "gnmp:n=9,m=4,p=0.25,seed=1"):
         cfg = parse_generator_spec(spec)
