@@ -6,11 +6,14 @@ their isolated breakdown), compare (call counts and timings across
 pruning strategies), and generate (write a synthetic benchmark graph).
 Data goes to stdout or --out; diagnostics go to stderr.
 
-compare and enumerate share their work among forked worker processes,
-one per usable CPU (see _run_shares): compare deals out its strategy
-passes, and enumerate cuts its root children into contiguous ranges of
-vertex ids and writes each range's cliques in root order, so its output
-is the one-process output but for elapsed_ms.
+compare, enumerate and sweep share their work among forked worker
+processes, one per usable CPU (see _run_shares). compare deals out its
+strategy passes. enumerate and sweep cut the root children into
+contiguous ranges of vertex ids (see _run_ranges): enumerate writes each
+range's cliques in root order, and sweep builds each range's split and
+runs every factor over it in the range's process, then adds up the
+ranges' counters and times. Their output is the one-process output but
+for the times: elapsed_ms, and sweep's rows_ms.
 """
 
 from __future__ import annotations
@@ -175,20 +178,19 @@ def _stats_line(stats) -> str:
     )
 
 
-def _timed_split(g: Graph):
-    """The root split of ``g`` shared by a command's engine calls, and its
-    build time in ms, which those calls' own times leave out."""
-    start = perf_counter()
-    split = split_root(g)
-    return split, (perf_counter() - start) * 1000.0
-
-
 # enumerate runs in one process on graphs of fewer edges, where a fork and
 # the copy-on-write faults after it cost more than a second CPU wins: best
 # of 15 in-process runs at ell 50 on 2 vCPUs, ba:n=500,m=4 (1,990 edges)
 # took 7.8 ms in one process and 10.6 ms in two, ba:n=1000,m=4 (3,990) 17.4
 # in either, ba:n=2000,m=4 (7,990) 26.1 and 21.4 ms.
 _FORK_MIN_EDGES = 4000
+
+# sweep forks only on larger graphs, as each process also pays those faults
+# building its range's split: best of 25 such runs of --ells 1,10,50,250,
+# ba:n=1000,m=4 (3,990 edges) took 12.2-13.6 ms in one process and
+# 13.3-15.3 in two, ba:n=1500,m=4 (5,990) was level, ba:n=1750,m=4 (6,990)
+# 20.0-22.9 and 16.9-20.2 ms.
+_SWEEP_FORK_MIN_EDGES = 7000
 
 
 def _root_ranges(g: Graph, jobs: int) -> list[range]:
@@ -202,6 +204,17 @@ def _root_ranges(g: Graph, jobs: int) -> list[range]:
     cuts = {bisect_left(sums, sums[-1] * j / jobs) + 1 for j in range(1, jobs)}
     bounds = [0, *sorted(cut for cut in cuts if cut < n), n]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _run_ranges(g: Graph, min_edges: int, work, write) -> list:
+    """What work(roots, write) returns for each range of root children of
+    ``g`` from _root_ranges, in range order, run by _run_shares: one range
+    per process that _jobs allows, or one range in one process on graphs
+    of fewer than ``min_edges`` edges."""
+    jobs = _jobs(g.vertex_count) if g.edge_count >= min_edges else 1
+    return _run_shares(
+        _root_ranges(g, jobs), work, write, lambda r: f"root children {r.start}-{r.stop - 1}"
+    )
 
 
 def _cmd_enumerate(args) -> int:
@@ -231,10 +244,8 @@ def _cmd_enumerate(args) -> int:
             sink = None if args.count_only else lines(write)
             return _stats_data(enumerate_isolated(g, args.ell, args.strategy, sink, roots=roots))
 
-        jobs = _jobs(g.vertex_count) if g.edge_count >= _FORK_MIN_EDGES else 1
         start = perf_counter()
-        ranges = _root_ranges(g, jobs)
-        stats = _summed(_run_shares(ranges, work, out.write, lambda r: f"root children {r.start}-{r.stop - 1}"))
+        stats = _summed(_run_ranges(g, _FORK_MIN_EDGES, work, out.write))
         stats.wall_time = perf_counter() - start
         print(stats.emitted if args.count_only else _stats_line(stats), file=out)
     return 0
@@ -242,8 +253,21 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     g, label = _resolve_graph(args)
-    split, rows_ms = _timed_split(g)
-    total = enumerate_all_maximal(g, split=split).emitted
+
+    def work(roots: range, write) -> list:
+        # the range's split, its build time in seconds, which the engine
+        # calls' own times leave out, then the calls over it
+        start = perf_counter()
+        split = split_root(g, roots)
+        rows_s = perf_counter() - start
+        runs = [enumerate_all_maximal(g, split=split)]
+        runs += [enumerate_isolated(g, ell, args.strategy, split=split) for ell in args.ells]
+        return [rows_s, *map(_stats_data, runs)]
+
+    # per item of work's list, every range's value, in range order
+    rows_s, maximal, *passes = zip(*_run_ranges(g, _SWEEP_FORK_MIN_EDGES, work, None))
+    rows_ms = sum(rows_s) * 1000.0
+    total = _summed(maximal).emitted
     with _open_out(args) as out:
         print(
             f"# graph={label} strategy={args.strategy} total_maximal={total} rows_ms={rows_ms:.2f}",
@@ -251,8 +275,7 @@ def _cmd_sweep(args) -> int:
         )
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["ell", "isolated_count", "percent_of_total", "recursive_calls", "elapsed_ms"])
-        for ell in args.ells:
-            stats = enumerate_isolated(g, ell, args.strategy, split=split)
+        for ell, stats in zip(args.ells, map(_summed, passes)):
             percent = 100.0 * stats.emitted / total if total else 0.0
             writer.writerow(
                 [
@@ -479,7 +502,9 @@ def _cmd_compare(args) -> int:
     shown = list(dict.fromkeys(args.strategies))
     # the baseline run is needed for the call percentages even if not shown
     names = shown if "none" in shown else ["none", *shown]
-    split, rows_ms = _timed_split(g)
+    start = perf_counter()
+    split = split_root(g)
+    rows_ms = (perf_counter() - start) * 1000.0
     jobs = _jobs(len(names))
     passes = _run_passes(g, args.ell, names, split, jobs)
     problem = _disagreement(passes)

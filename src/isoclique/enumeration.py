@@ -43,9 +43,9 @@ CliqueReport tuple built without a Python frame.
 A run's call consumes that generator one root child at a time, or only
 the root children in a range of vertex ids, so that processes can share
 one run by ranges (see enumerate_isolated). Several runs on one graph
-can share its output instead, a RootSplit (see split_root). A run
-handed one picks no root pivot, splits nothing, builds no rows and
-picks no pivot at a root child.
+can share its output instead, a RootSplit of the whole root or of one
+range (see split_root). A run handed one picks no root pivot, splits
+nothing, builds no rows and picks no pivot at a root child.
 """
 
 from __future__ import annotations
@@ -307,21 +307,26 @@ def _root_children(
 class RootSplit:
     """The root's split of one graph, shared by every run handed it.
 
-    ``children`` lists every root child ``(v, P, X, masks, branch)`` as
-    _root_children yields it. Runs only read them.
+    ``children`` lists the root children ``(v, P, X, masks, branch)`` as
+    _root_children yields them: every one when ``roots`` is None, else
+    those with v in ``roots``, a range of vertex ids. A run handed the
+    split is limited to that range as enumerate_isolated's ``roots``
+    limits it. Runs only read the children.
     """
 
     graph: Graph
     children: list[tuple[int, int, int, list[int] | None, int]]
+    roots: range | None = None
 
 
-def split_root(g: Graph) -> RootSplit:
-    """Pick the root pivot of ``g``, split every root child, build its rows
-    and pick its pivot, once for any number of runs. The split holds all of
-    them at once: one list slot per vertex of each root child's
-    neighbourhood, at most 2m for m edges, each row as an int of up to
-    deg(v) bits, and one branch int of up to deg(v) bits per root child."""
-    return RootSplit(g, list(_root_children(g)))
+def split_root(g: Graph, roots: range | None = None) -> RootSplit:
+    """Pick the root pivot of ``g``, split every root child, or only those
+    in ``roots``, a range of vertex ids, build its rows and pick its pivot,
+    once for any number of runs. The split holds all of them at once: one
+    list slot per vertex of each root child's neighbourhood, at most 2m
+    for m edges over the whole root, each row as an int of up to deg(v)
+    bits, and one branch int of up to deg(v) bits per root child."""
+    return RootSplit(g, list(_root_children(g, roots)), roots)
 
 
 def _search_subproblem(
@@ -509,23 +514,27 @@ def enumerate_isolated(
     the chain of bounds in ``STRATEGIES`` that vetoes sterile subtrees,
     or is such a chain of ``(name, bound)`` stages itself; with strategy
     "none" every maximal clique is still visited and merely filtered at
-    the leaves. ``split``, from split_root(g), replaces the run's own root
-    split and row building; output and counters are the same either way.
+    the leaves. ``split``, from split_root(g) or split_root(g, roots),
+    replaces the run's own root split and row building; output and
+    counters are the same either way.
 
     ``roots``, a range of vertex ids, limits the run to the root children
     in it and their subtrees, and the root itself is counted, and
     observed, only when the range starts at 0. Runs over contiguous
     ranges that cover 0..n-1 thus emit the whole run's cliques between
     them, each its part in the whole run's order, and their counters add
-    up to the whole run's. It cannot be combined with ``split``.
+    up to the whole run's. A split's own range limits a run handed it
+    alike, so ``roots`` cannot be combined with ``split``.
     """
     stages = get_strategy(strategy) if isinstance(strategy, str) else strategy
     if not isinstance(ell, int) or isinstance(ell, bool) or ell < 1:
         raise ValueError("isolation factor must be an integer >= 1")
-    if split is not None and split.graph is not g:
-        raise ValueError("the root split was prepared for another graph")
-    if split is not None and roots is not None:
-        raise ValueError("a run takes a root split or a range of root children, not both")
+    if split is not None:
+        if split.graph is not g:
+            raise ValueError("the root split was prepared for another graph")
+        if roots is not None:
+            raise ValueError("a run takes a root split or a range of root children, not both")
+        roots = split.roots
     stats = RunStats()
     start = perf_counter()
     # With C empty the prune test reduces to 0 >= omega_bar * ell, which no

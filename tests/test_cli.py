@@ -21,24 +21,24 @@ from isoclique.enumeration import CliqueReport, RunStats, split_root
 
 TRIANGLE_PENDANT = "a b\nb c\nc a\na d\n"
 
-# compare and enumerate fork one worker per usable CPU beyond their own,
-# where os.fork and the CPU affinity calls exist
+# compare, enumerate and sweep fork one worker per usable CPU beyond their
+# own, where os.fork and the CPU affinity calls exist
 forks = pytest.mark.skipif(
     not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
-    reason="compare and enumerate run in one process on this platform",
+    reason="compare, enumerate and sweep run in one process on this platform",
 )
 
 
 def usable_cpus(monkeypatch, count):
-    """Make compare and enumerate see ``count`` usable CPUs, so that they
-    run up to ``count`` processes."""
+    """Make compare, enumerate and sweep see ``count`` usable CPUs, so that
+    they run up to ``count`` processes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
-    # every compare and enumerate below runs in at most two processes, whatever
-    # the machine has
+    # every compare, enumerate and sweep below runs in at most two processes,
+    # whatever the machine has
     if hasattr(os, "sched_getaffinity"):
         usable_cpus(monkeypatch, 2)
 
@@ -62,6 +62,11 @@ def data_lines(text):
 
 def without_elapsed(out):
     return re.sub(r" elapsed_ms=\S+", "", out)
+
+
+def without_sweep_times(out):
+    """A sweep's output without rows_ms and the elapsed_ms column."""
+    return re.sub(r"^([^#].*),.*$", r"\1", re.sub(r" rows_ms=\S+", "", out), flags=re.MULTILINE)
 
 
 def test_enumerate_basic(capsys, pendant_file):
@@ -651,15 +656,16 @@ def forks_counted(monkeypatch) -> list:
 def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source, ell):
     # fork on graphs of any size, so that tiny graphs are split too
     monkeypatch.setattr(cli, "_FORK_MIN_EDGES", 0)
+    monkeypatch.setattr(cli, "_SWEEP_FORK_MIN_EDGES", 0)
     if source == "star":
         path = tmp_path / "star.txt"
         path.write_text(STAR)
-        argv = ["enumerate", "--graph", str(path)]
+        graph = ["--graph", str(path)]
         g = load_edge_list(STAR.splitlines())
     else:
-        argv = ["enumerate", "--gen", source]
+        graph = ["--gen", source]
         g = isoclique.generate(isoclique.parse_generator_spec(source))
-    argv += ["--ell", str(ell)]
+    argv = ["enumerate", *graph, "--ell", str(ell)]
     ranges = cli._root_ranges(g, 2)
     assert [v for r in ranges for v in r] == list(range(g.vertex_count))
     assert len(ranges) == min(2, max(1, g.vertex_count))
@@ -699,22 +705,43 @@ def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source
         elif extra == ("--count-only",):
             assert outputs[0] == f"{expected.emitted}\n"
 
+    # sweep runs every factor in each range's process, and adds up the ranges
+    outputs = []
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        before = len(forked)
+        code, out, err = run_cli(capsys, "sweep", *graph, "--ells", f"1,{ell},250")
+        assert (code, err) == (0, "")
+        assert len(forked) - before == (cpus == 2 and len(ranges) == 2)
+        outputs.append(without_sweep_times(out))
+    assert outputs[0] == outputs[1]
+    total = enumeration.enumerate_all_maximal(g).emitted
+    assert f" total_maximal={total}\n" in outputs[0]
+    percent = 100.0 * expected.emitted / total if total else 0.0
+    assert outputs[0].splitlines()[3] == f"{ell},{expected.emitted},{percent:.2f},{expected.recursive_calls}"
+
 
 def test_small_graphs_enumerate_in_one_process(capsys, monkeypatch):
     forked = forks_counted(monkeypatch)
     code, out, _ = run_cli(capsys, "enumerate", "--gen", "ba:n=500,m=4,seed=1", "--ell", "5")
     assert code == 0
     assert isoclique.generate(isoclique.parse_generator_spec("ba:n=500,m=4,seed=1")).edge_count < cli._FORK_MIN_EDGES
+    # sweep's own gate keeps it in one process on a graph enumerate splits
+    code, out, _ = run_cli(capsys, "sweep", "--gen", "ba:n=1500,m=4,seed=1", "--ells", "5")
+    assert code == 0
+    edges = isoclique.generate(isoclique.parse_generator_spec("ba:n=1500,m=4,seed=1")).edge_count
+    assert cli._FORK_MIN_EDGES <= edges < cli._SWEEP_FORK_MIN_EDGES
     assert forked == []
 
 
 def refuse_fork():
-    raise AssertionError("enumerate forked a worker")
+    raise AssertionError("a command forked a worker")
 
 
 @pytest.mark.parametrize("holder", ["observer", "thread"])
 def test_enumerate_with_observer_or_thread_runs_serially(capsys, monkeypatch, holder):
     monkeypatch.setattr(os, "fork", refuse_fork)
+    monkeypatch.setattr(cli, "_SWEEP_FORK_MIN_EDGES", cli._FORK_MIN_EDGES)
     nodes = count_search_nodes(monkeypatch) if holder == "observer" else None
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
@@ -722,20 +749,28 @@ def test_enumerate_with_observer_or_thread_runs_serially(capsys, monkeypatch, ho
         thread.start()
     try:
         code, out, err = run_cli(capsys, "enumerate", "--gen", "ba:n=800,m=6,seed=3", "--ell", "20")
+        enumerated = len(nodes) if holder == "observer" else None
+        sweep_code, sweep_out, sweep_err = run_cli(capsys, "sweep", "--gen", "ba:n=800,m=6,seed=3", "--ells", "20")
     finally:
         release.set()
         if holder == "thread":
             thread.join(timeout=10)
     assert not thread.is_alive()
     assert (code, err) == (0, "")
+    assert (sweep_code, sweep_err) == (0, "")
+    calls = header_field(out.splitlines()[-1], "recursive_calls")
+    # sweep's pass at ell 20 is enumerate's run
+    assert data_lines(sweep_out)[1].split(",")[3] == calls
     if holder == "observer":
-        assert len(nodes) == int(header_field(out.splitlines()[-1], "recursive_calls"))
+        assert enumerated == int(calls)
 
 
 @forks
 @pytest.mark.parametrize("fault, status", [(None, 0), ("raise", 4), ("kill", 4), ("interrupt", 130)])
 def test_no_worker_outlives_enumerate(capsys, monkeypatch, fault, status):
     spec = "ba:n=800,m=6,seed=3"
+    # a graph large enough for enumerate to fork, and sweep too
+    monkeypatch.setattr(cli, "_SWEEP_FORK_MIN_EDGES", cli._FORK_MIN_EDGES)
     second = cli._root_ranges(isoclique.generate(isoclique.parse_generator_spec(spec)), 2)[1]
     running = f"the worker process running root children {second.start}-{second.stop - 1}"
     message = {
@@ -747,7 +782,7 @@ def test_no_worker_outlives_enumerate(capsys, monkeypatch, fault, status):
     parent = os.getpid()
     real = cli.enumerate_isolated
 
-    def faulty(g, ell, strategy, sink, **kwargs):
+    def faulty(g, ell, strategy, sink=None, **kwargs):
         in_worker = os.getpid() != parent
         if in_worker and fault == "raise":
             raise MemoryError
@@ -757,20 +792,25 @@ def test_no_worker_outlives_enumerate(capsys, monkeypatch, fault, status):
             # a worker that would still run long after the parent stops
             time.sleep(30)
         if not in_worker and fault == "interrupt":
-            # Ctrl-C in the parent at its first clique, while the worker runs
+            # Ctrl-C in the parent, while the worker runs: at enumerate's
+            # first clique, or as sweep's first factor starts
+            if sink is None:
+                raise KeyboardInterrupt
+
             def sink(report):
                 raise KeyboardInterrupt
 
         return real(g, ell, strategy, sink, **kwargs)
 
     monkeypatch.setattr(cli, "enumerate_isolated", faulty)
-    start = time.monotonic()
-    code, _, err = run_cli(capsys, "enumerate", "--gen", spec, "--ell", "20")
-    assert (code, err) == (status, message)
-    # the parent killed the worker rather than waiting for it
-    assert time.monotonic() - start < 20
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for argv in (["enumerate", "--gen", spec, "--ell", "20"], ["sweep", "--gen", spec, "--ells", "20"]):
+        start = time.monotonic()
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (status, message)
+        # the parent killed the worker rather than waiting for it
+        assert time.monotonic() - start < 20
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 CLOSED_ENUMERATE = """

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,9 +7,12 @@ import oracle
 from isoclique import (
     STRATEGIES,
     CliqueReport,
+    cli,
     enumerate_all_maximal,
     enumerate_isolated,
     enumeration,
+    generate,
+    parse_generator_spec,
 )
 from isoclique.enumeration import SearchNode, _local_pivot, _root_children, select_pivot, split_root
 from graphutil import (
@@ -591,3 +595,59 @@ def test_split_and_root_range_rejected_together():
     g = triangle()
     with pytest.raises(ValueError, match="not both"):
         enumerate_isolated(g, 1, "none", split=split_root(g), roots=range(1, 3))
+
+
+def counters(runs) -> tuple:
+    """Every RunStats counter of ``runs``, all but wall_time, added up."""
+    return (
+        sum(stats.recursive_calls for stats in runs),
+        sum((stats.prune_firings for stats in runs), Counter()),
+        sum(stats.emitted for stats in runs),
+        sum(stats.filtered_at_leaf for stats in runs),
+        sum(stats.induced_degree_evals for stats in runs),
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate(parse_generator_spec("ba:n=300,m=4,seed=1")),
+        lambda: generate(parse_generator_spec("gnmp:n=60,m=8,p=0.3,seed=2")),
+        lambda: generate(parse_generator_spec("ba:n=200,m=1,seed=1")),
+        lambda: complete_graph(8),
+        lambda: star_graph(6),
+        lambda: empty_graph(1),
+        empty_graph,
+    ],
+    ids=["ba", "gnmp", "tree", "K8", "star", "one-vertex", "no-vertex"],
+)
+def test_range_splits_add_up_to_the_whole_split(make, monkeypatch):
+    g = make()
+    whole = split_root(g)
+    passes = [(name, ell) for name in STRATEGIES for ell in (1, 5)] + [("all", None)]
+    for jobs in (2, 3):
+        ranges = cli._root_ranges(g, jobs)
+        splits = [split_root(g, roots) for roots in ranges]
+        assert [s.roots for s in splits] == ranges
+        assert [child for s in splits for child in s.children] == whole.children
+        for name, ell in passes:
+
+            def run(split):
+                got = []
+                if name == "all":
+                    stats = enumerate_all_maximal(g, got.append, split=split)
+                else:
+                    stats = enumerate_isolated(g, ell, name, got.append, split=split)
+                return got, stats
+
+            expected, stats = run(whole)
+            parts = [run(split) for split in splits]
+            assert counters([part for _, part in parts]) == counters([stats])
+            assert [report for got, _ in parts for report in got] == expected
+        # the root is observed, and counted, in the range that starts at 0 only
+        observed = []
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "SearchNode", lambda c, *rest: observed.append(c))
+            for split in splits:
+                enumerate_all_maximal(g, split=split)
+        assert observed.count([]) == 1
