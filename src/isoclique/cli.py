@@ -7,12 +7,13 @@ pruning strategies), and generate (write a synthetic benchmark graph).
 Data goes to stdout or --out; diagnostics go to stderr.
 
 compare, enumerate and sweep share their work among forked worker
-processes, one per usable CPU (see _run_shares). compare deals out its
-strategy passes. enumerate and sweep cut the root children into
-contiguous ranges of vertex ids (see _run_ranges): enumerate writes each
-range's cliques in root order, and sweep builds each range's split and
-runs every factor over it in the range's process, then adds up the
-ranges' counters and times. Their output is the one-process output but
+processes, one per usable CPU, on graphs of at least _FORK_MIN_EDGES
+edges (see _jobs and _run_shares). compare deals out its strategy
+passes. enumerate and sweep cut the root children into contiguous
+ranges of vertex ids (see _run_ranges): enumerate writes each range's
+cliques in root order, and sweep builds each range's split and runs
+every factor over it in the range's process, then adds up the ranges'
+counters and times. Their output is the one-process output but
 for the times: elapsed_ms, and sweep's rows_ms.
 """
 
@@ -178,19 +179,12 @@ def _stats_line(stats) -> str:
     )
 
 
-# enumerate runs in one process on graphs of fewer edges, where a fork and
-# the copy-on-write faults after it cost more than a second CPU wins: best
-# of 15 in-process runs at ell 50 on 2 vCPUs, ba:n=500,m=4 (1,990 edges)
-# took 7.8 ms in one process and 10.6 ms in two, ba:n=1000,m=4 (3,990) 17.4
-# in either, ba:n=2000,m=4 (7,990) 26.1 and 21.4 ms.
-_FORK_MIN_EDGES = 4000
-
-# sweep forks only on larger graphs, as each process also pays those faults
-# building its range's split: best of 25 such runs of --ells 1,10,50,250,
-# ba:n=1000,m=4 (3,990 edges) took 12.2-13.6 ms in one process and
-# 13.3-15.3 in two, ba:n=1500,m=4 (5,990) was level, ba:n=1750,m=4 (6,990)
-# 20.0-22.9 and 16.9-20.2 ms.
-_SWEEP_FORK_MIN_EDGES = 7000
+# compare, enumerate and sweep fork only on graphs of this many edges or more.
+# Two processes against one, 40 alternating in-process runs on 2 vCPUs:
+# on ba:n=500,m=4 (1,990 edges) two won 34/40 for enumerate at ell 50, 39/40
+# for compare and 36/40 for sweep at --ells 1,10,50,250, and 29-40/40 up to
+# ba:n=1750,m=4; on ba:n=100,m=4 (390 edges) two won 1, 9 and 0 of 40.
+_FORK_MIN_EDGES = 2000
 
 
 def _root_ranges(g: Graph, jobs: int) -> list[range]:
@@ -206,15 +200,12 @@ def _root_ranges(g: Graph, jobs: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _run_ranges(g: Graph, min_edges: int, work, write) -> list:
+def _run_ranges(g: Graph, work, write) -> list:
     """What work(roots, write) returns for each range of root children of
     ``g`` from _root_ranges, in range order, run by _run_shares: one range
-    per process that _jobs allows, or one range in one process on graphs
-    of fewer than ``min_edges`` edges."""
-    jobs = _jobs(g.vertex_count) if g.edge_count >= min_edges else 1
-    return _run_shares(
-        _root_ranges(g, jobs), work, write, lambda r: f"root children {r.start}-{r.stop - 1}"
-    )
+    per process that _jobs allows."""
+    ranges = _root_ranges(g, _jobs(g, g.vertex_count))
+    return _run_shares(ranges, work, write, lambda r: f"root children {r.start}-{r.stop - 1}")
 
 
 def _cmd_enumerate(args) -> int:
@@ -229,8 +220,9 @@ def _cmd_enumerate(args) -> int:
         return emit
 
     with _open_out(args) as out:
-        if args.sort:
-            # every clique is sorted before the first is written, in one process
+        if args.sort and not args.count_only:
+            # every clique is sorted before the first is written, in one
+            # process; a count needs no order
             reports = []
             stats = enumerate_isolated(g, args.ell, args.strategy, reports.append)
             reports.sort(key=lambda r: r.vertices)
@@ -245,7 +237,7 @@ def _cmd_enumerate(args) -> int:
             return _stats_data(enumerate_isolated(g, args.ell, args.strategy, sink, roots=roots))
 
         start = perf_counter()
-        stats = _summed(_run_ranges(g, _FORK_MIN_EDGES, work, out.write))
+        stats = _summed(_run_ranges(g, work, out.write))
         stats.wall_time = perf_counter() - start
         print(stats.emitted if args.count_only else _stats_line(stats), file=out)
     return 0
@@ -265,7 +257,7 @@ def _cmd_sweep(args) -> int:
         return [rows_s, *map(_stats_data, runs)]
 
     # per item of work's list, every range's value, in range order
-    rows_s, maximal, *passes = zip(*_run_ranges(g, _SWEEP_FORK_MIN_EDGES, work, None))
+    rows_s, maximal, *passes = zip(*_run_ranges(g, work, None))
     rows_ms = sum(rows_s) * 1000.0
     total = _summed(maximal).emitted
     with _open_out(args) as out:
@@ -310,15 +302,17 @@ class WorkerError(RuntimeError):
     """A worker process could not start, failed or was killed."""
 
 
-def _jobs(most: int) -> int:
-    """How many processes may share a command's work: one per CPU this
-    process may run on, at most ``most`` and at least 1. It is 1 where
-    os.fork or the CPU affinity calls are missing; while another thread
-    runs, as a forked child could block on a lock that thread held; and
-    while an observer is bound at enumeration.SearchNode, since an
-    observer counts in its own process."""
+def _jobs(g: Graph, most: int) -> int:
+    """How many processes may share a command's work on ``g``: one per CPU
+    this process may run on, at most ``most`` and at least 1. It is 1 on
+    graphs of fewer than _FORK_MIN_EDGES edges, where forking costs more
+    than it saves; where os.fork or the CPU affinity calls are missing;
+    while another thread runs, as a forked child could block on a lock
+    that thread held; and while an observer is bound at
+    enumeration.SearchNode, since an observer counts in its own process."""
     if (
         most < 2
+        or g.edge_count < _FORK_MIN_EDGES
         or not hasattr(os, "fork")
         or not hasattr(os, "sched_getaffinity")
         or threading.active_count() > 1
@@ -341,25 +335,6 @@ def _pass(g: Graph, ell: int, name: str, split) -> tuple[RunStats, int]:
     return stats, digest
 
 
-def _leave_parent_cpu() -> None:
-    """Move this forked worker off the CPU it was forked on, then allow it
-    every CPU again. A forked child starts on its parent's CPU, and the
-    scheduler may leave it there, so the two would take turns on one CPU
-    while another idles. The CPU is field 39 of /proc/self/stat, the 37th
-    after the parenthesised command name. Best effort: the move is skipped
-    where it fails."""
-    try:
-        allowed = os.sched_getaffinity(0)
-        with open("/proc/self/stat", "rb") as fh:
-            stat = fh.read()
-        others = allowed - {int(stat[stat.rindex(b")") + 2 :].split()[36])}
-        if others:
-            os.sched_setaffinity(0, others)
-            os.sched_setaffinity(0, allowed)
-    except OSError:
-        pass
-
-
 def _worker(work, share, pipe_end: int, readers: list[int]) -> NoReturn:
     """Call work(share, write) in a forked worker, ``write`` collecting the
     text it writes, then send what it returns as marshal data, then the
@@ -373,7 +348,6 @@ def _worker(work, share, pipe_end: int, readers: list[int]) -> NoReturn:
     try:
         for fd in readers:
             os.close(fd)
-        _leave_parent_cpu()
         text = []
         data = work(share, text.append)
         body = "".join(text).encode()
@@ -505,7 +479,7 @@ def _cmd_compare(args) -> int:
     start = perf_counter()
     split = split_root(g)
     rows_ms = (perf_counter() - start) * 1000.0
-    jobs = _jobs(len(names))
+    jobs = _jobs(g, len(names))
     passes = _run_passes(g, args.ell, names, split, jobs)
     problem = _disagreement(passes)
     if problem is not None:

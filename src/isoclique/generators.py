@@ -14,6 +14,7 @@ A family is one config dataclass, one generator and one ``FAMILIES`` entry;
 specs are parsed and written from the dataclass's fields, in field order.
 """
 
+import os
 import random
 from dataclasses import MISSING, dataclass, fields
 
@@ -38,6 +39,10 @@ class BAConfig:
                 f"preferential attachment needs 1 <= m < n, got n={self.n}, m={self.m}"
             )
 
+    def min_edges(self) -> int:
+        """Every graph's edge count: the seed clique's, then m per later vertex."""
+        return self.m * self.n - self.m * (self.m + 1) // 2
+
 
 @dataclass(frozen=True)
 class FeatureModelConfig:
@@ -57,6 +62,9 @@ class FeatureModelConfig:
             raise GeneratorConfigError(f"feature count must be >= 1, got {self.m}")
         if not 0.0 <= self.p <= 1.0:
             raise GeneratorConfigError(f"feature probability must be in [0, 1], got {self.p}")
+
+    def min_edges(self) -> int:
+        return 0  # no vertex need draw a feature
 
 
 def generate_ba(cfg: BAConfig) -> Graph:
@@ -148,8 +156,22 @@ def _kind(cfg) -> str:
 
 
 def generate(cfg) -> Graph:
-    """The graph of ``cfg``, a config of one of the ``FAMILIES``."""
-    return FAMILIES[_kind(cfg)][1](cfg)
+    """The graph of ``cfg``, a config of one of the ``FAMILIES``. A config
+    whose rows cannot fit in physical memory, at one 8-byte pointer per
+    vertex and two per edge, is refused before any drawing; the check is
+    skipped where os.sysconf cannot tell the memory size."""
+    generator = FAMILIES[_kind(cfg)][1]
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        memory = 0
+    need = 8 * (cfg.n + 2 * cfg.min_edges())
+    if 0 < memory < need:
+        raise GeneratorConfigError(
+            f"generator spec {canonical_spec(cfg)!r} needs at least {need / 2**30:.1f} GiB, "
+            f"more than the {memory / 2**30:.1f} GiB of memory on this machine"
+        )
+    return generator(cfg)
 
 
 def parse_generator_spec(spec: str):

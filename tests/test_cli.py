@@ -503,6 +503,8 @@ def compare_columns(out):
     "spec", ["gnmp:n=350,m=30,p=0.06,seed=12", "ba:n=3000,m=4,seed=1", "ba:n=2000,m=1,seed=1"]
 )
 def test_parallel_compare_matches_serial(capsys, monkeypatch, spec):
+    # fork on graphs of any size, the tree's 1,999 edges included
+    monkeypatch.setattr(cli, "_FORK_MIN_EDGES", 0)
     g = isoclique.generate(isoclique.parse_generator_spec(spec))
     split = split_root(g)
     names = list(isoclique.STRATEGIES)
@@ -573,7 +575,9 @@ def test_compare_with_observer_runs_serially(capsys, monkeypatch):
     assert len(nodes) == sum(calls for calls, _ in compare_columns(out).values())
 
 
-def test_compare_with_another_thread_runs_serially(capsys, pendant_file):
+def test_compare_with_another_thread_runs_serially(capsys, monkeypatch, pendant_file):
+    # the thread, not the graph's size, keeps compare in one process
+    monkeypatch.setattr(cli, "_FORK_MIN_EDGES", 0)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -656,7 +660,6 @@ def forks_counted(monkeypatch) -> list:
 def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source, ell):
     # fork on graphs of any size, so that tiny graphs are split too
     monkeypatch.setattr(cli, "_FORK_MIN_EDGES", 0)
-    monkeypatch.setattr(cli, "_SWEEP_FORK_MIN_EDGES", 0)
     if source == "star":
         path = tmp_path / "star.txt"
         path.write_text(STAR)
@@ -688,21 +691,22 @@ def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source
     assert "".join(parts) == "".join(whole)
 
     forked = forks_counted(monkeypatch)
-    for extra in ((), ("--count-only",), ("--sort",)):
+    for extra in ((), ("--count-only",), ("--sort",), ("--count-only", "--sort")):
         outputs = []
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
             before = len(forked)
             code, out, err = run_cli(capsys, *argv, *extra)
             assert (code, err) == (0, "")
-            # one worker for the second range, and none for --sort
+            # one worker for the second range, and none for --sort, which
+            # --count-only overrides
             assert len(forked) - before == (cpus == 2 and len(ranges) == 2 and extra != ("--sort",))
             outputs.append(without_elapsed(out))
         assert outputs[0] == outputs[1]
         if not extra:
             assert outputs[0].endswith(f" emitted={expected.emitted} filtered_at_leaf={expected.filtered_at_leaf}\n")
             assert len(outputs[0].splitlines()) == expected.emitted + 1
-        elif extra == ("--count-only",):
+        elif "--count-only" in extra:
             assert outputs[0] == f"{expected.emitted}\n"
 
     # sweep runs every factor in each range's process, and adds up the ranges
@@ -721,16 +725,24 @@ def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source
     assert outputs[0].splitlines()[3] == f"{ell},{expected.emitted},{percent:.2f},{expected.recursive_calls}"
 
 
-def test_small_graphs_enumerate_in_one_process(capsys, monkeypatch):
+def test_small_graphs_enumerate_in_one_process(capsys, monkeypatch, tmp_path):
+    # compare, enumerate and sweep below the edge gate, and compare on an
+    # empty graph, fork no worker, even with two usable CPUs
+    spec = "ba:n=500,m=4,seed=1"
+    assert isoclique.generate(isoclique.parse_generator_spec(spec)).edge_count < cli._FORK_MIN_EDGES
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
     forked = forks_counted(monkeypatch)
-    code, out, _ = run_cli(capsys, "enumerate", "--gen", "ba:n=500,m=4,seed=1", "--ell", "5")
-    assert code == 0
-    assert isoclique.generate(isoclique.parse_generator_spec("ba:n=500,m=4,seed=1")).edge_count < cli._FORK_MIN_EDGES
-    # sweep's own gate keeps it in one process on a graph enumerate splits
-    code, out, _ = run_cli(capsys, "sweep", "--gen", "ba:n=1500,m=4,seed=1", "--ells", "5")
-    assert code == 0
-    edges = isoclique.generate(isoclique.parse_generator_spec("ba:n=1500,m=4,seed=1")).edge_count
-    assert cli._FORK_MIN_EDGES <= edges < cli._SWEEP_FORK_MIN_EDGES
+    for argv in (
+        ["enumerate", "--gen", spec, "--ell", "5"],
+        ["sweep", "--gen", spec, "--ells", "5,50"],
+        ["compare", "--gen", spec, "--ell", "5"],
+        ["compare", "--graph", str(empty), "--ell", "1"],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        if argv[0] == "compare":
+            assert header_field(out.splitlines()[0], "jobs") == "1"
     assert forked == []
 
 
@@ -741,7 +753,6 @@ def refuse_fork():
 @pytest.mark.parametrize("holder", ["observer", "thread"])
 def test_enumerate_with_observer_or_thread_runs_serially(capsys, monkeypatch, holder):
     monkeypatch.setattr(os, "fork", refuse_fork)
-    monkeypatch.setattr(cli, "_SWEEP_FORK_MIN_EDGES", cli._FORK_MIN_EDGES)
     nodes = count_search_nodes(monkeypatch) if holder == "observer" else None
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
@@ -769,8 +780,7 @@ def test_enumerate_with_observer_or_thread_runs_serially(capsys, monkeypatch, ho
 @pytest.mark.parametrize("fault, status", [(None, 0), ("raise", 4), ("kill", 4), ("interrupt", 130)])
 def test_no_worker_outlives_enumerate(capsys, monkeypatch, fault, status):
     spec = "ba:n=800,m=6,seed=3"
-    # a graph large enough for enumerate to fork, and sweep too
-    monkeypatch.setattr(cli, "_SWEEP_FORK_MIN_EDGES", cli._FORK_MIN_EDGES)
+    # a graph large enough for enumerate and sweep to fork
     second = cli._root_ranges(isoclique.generate(isoclique.parse_generator_spec(spec)), 2)[1]
     running = f"the worker process running root children {second.start}-{second.stop - 1}"
     message = {
@@ -846,25 +856,40 @@ def test_no_worker_outlives_enumerate_with_closed_stdout():
     assert (code, err) == (0, b"")
 
 
-OUT_OF_MEMORY = """
+GENERATE_IN_64_MIB = """
 import os, resource, sys
 from isoclique import cli
 with open("/proc/self/status") as fh:
     size_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
 limit = (size_kib + 64 * 1024) * 1024
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-sys.exit(cli.main(["generate", "--gen", "ba:n=100000000,m=2,seed=1", "--out", os.devnull]))
+sys.exit(cli.main(["generate", "--gen", sys.argv[1], "--out", os.devnull]))
 """
+
+
+def generate_in_64_mib(spec):
+    """Run ``isoclique generate --gen spec`` in a child process whose
+    address space may grow by 64 MiB."""
+    src_dir = Path(isoclique.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    return subprocess.run(
+        [sys.executable, "-c", GENERATE_IN_64_MIB, spec], capture_output=True, env=env, timeout=120
+    )
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_out_of_memory_exits_with_one_line():
-    # a child process whose address space may grow by 64 MiB generates a
-    # graph that needs far more
-    src_dir = Path(isoclique.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src_dir))
-    proc = subprocess.run(
-        [sys.executable, "-c", OUT_OF_MEMORY], capture_output=True, env=env, timeout=120
-    )
+    # a graph that needs far more than 64 MiB, yet fits in physical memory
+    proc = generate_in_64_mib("ba:n=100000000,m=2,seed=1")
     assert proc.returncode == 4
     assert proc.stderr.decode().splitlines() == ["error: out of memory"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_impossible_spec_is_refused_before_drawing():
+    # 100 billion vertices and 200 billion edges need terabytes: a usage
+    # error, not a run until memory runs out
+    proc = generate_in_64_mib("ba:n=100000000000,m=2,seed=1")
+    assert proc.returncode == 2
+    last = proc.stderr.decode().splitlines()[-1]
+    assert last.startswith("isoclique: error: generator spec 'ba:n=100000000000,m=2,seed=1' needs at least")

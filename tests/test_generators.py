@@ -61,12 +61,13 @@ def test_ba_with_single_attachment_is_a_tree():
 
 
 def test_ba_edge_counts_follow_construction():
-    for n, m in [(10, 2), (50, 5), (200, 7), (333, 12)]:
+    for n, m in [(2, 1), (5, 4), (10, 2), (50, 5), (200, 7), (333, 12)]:
         for seed in (0, 1):
-            g = generate_ba(BAConfig(n=n, m=m, seed=seed))
+            cfg = BAConfig(n=n, m=m, seed=seed)
+            g = generate_ba(cfg)
             validate(g)
             assert g.vertex_count == n
-            assert g.edge_count == ba_edge_count(n, m)
+            assert g.edge_count == ba_edge_count(n, m) == cfg.min_edges()
 
 
 def test_ba_is_deterministic():
@@ -184,6 +185,33 @@ def test_canonical_spec_round_trips():
     for spec in ("ba:n=10,m=2,seed=3", "gnmp:n=9,m=4,p=0.25,seed=1"):
         cfg = parse_generator_spec(spec)
         assert parse_generator_spec(canonical_spec(cfg)) == cfg
+
+
+def physical_memory(monkeypatch, size):
+    """Make the generators see ``size`` bytes of physical memory, in pages of 8 bytes."""
+    pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": size // 8}
+    monkeypatch.setattr("isoclique.generators.os.sysconf", pages.__getitem__)
+
+
+def test_graphs_that_cannot_fit_are_refused_before_drawing(monkeypatch):
+    # 8 bytes per vertex and 16 per edge: 8 * (300 + 2 * 2072) for this BA
+    # config; 8 * 50 for the feature model, which may draw no edge
+    ba, gnmp = BAConfig(n=300, m=7, seed=1), FeatureModelConfig(n=50, m=5, p=1.0, seed=1)
+    physical_memory(monkeypatch, 8 * (300 + 2 * 2072))
+    assert generate(ba).edge_count == 2072
+    physical_memory(monkeypatch, 8 * (300 + 2 * 2072) - 8)
+    with pytest.raises(GeneratorConfigError, match=r"^generator spec 'ba:n=300,m=7,seed=1' needs at least"):
+        generate(ba)
+    physical_memory(monkeypatch, 8 * 50)
+    assert generate(gnmp).edge_count == 50 * 49 // 2
+    physical_memory(monkeypatch, 8 * 50 - 8)
+    with pytest.raises(GeneratorConfigError):
+        generate(gnmp)
+
+
+def test_fit_check_is_skipped_without_sysconf(monkeypatch):
+    monkeypatch.delattr("isoclique.generators.os.sysconf", raising=False)
+    assert generate(BAConfig(n=6, m=2, seed=0)).vertex_count == 6
 
 
 def test_generate_dispatch():
