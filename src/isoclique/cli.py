@@ -180,11 +180,14 @@ def _stats_line(stats) -> str:
 
 
 # compare, enumerate and sweep fork only on graphs of this many edges or more.
-# Two processes against one, 40 alternating in-process runs on 2 vCPUs:
-# on ba:n=500,m=4 (1,990 edges) two won 34/40 for enumerate at ell 50, 39/40
-# for compare and 36/40 for sweep at --ells 1,10,50,250, and 29-40/40 up to
-# ba:n=1750,m=4; on ba:n=100,m=4 (390 edges) two won 1, 9 and 0 of 40.
-_FORK_MIN_EDGES = 2000
+# Two processes against one, 80 alternating in-process runs on 2 vCPUs on
+# ba:n=N,m=4,seed=1 and 2 (4N-10 edges), two faster for enumerate at ell 50,
+# sweep at --ells 1,10,50,250 and compare at ell 50: at 1,290 edges 11 and
+# 25, 33 and 48, 63 and 71 runs; at 1,390 41 and 55, 45 and 56, 68 and 66;
+# at 1,590 on seed 2 58, 54 and 73; in 29-40 of 40 from 1,990 edges up. The
+# gate is where enumerate and sweep break even; compare alone would gain
+# from about 800 edges (29/40 at 790, 17/40 at 590).
+_FORK_MIN_EDGES = 1390
 
 
 def _root_ranges(g: Graph, jobs: int) -> list[range]:

@@ -727,8 +727,9 @@ def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source
 
 def test_small_graphs_enumerate_in_one_process(capsys, monkeypatch, tmp_path):
     # compare, enumerate and sweep below the edge gate, and compare on an
-    # empty graph, fork no worker, even with two usable CPUs
-    spec = "ba:n=500,m=4,seed=1"
+    # empty graph, fork no worker, even with two usable CPUs. On this
+    # 390-edge graph all three ran slower forked
+    spec = "ba:n=100,m=4,seed=1"
     assert isoclique.generate(isoclique.parse_generator_spec(spec)).edge_count < cli._FORK_MIN_EDGES
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -879,8 +880,10 @@ def generate_in_64_mib(spec):
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_out_of_memory_exits_with_one_line():
-    # a graph that needs far more than 64 MiB, yet fits in physical memory
-    proc = generate_in_64_mib("ba:n=100000000,m=2,seed=1")
+    # every vertex draws the one feature, so the rows hold 20000 * 19999
+    # pointers, 3.2 GB, far more than 64 MiB; the fit check counts no edges
+    # for gnmp, and its 160 kB bound passes on any host
+    proc = generate_in_64_mib("gnmp:n=20000,m=1,p=1,seed=1")
     assert proc.returncode == 4
     assert proc.stderr.decode().splitlines() == ["error: out of memory"]
 
