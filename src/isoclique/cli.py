@@ -8,13 +8,15 @@ Data goes to stdout or --out; diagnostics go to stderr.
 
 compare, enumerate and sweep share their work among forked worker
 processes, one per usable CPU, on graphs of at least _FORK_MIN_EDGES
-edges (see _jobs and _run_shares). compare deals out its strategy
-passes. enumerate and sweep cut the root children into contiguous
-ranges of vertex ids (see _run_ranges): enumerate writes each range's
-cliques in root order, and sweep builds each range's split and runs
-every factor over it in the range's process, then adds up the ranges'
-counters and times. Their output is the one-process output but
-for the times: elapsed_ms, and sweep's rows_ms.
+edges (see _jobs). They cut the root children into chunks, contiguous
+ranges of vertex ids, _CHUNKS_PER_JOB per process, and every process,
+the calling one included, takes the next chunk from one queue whenever
+it is free (see _run_chunks and _deal). Each chunk is one engine call of
+enumerate, which writes the chunks' cliques in chunk order, and one
+split of sweep and compare, which run every factor or strategy over it;
+the chunks' counters and times are then added up, and compare checks
+each strategy's per-chunk hashes. Their output is the one-process output
+but for the times: elapsed_ms, and rows_ms of sweep and compare.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from collections import defaultdict
 from contextlib import nullcontext, suppress
 from itertools import accumulate
 from time import perf_counter
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from . import enumeration
-from .enumeration import RunStats, enumerate_all_maximal, enumerate_isolated, split_root
+from .enumeration import RootSetup, RunStats, enumerate_all_maximal, enumerate_isolated, split_root
 from .generators import GeneratorConfigError, canonical_spec, generate, parse_generator_spec
 from .graph import EdgeListParseError, Graph, load_edge_list_report, write_edge_list
 from .pruning import STRATEGIES
@@ -190,25 +192,37 @@ def _stats_line(stats) -> str:
 _FORK_MIN_EDGES = 1390
 
 
-def _root_ranges(g: Graph, jobs: int) -> list[range]:
-    """The vertex ids of ``g`` cut into at most ``jobs`` contiguous,
+# With W > 1 processes the root is cut into _CHUNKS_PER_JOB·W chunks, at
+# most _MAX_CHUNKS: enough that the last chunks to finish even out the
+# processes' shares, few enough that each chunk's engine calls and split
+# stay cheap beside its search. The queue holds one byte per chunk index.
+_CHUNKS_PER_JOB = 8
+_MAX_CHUNKS = 255
+
+
+def _root_ranges(g: Graph, chunks: int) -> list[range]:
+    """The vertex ids of ``g`` cut into at most ``chunks`` contiguous,
     non-empty ranges of about equal degree sum, in id order; one range,
     empty for a vertexless graph, when there is nothing to cut."""
     n = g.vertex_count
-    if jobs < 2 or n < 2:
+    if chunks < 2 or n < 2:
         return [range(n)]
     sums = list(accumulate(map(len, g.adjacency)))
-    cuts = {bisect_left(sums, sums[-1] * j / jobs) + 1 for j in range(1, jobs)}
+    cuts = {bisect_left(sums, sums[-1] * j / chunks) + 1 for j in range(1, chunks)}
     bounds = [0, *sorted(cut for cut in cuts if cut < n), n]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _run_ranges(g: Graph, work, write) -> list:
-    """What work(roots, write) returns for each range of root children of
-    ``g`` from _root_ranges, in range order, run by _run_shares: one range
-    per process that _jobs allows."""
-    ranges = _root_ranges(g, _jobs(g, g.vertex_count))
-    return _run_shares(ranges, work, write, lambda r: f"root children {r.start}-{r.stop - 1}")
+def _run_chunks(g: Graph, work, write) -> tuple[list, int]:
+    """What work(roots, write) returns for each chunk of root children of
+    ``g``, in chunk order, and how many processes ran them. When _jobs
+    allows one process, the one chunk is the whole root, so each of a
+    command's passes is one engine call; else the chunks are _root_ranges
+    of _CHUNKS_PER_JOB per process, dealt by _deal."""
+    jobs = _jobs(g, g.vertex_count)
+    chunks = _root_ranges(g, 1 if jobs < 2 else min(_CHUNKS_PER_JOB * jobs, _MAX_CHUNKS))
+    jobs = min(jobs, len(chunks))
+    return _deal(chunks, work, write, jobs), jobs
 
 
 def _cmd_enumerate(args) -> int:
@@ -235,12 +249,14 @@ def _cmd_enumerate(args) -> int:
             print(_stats_line(stats), file=out)
             return 0
 
+        setup = RootSetup(g)
+
         def work(roots: range, write) -> dict:
             sink = None if args.count_only else lines(write)
-            return _stats_data(enumerate_isolated(g, args.ell, args.strategy, sink, roots=roots))
+            return _stats_data(enumerate_isolated(g, args.ell, args.strategy, sink, roots=roots, setup=setup))
 
         start = perf_counter()
-        stats = _summed(_run_ranges(g, work, out.write))
+        stats = _summed(_run_chunks(g, work, out.write)[0])
         stats.wall_time = perf_counter() - start
         print(stats.emitted if args.count_only else _stats_line(stats), file=out)
     return 0
@@ -248,19 +264,20 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     g, label = _resolve_graph(args)
+    setup = RootSetup(g)
 
     def work(roots: range, write) -> list:
-        # the range's split, its build time in seconds, which the engine
+        # the chunk's split, its build time in seconds, which the engine
         # calls' own times leave out, then the calls over it
         start = perf_counter()
-        split = split_root(g, roots)
+        split = split_root(g, roots, setup=setup)
         rows_s = perf_counter() - start
         runs = [enumerate_all_maximal(g, split=split)]
         runs += [enumerate_isolated(g, ell, args.strategy, split=split) for ell in args.ells]
         return [rows_s, *map(_stats_data, runs)]
 
-    # per item of work's list, every range's value, in range order
-    rows_s, maximal, *passes = zip(*_run_ranges(g, work, None))
+    # per item of work's list, every chunk's value, in chunk order
+    rows_s, maximal, *passes = zip(*_run_chunks(g, work, None)[0])
     rows_ms = sum(rows_s) * 1000.0
     total = _summed(maximal).emitted
     with _open_out(args) as out:
@@ -326,7 +343,7 @@ def _jobs(g: Graph, most: int) -> int:
 
 
 def _pass(g: Graph, ell: int, name: str, split) -> tuple[RunStats, int]:
-    """One strategy's run over the shared split, and an order-sensitive hash
+    """One strategy's run over a chunk's split, and an order-sensitive hash
     of the cliques it emits. Tuples of ints hash alike in every process."""
     digest = 0
 
@@ -338,84 +355,137 @@ def _pass(g: Graph, ell: int, name: str, split) -> tuple[RunStats, int]:
     return stats, digest
 
 
-def _worker(work, share, pipe_end: int, readers: list[int]) -> NoReturn:
-    """Call work(share, write) in a forked worker, ``write`` collecting the
-    text it writes, then send what it returns as marshal data, then the
-    text's length in UTF-8 bytes and the text, through the pipe's
-    ``pipe_end``, and exit: with status 0 once everything is sent, else 1.
-    The read ends ``readers`` it inherited, its own pipe's included, are
-    closed first, so that its writes fail once its parent is gone. Never
-    returns, whatever it raises, so the worker cannot run its caller's
-    code."""
+def _dealt(queue: int) -> Iterator[int]:
+    """The chunk indices this process takes from the queue pipe's read end
+    ``queue``, one at a time, until it is empty. A read of one byte is
+    never split between readers, so each index reaches one process."""
+    while index := os.read(queue, 1):
+        yield index[0]
+
+
+def _worker(work, chunks: list, queue: int, pipe_end: int, readers: list[int]) -> NoReturn:
+    """Run work(chunk, write) in a forked worker for each chunk of
+    ``chunks`` it takes from the queue, ``write`` collecting each chunk's
+    text, until the queue is empty. Then send, through the pipe's
+    ``pipe_end``, the list of (index, what work returned, the text's length
+    in UTF-8 bytes) of its chunks as marshal data, then their texts in that
+    order, and exit: with status 0 once everything is sent, else 1. The
+    read ends ``readers`` it inherited, its own pipe's included, are closed
+    first, so that its writes fail once its parent is gone. Never returns,
+    whatever it raises, so the worker cannot run its caller's code."""
     code = 1
     try:
         for fd in readers:
             os.close(fd)
-        text = []
-        data = work(share, text.append)
-        body = "".join(text).encode()
+        done = []
+        for index in _dealt(queue):
+            text = []
+            done.append((index, work(chunks[index], text.append), "".join(text).encode()))
         with open(pipe_end, "wb") as pipe:
-            marshal.dump((data, len(body)), pipe)
-            pipe.write(body)
+            marshal.dump([(index, data, len(body)) for index, data, body in done], pipe)
+            for *_, body in done:
+                pipe.write(body)
         code = 0
     finally:
         os._exit(code)
 
 
 # Bytes of a worker's text read and written at a time.
-_CHUNK = 1 << 16
+_COPY_SIZE = 1 << 16
 
 
-def _run_shares(shares: list, work, write, describe) -> list:
-    """What work(share, write) returns for each share of ``shares``, in
-    order, with ``write`` getting all their text, in share order too.
+def _raise_if_failed(status: int) -> None:
+    """Raise WorkerError if a reaped worker's wait ``status`` says it failed."""
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise WorkerError(f"a worker process {how}")
 
-    This process runs the first share and forks a worker for each other
-    share, which inherits everything this process holds and sends its
-    result and text back through a pipe (see _worker); ``work`` must
-    return marshal data. Once the first share is done, each worker's text
-    goes to ``write`` in chunks of _CHUNK bytes, so this process never
-    holds a whole share's text, and the worker is reaped. Every worker is
-    reaped before this returns or raises: on any exception, Ctrl-C or a
-    closed output included, the workers left are killed first. A worker
-    that fails raises WorkerError, naming describe(share).
+
+def _deal(chunks: list, work, write, jobs: int) -> list:
+    """What work(chunk, write) returns for each chunk of ``chunks``, at most
+    _MAX_CHUNKS of them, in order, run by ``jobs`` processes, with
+    ``write`` getting all their text in chunk order too.
+
+    One process runs every chunk in turn. Otherwise this process writes
+    each chunk's index as a byte into a pipe, the queue, and forks a
+    worker for each other process, which inherits everything this process
+    holds (see _worker); ``work`` must return marshal data. Every process
+    then takes the next index from the queue whenever it is free, until
+    the queue is empty. This process writes the text of the chunks it runs
+    at once while every earlier chunk's text is written, else holds it as
+    one string; then it writes the rest in chunk order, each worker's text
+    in pieces of _COPY_SIZE bytes, so it never holds a worker's whole text.
+    Every worker is reaped before this returns or raises: on any
+    exception, Ctrl-C or a closed output included, the workers left are
+    killed first. A worker that fails raises WorkerError.
     """
-    pending = []  # (pid, read end, share) of each worker not yet reaped
+    if jobs < 2:
+        return [work(chunk, write) for chunk in chunks]
+    queue, fill = os.pipe()
+    # at most _MAX_CHUNKS bytes, under PIPE_BUF, so one write fills the queue
+    os.write(fill, bytes(range(len(chunks))))
+    os.close(fill)
+    pending = []  # (pid, read end) of each worker not yet reaped
     try:
-        for share in shares[1:]:
-            read, pipe_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError as exc:
-                os.close(read)
+        try:
+            for _ in range(jobs - 1):
+                read, pipe_end = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError as exc:
+                    os.close(read)
+                    os.close(pipe_end)
+                    raise WorkerError(f"cannot start a worker process: {exc.strerror}") from None
+                if not pid:
+                    _worker(work, chunks, queue, pipe_end, [read, *(pipe.fileno() for _, pipe in pending)])
                 os.close(pipe_end)
-                raise WorkerError(f"cannot start a worker process: {exc.strerror}") from None
-            if not pid:
-                _worker(work, share, pipe_end, [read, *(pipe.fileno() for _, pipe, _ in pending)])
-            os.close(pipe_end)
-            pending.append((pid, open(read, "rb"), share))
-        results = [work(shares[0], write)]
-        while pending:
-            pid, pipe, share = pending[0]
+                pending.append((pid, open(read, "rb")))
+            results = [None] * len(chunks)
+            held = {}  # the text of each chunk run here that waits for an earlier one
+            written = 0  # chunks before this one have their text written
+            for index in _dealt(queue):
+                if index == written:
+                    results[index] = work(chunks[index], write)
+                    written += 1
+                else:
+                    text = []
+                    results[index] = work(chunks[index], text.append)
+                    held[index] = "".join(text)
+        finally:
+            os.close(queue)
+        sent = {}  # the read end and text length of each chunk a worker ran
+        for k, (pid, pipe) in enumerate(pending):
             try:
-                data, left = marshal.load(pipe)
+                ran = marshal.load(pipe)
             except (EOFError, ValueError, TypeError):
                 # a failed worker's message is cut short; its status says why
-                data, left = None, 0
-            decode = codecs.getincrementaldecoder("utf-8")().decode
-            while left and (chunk := pipe.read(min(left, _CHUNK))):
-                left -= len(chunk)
-                write(decode(chunk))
+                pipe.close()
+                status = os.waitpid(pid, 0)[1]
+                del pending[k]
+                _raise_if_failed(status)
+                raise WorkerError("a worker process sent no result") from None
+            for index, data, size in ran:
+                results[index] = data
+                sent[index] = pipe, size
+        for index in range(written, len(chunks)):
+            text = held.pop(index, None)
+            if text is None:
+                pipe, left = sent[index]
+                decode = codecs.getincrementaldecoder("utf-8")().decode
+                while left and (piece := pipe.read(min(left, _COPY_SIZE))):
+                    left -= len(piece)
+                    write(decode(piece))
+            elif text:
+                write(text)
+        while pending:
+            pid, pipe = pending[-1]
             pipe.close()
             status = os.waitpid(pid, 0)[1]
-            del pending[0]
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise WorkerError(f"the worker process running {describe(share)} {how}")
-            results.append(data)
+            del pending[-1]
+            _raise_if_failed(status)
     except BaseException:
-        for pid, pipe, _ in pending:
+        for pid, pipe in pending:
             pipe.close()
             # the worker may have been reaped just before the exception
             with suppress(ProcessLookupError, ChildProcessError):
@@ -443,26 +513,10 @@ def _summed(results: list[dict]) -> RunStats:
     return total
 
 
-def _run_passes(g: Graph, ell: int, names: list[str], split, jobs: int) -> dict[str, tuple[RunStats, int]]:
-    """Each strategy of ``names`` run over ``split`` as _pass runs it, keyed
-    in the order of ``names``. The passes are dealt round-robin over
-    ``jobs`` processes by _run_shares."""
-
-    def work(share, write) -> list:
-        return [(_stats_data(stats), digest) for stats, digest in (_pass(g, ell, name, split) for name in share)]
-
-    shares = [names[i::jobs] for i in range(jobs)]
-    runs = {}
-    for share, results in zip(shares, _run_shares(shares, work, None, ",".join)):
-        for name, (fields, digest) in zip(share, results):
-            runs[name] = _summed([fields]), digest
-    return {name: runs[name] for name in names}
-
-
-def _disagreement(runs: dict[str, tuple[RunStats, int]]) -> str | None:
+def _disagreement(runs: dict[str, tuple[RunStats, tuple[int, ...]]]) -> str | None:
     """None when every pass of ``runs`` emitted the cliques the baseline
-    "none" emitted, in the same order, judged by count and hash; else a
-    message naming the strategies that differ."""
+    "none" emitted, in the same order, judged by count and the hashes of
+    its chunks; else a message naming the strategies that differ."""
     expected = runs["none"][0].emitted, runs["none"][1]
     odd = [name for name, (stats, digest) in runs.items() if (stats.emitted, digest) != expected]
     if not odd:
@@ -479,11 +533,25 @@ def _cmd_compare(args) -> int:
     shown = list(dict.fromkeys(args.strategies))
     # the baseline run is needed for the call percentages even if not shown
     names = shown if "none" in shown else ["none", *shown]
-    start = perf_counter()
-    split = split_root(g)
-    rows_ms = (perf_counter() - start) * 1000.0
-    jobs = _jobs(g, len(names))
-    passes = _run_passes(g, args.ell, names, split, jobs)
+    setup = RootSetup(g)
+
+    def work(roots: range, write) -> list:
+        # the chunk's split and its build time in seconds, then each
+        # strategy's counters and hash over it
+        start = perf_counter()
+        split = split_root(g, roots, setup=setup)
+        rows_s = perf_counter() - start
+        runs = (_pass(g, args.ell, name, split) for name in names)
+        return [rows_s, *((_stats_data(stats), digest) for stats, digest in runs)]
+
+    results, jobs = _run_chunks(g, work, None)
+    # per item of work's list, every chunk's value, in chunk order
+    rows_s, *chunked = zip(*results)
+    rows_ms = sum(rows_s) * 1000.0
+    passes = {
+        name: (_summed([fields for fields, _ in runs]), tuple(digest for _, digest in runs))
+        for name, runs in zip(names, chunked)
+    }
     problem = _disagreement(passes)
     if problem is not None:
         print(f"internal error: {problem}", file=sys.stderr)

@@ -45,7 +45,10 @@ the root children in a range of vertex ids, so that processes can share
 one run by ranges (see enumerate_isolated). Several runs on one graph
 can share its output instead, a RootSplit of the whole root or of one
 range (see split_root). A run handed one picks no root pivot, splits
-nothing, builds no rows and picks no pivot at a root child.
+nothing, builds no rows and picks no pivot at a root child. Runs and
+splits over many ranges of one graph can share a RootSetup, so that the
+degree list, the root pivot and the hubs' neighbour sets are set up once
+for all of them.
 """
 
 from __future__ import annotations
@@ -205,14 +208,32 @@ def _local_pivot(
 _HUB_FACTOR = 4
 
 
+class RootSetup:
+    """What every root child of one graph shares, set up once for any
+    number of runs and splits over ranges of it in one process: the degree
+    list ``degrees``, the root pivot's neighbours ``skip``, which are never
+    root children, and ``hubs``, N(u) as a frozenset for each hub u that a
+    root child has met so far (see _root_children). A forked process fills
+    its own copy of ``hubs``."""
+
+    __slots__ = ("graph", "degrees", "skip", "hubs")
+
+    def __init__(self, g: Graph) -> None:
+        self.graph = g
+        self.degrees = degrees = list(map(len, g.adjacency))
+        # select_pivot(g, range(n), []): with P = V a vertex's count is its degree
+        self.skip = set(g.adjacency[degrees.index(max(degrees))]) if degrees else set()
+        self.hubs: dict[int, frozenset[int]] = {}
+
+
 def _root_children(
-    g: Graph, roots: range | None = None
+    setup: RootSetup, roots: range | None = None
 ) -> Iterator[tuple[int, int, int, list[int] | None, int]]:
-    """The root's children ``(v, P, X, masks, branch)`` in root order, P
-    and X as bitsets over N(v), where bit i stands for N(v)[i]; only those
-    with v in ``roots``, a range of vertex ids, if it is given. A child's P
-    and X depend on the root order alone, so a range is split as the whole
-    root splits it.
+    """The root's children ``(v, P, X, masks, branch)`` of the graph of
+    ``setup``, in root order, P and X as bitsets over N(v), where bit i
+    stands for N(v)[i]; only those with v in ``roots``, a range of vertex
+    ids, if it is given. A child's P and X depend on the root order alone,
+    so a range is split as the whole root splits it.
 
     At the root C is empty and X starts empty, so P = V and the root pivot
     is the lowest id of top degree; its neighbours ``skip`` are never root
@@ -228,7 +249,7 @@ def _root_children(
     child an X row is only read against a subset of P. The row of u in P
     scans N(u), unless u is a hub of more than _HUB_FACTOR·deg(v)
     neighbours: its row filters N(v) through a set of N(u), built once per
-    hub and kept while the generator runs. A row then costs at most
+    hub and kept in ``setup.hubs``. A row then costs at most
     _HUB_FACTOR·min(deg(u), deg(v)) lookups, and the rows of a run
     _HUB_FACTOR·Σ min(deg) over edges, not Σ deg² over vertices; Chiba and
     Nishizeki (SIAM J. Comput. 1985) bound that sum by 2·arboricity·m.
@@ -240,18 +261,17 @@ def _root_children(
     child's rows are built when it is reached, so a consumer that drops
     them before the next holds one child's rows at a time.
     """
+    g = setup.graph
     n = g.vertex_count
     if not n:
         return
     adjacency = g.adjacency
-    degrees = list(map(len, adjacency))
-    # select_pivot(g, range(n), []): with P = V a vertex's count is its degree
-    skip = set(adjacency[degrees.index(max(degrees))])
+    skip = setup.skip
     held = skip.__contains__
     shift = (1).__lshift__
     bit = [0] * n  # bit[w] is w's bit in the current N(v), else 0
     lookup = bit.__getitem__
-    hubs: dict[int, frozenset[int]] = {}  # N(u) of each hub u met so far
+    hubs = setup.hubs
     for v in range(n) if roots is None else roots:
         if v in skip:
             continue
@@ -307,30 +327,41 @@ def _root_children(
 class RootSplit:
     """The root's split of one graph, shared by every run handed it.
 
-    ``children`` lists the root children ``(v, P, X, masks, branch)`` as
-    _root_children yields them: every one when ``roots`` is None, else
-    those with v in ``roots``, a range of vertex ids. A run handed the
-    split is limited to that range as enumerate_isolated's ``roots``
-    limits it. Runs only read the children.
+    ``children`` lists the root children ``(v, P, X, masks, branch)`` of
+    the graph of ``setup`` as _root_children yields them: every one when
+    ``roots`` is None, else those with v in ``roots``, a range of vertex
+    ids. A run handed the split is limited to that range as
+    enumerate_isolated's ``roots`` limits it. Runs only read the children.
     """
 
-    graph: Graph
+    setup: RootSetup
     children: list[tuple[int, int, int, list[int] | None, int]]
     roots: range | None = None
 
 
-def split_root(g: Graph, roots: range | None = None) -> RootSplit:
+def _setup_for(g: Graph, setup: RootSetup | None) -> RootSetup:
+    """``setup``, checked to be of ``g``, or a new RootSetup of ``g``."""
+    if setup is None:
+        return RootSetup(g)
+    if setup.graph is not g:
+        raise ValueError("the root setup was prepared for another graph")
+    return setup
+
+
+def split_root(g: Graph, roots: range | None = None, *, setup: RootSetup | None = None) -> RootSplit:
     """Pick the root pivot of ``g``, split every root child, or only those
     in ``roots``, a range of vertex ids, build its rows and pick its pivot,
-    once for any number of runs. The split holds all of them at once: one
-    list slot per vertex of each root child's neighbourhood, at most 2m
+    once for any number of runs; ``setup``, a RootSetup of ``g``, if given,
+    saves setting up the root again. The split holds all of them at once:
+    one list slot per vertex of each root child's neighbourhood, at most 2m
     for m edges over the whole root, each row as an int of up to deg(v)
     bits, and one branch int of up to deg(v) bits per root child."""
-    return RootSplit(g, list(_root_children(g, roots)), roots)
+    setup = _setup_for(g, setup)
+    return RootSplit(setup, list(_root_children(setup, roots)), roots)
 
 
 def _search_subproblem(
-    g: Graph,
+    setup: RootSetup,
     children: Iterable[tuple[int, int, int, list[int] | None, int]],
     ell: int,
     stages: Stages,
@@ -338,10 +369,10 @@ def _search_subproblem(
     stats: RunStats,
 ) -> None:
     """Visit each root child ``(v, P, X, masks, branch)`` of ``children``,
-    given as _root_children yields it, and every node below it, on local
-    bitsets. ``branch`` stands in for the root child's pivot if its prune
-    test keeps it. One call serves a whole run: its locals are set up, and
-    its counters added to ``stats``, once.
+    given as _root_children yields it for ``setup``, and every node below
+    it, on local bitsets. ``branch`` stands in for the root child's pivot
+    if its prune test keeps it. One call serves a whole run: its locals are
+    set up, and its counters added to ``stats``, once.
 
     Everything below v lies inside N(v), so P and X are ints over
     ``universe`` = N(v): bit i stands for ``universe[i]``, in vertex-id
@@ -374,8 +405,8 @@ def _search_subproblem(
     left. A SearchNode is built for a visited node only when the name is
     rebound to an observer (see SearchNode).
     """
-    adjacency = g.adjacency
-    degree = list(map(len, adjacency))
+    adjacency = setup.graph.adjacency
+    degree = setup.degrees
     nodes = emitted = filtered = 0
     visit = SearchNode if SearchNode is not _NODE else None
     # (C, |C|, P, X, base, branch) of each ancestor of the open node with branches left
@@ -505,6 +536,7 @@ def enumerate_isolated(
     *,
     split: RootSplit | None = None,
     roots: range | None = None,
+    setup: RootSetup | None = None,
 ) -> RunStats:
     """Report every maximal clique of ``g`` whose external edge count is
     strictly below ``ell`` times its size.
@@ -524,19 +556,26 @@ def enumerate_isolated(
     ranges that cover 0..n-1 thus emit the whole run's cliques between
     them, each its part in the whole run's order, and their counters add
     up to the whole run's. A split's own range limits a run handed it
-    alike, so ``roots`` cannot be combined with ``split``.
+    alike, so ``roots`` cannot be combined with ``split``. ``setup``, a
+    RootSetup of ``g``, saves setting up the root again; a split brings
+    its own.
     """
     stages = get_strategy(strategy) if isinstance(strategy, str) else strategy
     if not isinstance(ell, int) or isinstance(ell, bool) or ell < 1:
         raise ValueError("isolation factor must be an integer >= 1")
-    if split is not None:
-        if split.graph is not g:
-            raise ValueError("the root split was prepared for another graph")
-        if roots is not None:
-            raise ValueError("a run takes a root split or a range of root children, not both")
-        roots = split.roots
     stats = RunStats()
     start = perf_counter()
+    if split is not None:
+        if split.setup.graph is not g:
+            raise ValueError("the root split was prepared for another graph")
+        if roots is not None or setup is not None:
+            raise ValueError(
+                "a run takes a root split, or a range of root children and a root setup, not both"
+            )
+        roots = split.roots
+        setup = split.setup
+    else:
+        setup = _setup_for(g, setup)
     # With C empty the prune test reduces to 0 >= omega_bar * ell, which no
     # bound can meet, so the root is never evaluated.
     n = g.vertex_count
@@ -547,8 +586,8 @@ def enumerate_isolated(
         if not n:
             # the root of a vertexless graph is its only leaf, and 0 < ell * 0 fails
             stats.filtered_at_leaf += 1
-    children = _root_children(g, roots) if split is None else split.children
-    _search_subproblem(g, children, ell, stages, sink, stats)
+    children = _root_children(setup, roots) if split is None else split.children
+    _search_subproblem(setup, children, ell, stages, sink, stats)
     stats.wall_time = perf_counter() - start
     return stats
 

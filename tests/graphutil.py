@@ -400,8 +400,8 @@ def recounted(g: Graph):
             recount.root_children += 1
             yield child
 
-    def search(graph, children, *rest):
-        return real_search(graph, checked(children), *rest)
+    def search(setup, children, *rest):
+        return real_search(setup, checked(children), *rest)
 
     enumeration.SearchNode = node
     enumeration._search_subproblem = search

@@ -4,6 +4,7 @@ import hashlib
 import io
 import os
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -506,26 +507,39 @@ def test_parallel_compare_matches_serial(capsys, monkeypatch, spec):
     # fork on graphs of any size, the tree's 1,999 edges included
     monkeypatch.setattr(cli, "_FORK_MIN_EDGES", 0)
     g = isoclique.generate(isoclique.parse_generator_spec(spec))
-    split = split_root(g)
+    setup = enumeration.RootSetup(g)
     names = list(isoclique.STRATEGIES)
+    chunks = cli._root_ranges(g, 3 * cli._CHUNKS_PER_JOB)
     for ell in (1, 5, 50):
-        serial = cli._run_passes(g, ell, names, split, 1)
-        parallel = cli._run_passes(g, ell, names, split, 2)
-        assert list(parallel) == names
-        for name in names:
-            # every RunStats field but wall_time, and the emitted sequence's hash
-            (a, a_digest), (b, b_digest) = serial[name], parallel[name]
-            assert dataclasses.replace(a, wall_time=0.0) == dataclasses.replace(b, wall_time=0.0)
-            assert a_digest == b_digest
+
+        def work(roots, write, ell=ell) -> list:
+            # compare's work: every strategy's pass over the chunk's split
+            split = split_root(g, roots, setup=setup)
+            return [(cli._stats_data(stats), digest) for stats, digest in (cli._pass(g, ell, name, split) for name in names)]
+
+        def untimed(results):
+            # every RunStats field but wall_time, and the emitted sequence's
+            # hash, per chunk and strategy
+            return [[(dict(fields, wall_time=0.0), digest) for fields, digest in chunk] for chunk in results]
+
+        serial = cli._deal(chunks, work, None, 1)
+        assert untimed(cli._deal(chunks, work, None, 3)) == untimed(serial)
+        # the chunks add up to each strategy's run over the whole root
+        whole = split_root(g)
+        for name, runs in zip(names, zip(*serial)):
+            summed = cli._summed([fields for fields, _ in runs])
+            expected = cli._pass(g, ell, name, whole)[0]
+            assert dataclasses.replace(summed, wall_time=0.0) == dataclasses.replace(expected, wall_time=0.0)
         tables = []
-        for cpus in (1, 2):
+        for cpus in (1, 2, 3):
             usable_cpus(monkeypatch, cpus)
             code, out, _ = run_cli(capsys, "compare", "--gen", spec, "--ell", str(ell))
             assert code == 0
             assert header_field(out.splitlines()[0], "jobs") == str(cpus)
             tables.append(compare_columns(out))
-        assert tables[0] == tables[1]
-        assert tables[0]["none"] == (serial["none"][0].recursive_calls, serial["none"][0].emitted)
+        assert tables[0] == tables[1] == tables[2]
+        none = cli._summed([fields for fields, _ in next(zip(*serial))])
+        assert tables[0]["none"] == (none.recursive_calls, none.emitted)
 
 
 def test_compare_check_sees_order_not_only_counts(monkeypatch):
@@ -596,21 +610,28 @@ def test_compare_with_another_thread_runs_serially(capsys, monkeypatch, pendant_
     "fault, status, message",
     [
         (None, 0, ""),
-        ("raise", 4, "error: the worker process running size,softcore,combo exited with status 1\n"),
-        ("kill", 4, f"error: the worker process running size,softcore,combo was killed by signal {int(signal.SIGKILL)}\n"),
+        ("raise", 4, "error: a worker process exited with status 1\n"),
+        ("kill", 4, f"error: a worker process was killed by signal {int(signal.SIGKILL)}\n"),
         ("interrupt", 130, "interrupted\n"),
     ],
 )
 def test_no_worker_outlives_compare(capsys, monkeypatch, fault, status, message):
     parent = os.getpid()
     real = cli.enumerate_isolated
+    # a failing worker writes a byte to ``start`` once it has taken a chunk,
+    # and the parent waits for it, up to 10 s, so that the worker fails while
+    # chunks are left in the queue
+    started, start = os.pipe()
 
     def faulty(g, ell, strategy, sink, *, split):
         in_worker = os.getpid() != parent
-        if in_worker and fault == "raise":
-            raise MemoryError
-        if in_worker and fault == "kill":
+        if in_worker and fault in ("raise", "kill"):
+            os.write(start, b"!")
+            if fault == "raise":
+                raise MemoryError
             os.kill(os.getpid(), signal.SIGKILL)
+        if not in_worker and fault in ("raise", "kill"):
+            select.select([started], [], [], 10)
         if not in_worker and fault == "interrupt":
             # Ctrl-C in the parent at its first clique, while the worker runs
             def sink(report):
@@ -619,7 +640,11 @@ def test_no_worker_outlives_compare(capsys, monkeypatch, fault, status, message)
         return real(g, ell, strategy, sink, split=split)
 
     monkeypatch.setattr(cli, "enumerate_isolated", faulty)
-    code, _, err = run_cli(capsys, "compare", "--gen", "gnmp:n=350,m=30,p=0.06,seed=12", "--ell", "50")
+    try:
+        code, _, err = run_cli(capsys, "compare", "--gen", "gnmp:n=350,m=30,p=0.06,seed=12", "--ell", "50")
+    finally:
+        os.close(started)
+        os.close(start)
     assert (code, err) == (status, message)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -669,56 +694,62 @@ def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source
         graph = ["--gen", source]
         g = isoclique.generate(isoclique.parse_generator_spec(source))
     argv = ["enumerate", *graph, "--ell", str(ell)]
-    ranges = cli._root_ranges(g, 2)
-    assert [v for r in ranges for v in r] == list(range(g.vertex_count))
-    assert len(ranges) == min(2, max(1, g.vertex_count))
+    chunks = cli._root_ranges(g, 16)
+    assert [v for r in chunks for v in r] == list(range(g.vertex_count))
+    assert 1 <= len(chunks) <= max(1, g.vertex_count)
+    setup = enumeration.RootSetup(g)
     if source in ("gnmp:n=8,m=1,p=1,seed=0", "star"):
-        # every vertex of the second range is a neighbour of the root pivot
-        assert not list(enumeration._root_children(g, ranges[1]))
+        # a chunk of neighbours of the root pivot holds no root child
+        assert not all(list(enumeration._root_children(setup, r)) for r in chunks)
 
-    # the ranges' runs, in forked workers, add up to one run, cliques in order
+    # the chunks' runs, dealt to three processes, add up to one run, cliques in order
     def work(roots, write) -> dict:
         def sink(report):
             write(f"{report}\n")
 
-        return cli._stats_data(enumeration.enumerate_isolated(g, ell, "combo", sink, roots=roots))
+        return cli._stats_data(enumeration.enumerate_isolated(g, ell, "combo", sink, roots=roots, setup=setup))
 
     whole = []
     expected = enumeration.enumerate_isolated(g, ell, "combo", lambda r: whole.append(f"{r}\n"))
     parts = []
-    summed = cli._summed(cli._run_shares(ranges, work, parts.append, str))
+    summed = cli._summed(cli._deal(chunks, work, parts.append, 3))
     assert dataclasses.replace(summed, wall_time=0.0) == dataclasses.replace(expected, wall_time=0.0)
     assert "".join(parts) == "".join(whole)
+
+    def workers(cpus):
+        # the worker processes a command forks with ``cpus`` usable CPUs
+        if cpus == 1:
+            return 0
+        return min(cpus, len(cli._root_ranges(g, cli._CHUNKS_PER_JOB * cpus))) - 1
 
     forked = forks_counted(monkeypatch)
     for extra in ((), ("--count-only",), ("--sort",), ("--count-only", "--sort")):
         outputs = []
-        for cpus in (1, 2):
+        for cpus in (1, 2, 3):
             usable_cpus(monkeypatch, cpus)
             before = len(forked)
             code, out, err = run_cli(capsys, *argv, *extra)
             assert (code, err) == (0, "")
-            # one worker for the second range, and none for --sort, which
-            # --count-only overrides
-            assert len(forked) - before == (cpus == 2 and len(ranges) == 2 and extra != ("--sort",))
+            # none for --sort, which --count-only overrides
+            assert len(forked) - before == (0 if extra == ("--sort",) else workers(cpus))
             outputs.append(without_elapsed(out))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         if not extra:
             assert outputs[0].endswith(f" emitted={expected.emitted} filtered_at_leaf={expected.filtered_at_leaf}\n")
             assert len(outputs[0].splitlines()) == expected.emitted + 1
         elif "--count-only" in extra:
             assert outputs[0] == f"{expected.emitted}\n"
 
-    # sweep runs every factor in each range's process, and adds up the ranges
+    # sweep runs every factor over each chunk's split, and adds up the chunks
     outputs = []
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         usable_cpus(monkeypatch, cpus)
         before = len(forked)
         code, out, err = run_cli(capsys, "sweep", *graph, "--ells", f"1,{ell},250")
         assert (code, err) == (0, "")
-        assert len(forked) - before == (cpus == 2 and len(ranges) == 2)
+        assert len(forked) - before == workers(cpus)
         outputs.append(without_sweep_times(out))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     total = enumeration.enumerate_all_maximal(g).emitted
     assert f" total_maximal={total}\n" in outputs[0]
     percent = 100.0 * expected.emitted / total if total else 0.0
@@ -780,25 +811,29 @@ def test_enumerate_with_observer_or_thread_runs_serially(capsys, monkeypatch, ho
 @forks
 @pytest.mark.parametrize("fault, status", [(None, 0), ("raise", 4), ("kill", 4), ("interrupt", 130)])
 def test_no_worker_outlives_enumerate(capsys, monkeypatch, fault, status):
-    spec = "ba:n=800,m=6,seed=3"
-    # a graph large enough for enumerate and sweep to fork
-    second = cli._root_ranges(isoclique.generate(isoclique.parse_generator_spec(spec)), 2)[1]
-    running = f"the worker process running root children {second.start}-{second.stop - 1}"
+    spec = "ba:n=800,m=6,seed=3"  # a graph large enough for enumerate and sweep to fork
     message = {
         None: "",
-        "raise": f"error: {running} exited with status 1\n",
-        "kill": f"error: {running} was killed by signal {int(signal.SIGKILL)}\n",
+        "raise": "error: a worker process exited with status 1\n",
+        "kill": f"error: a worker process was killed by signal {int(signal.SIGKILL)}\n",
         "interrupt": "interrupted\n",
     }[fault]
     parent = os.getpid()
     real = cli.enumerate_isolated
+    # a failing worker writes a byte to ``start`` once it has taken a chunk,
+    # and the parent waits for it, up to 10 s, so that the worker fails while
+    # chunks are left in the queue
+    started, start = os.pipe()
 
     def faulty(g, ell, strategy, sink=None, **kwargs):
         in_worker = os.getpid() != parent
-        if in_worker and fault == "raise":
-            raise MemoryError
-        if in_worker and fault == "kill":
+        if in_worker and fault in ("raise", "kill"):
+            os.write(start, b"!")
+            if fault == "raise":
+                raise MemoryError
             os.kill(os.getpid(), signal.SIGKILL)
+        if not in_worker and fault in ("raise", "kill"):
+            select.select([started], [], [], 10)
         if in_worker and fault == "interrupt":
             # a worker that would still run long after the parent stops
             time.sleep(30)
@@ -814,14 +849,53 @@ def test_no_worker_outlives_enumerate(capsys, monkeypatch, fault, status):
         return real(g, ell, strategy, sink, **kwargs)
 
     monkeypatch.setattr(cli, "enumerate_isolated", faulty)
-    for argv in (["enumerate", "--gen", spec, "--ell", "20"], ["sweep", "--gen", spec, "--ells", "20"]):
-        start = time.monotonic()
-        code, _, err = run_cli(capsys, *argv)
-        assert (code, err) == (status, message)
-        # the parent killed the worker rather than waiting for it
-        assert time.monotonic() - start < 20
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    try:
+        for argv in (["enumerate", "--gen", spec, "--ell", "20"], ["sweep", "--gen", spec, "--ells", "20"]):
+            start_time = time.monotonic()
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (status, message)
+            # the parent killed the worker rather than waiting for it
+            assert time.monotonic() - start_time < 20
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+    finally:
+        os.close(started)
+        os.close(start)
+
+
+@forks
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_each_chunk_runs_once(monkeypatch, tmp_path):
+    # three processes, the parent included, deal 24 chunks between them
+    monkeypatch.setattr(cli, "_FORK_MIN_EDGES", 0)
+    usable_cpus(monkeypatch, 3)
+    g = isoclique.generate(isoclique.parse_generator_spec("ba:n=800,m=6,seed=3"))
+    chunks = cli._root_ranges(g, 3 * cli._CHUNKS_PER_JOB)
+    assert len(chunks) == 24
+    fds = sorted(os.listdir("/proc/self/fd"))
+    runs = tmp_path / "runs.txt"
+    log = os.open(runs, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def work(roots, write) -> list:
+        # one appended line per run, whichever process runs it
+        os.write(log, f"{roots.start}\n".encode())
+        time.sleep(0.002)
+        write(f"{roots.start}-{roots.stop}\n" * 1000)
+        return [roots.start, roots.stop]
+
+    text = []
+    try:
+        results, jobs = cli._run_chunks(g, work, text.append)
+    finally:
+        os.close(log)
+    assert jobs == 3
+    assert results == [[r.start, r.stop] for r in chunks]
+    assert "".join(text) == "".join(f"{r.start}-{r.stop}\n" * 1000 for r in chunks)
+    assert sorted(map(int, runs.read_text().split())) == [r.start for r in chunks]
+    # the queue's read end and every worker's pipe are closed
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 CLOSED_ENUMERATE = """

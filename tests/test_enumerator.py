@@ -14,7 +14,7 @@ from isoclique import (
     generate,
     parse_generator_spec,
 )
-from isoclique.enumeration import SearchNode, _local_pivot, _root_children, select_pivot, split_root
+from isoclique.enumeration import RootSetup, SearchNode, _local_pivot, _root_children, select_pivot, split_root
 from graphutil import (
     bit_indices,
     bitset_view,
@@ -232,7 +232,7 @@ def hub_and(edges):
 def test_single_candidate_root_child(edges, branch, monkeypatch):
     no_single_candidate_scan(monkeypatch)
     g = hub_and(edges)
-    children = {child[0]: child for child in _root_children(g)}
+    children = {child[0]: child for child in _root_children(RootSetup(g))}
     assert sorted(children) == [0, 1, 2, 3]
     v, p, x, masks, got = children[1]
     assert (p, x, got) == (0b10, 0b01, branch)
@@ -595,6 +595,17 @@ def test_split_and_root_range_rejected_together():
     g = triangle()
     with pytest.raises(ValueError, match="not both"):
         enumerate_isolated(g, 1, "none", split=split_root(g), roots=range(1, 3))
+    with pytest.raises(ValueError, match="not both"):
+        enumerate_isolated(g, 1, "none", split=split_root(g), setup=RootSetup(g))
+
+
+def test_root_setup_of_another_graph_rejected():
+    g = triangle()
+    setup = RootSetup(triangle())
+    with pytest.raises(ValueError, match="root setup was prepared for another graph"):
+        enumerate_isolated(g, 1, "none", roots=range(1, 3), setup=setup)
+    with pytest.raises(ValueError, match="root setup was prepared for another graph"):
+        split_root(g, setup=setup)
 
 
 def counters(runs) -> tuple:
@@ -625,9 +636,11 @@ def test_range_splits_add_up_to_the_whole_split(make, monkeypatch):
     g = make()
     whole = split_root(g)
     passes = [(name, ell) for name in STRATEGIES for ell in (1, 5)] + [("all", None)]
-    for jobs in (2, 3):
-        ranges = cli._root_ranges(g, jobs)
-        splits = [split_root(g, roots) for roots in ranges]
+    for chunks in (2, 3, 16):
+        ranges = cli._root_ranges(g, chunks)
+        # one root setup serves every range, as it serves a command's chunks
+        setup = RootSetup(g)
+        splits = [split_root(g, roots, setup=setup) for roots in ranges]
         assert [s.roots for s in splits] == ranges
         assert [child for s in splits for child in s.children] == whole.children
         for name, ell in passes:
@@ -644,6 +657,12 @@ def test_range_splits_add_up_to_the_whole_split(make, monkeypatch):
             parts = [run(split) for split in splits]
             assert counters([part for _, part in parts]) == counters([stats])
             assert [report for got, _ in parts for report in got] == expected
+            if name != "all":
+                # the ranges run without splits, streaming their root children
+                got = []
+                streamed = [enumerate_isolated(g, ell, name, got.append, roots=r, setup=setup) for r in ranges]
+                assert counters(streamed) == counters([stats])
+                assert got == expected
         # the root is observed, and counted, in the range that starts at 0 only
         observed = []
         with monkeypatch.context() as patch:

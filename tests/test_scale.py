@@ -354,7 +354,7 @@ def test_triangle_free_root_children_scan_no_pivot(spec, monkeypatch):
 
     monkeypatch.setattr(enumeration, "_local_pivot", scan)
     g = graph(spec)
-    children = list(enumeration._root_children(g))
+    children = list(enumeration._root_children(enumeration.RootSetup(g)))
     assert children == reference_root_children(g)
     several = [masks for _, p, _, masks, _ in children if p.bit_count() > 1]
     assert len(scanned) == sum(map(any, several)) < len(several)
@@ -516,4 +516,4 @@ def test_root_split_matches_flag_reference(make):
     # _root_children takes a root child's X from the prefix of N(v) below v,
     # less the pivot's neighbours held there; the flags it replaced must agree
     g = make()
-    assert list(enumeration._root_children(g)) == reference_root_children(g)
+    assert list(enumeration._root_children(enumeration.RootSetup(g))) == reference_root_children(g)
