@@ -12,11 +12,12 @@ edges (see _jobs). They cut the root children into chunks, contiguous
 ranges of vertex ids, _CHUNKS_PER_JOB per process, and every process,
 the calling one included, takes the next chunk from one queue whenever
 it is free (see _run_chunks and _deal). Each chunk is one engine call of
-enumerate, which writes the chunks' cliques in chunk order, and one
-split of sweep and compare, which run every factor or strategy over it;
-the chunks' counters and times are then added up, and compare checks
-each strategy's per-chunk hashes. Their output is the one-process output
-but for the times: elapsed_ms, and rows_ms of sweep and compare.
+enumerate, which writes the chunks' cliques in chunk order, or with
+--sort merges the chunks' sorted lists of cliques, and one split of
+sweep and compare, which run every factor or strategy over it; the
+chunks' counters and times are then added up, and compare checks each
+strategy's per-chunk hashes. Their output is the one-process output but
+for the times: elapsed_ms, and rows_ms of sweep and compare.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import threading
 from bisect import bisect_left
 from collections import defaultdict
 from contextlib import nullcontext, suppress
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import itemgetter
 from time import perf_counter
 from typing import Iterator, NoReturn
 
@@ -227,36 +229,31 @@ def _run_chunks(g: Graph, work, write) -> tuple[list, int]:
 
 def _cmd_enumerate(args) -> int:
     g, _ = _resolve_graph(args)
-    label = g.all_labels().__getitem__
+    # a list's __getitem__, a builtin method, is called faster than a tuple's
+    label = list(g.all_labels()).__getitem__
+    # a count needs no order
+    sort = args.sort and not args.count_only
+    setup = RootSetup(g)
 
-    def lines(write):
-        # the sink that writes each clique as a line of labels
-        def emit(report) -> None:
+    def work(roots: range, write) -> tuple:
+        # the chunk's stats, and with sort its cliques' vertex tuples, sorted,
+        # as marshal data, which a CliqueReport is not
+        def lines(report) -> None:
+            # the sink that writes each clique as a line of labels
             write(" ".join(map(label, report.vertices)) + "\n")
 
-        return emit
+        reports = []
+        sink = reports.append if sort else None if args.count_only else lines
+        stats = enumerate_isolated(g, args.ell, args.strategy, sink, roots=roots, setup=setup)
+        return _stats_data(stats), sorted(map(itemgetter(0), reports))
 
     with _open_out(args) as out:
-        if args.sort and not args.count_only:
-            # every clique is sorted before the first is written, in one
-            # process; a count needs no order
-            reports = []
-            stats = enumerate_isolated(g, args.ell, args.strategy, reports.append)
-            reports.sort(key=lambda r: r.vertices)
-            emit = lines(out.write)
-            for report in reports:
-                emit(report)
-            print(_stats_line(stats), file=out)
-            return 0
-
-        setup = RootSetup(g)
-
-        def work(roots: range, write) -> dict:
-            sink = None if args.count_only else lines(write)
-            return _stats_data(enumerate_isolated(g, args.ell, args.strategy, sink, roots=roots, setup=setup))
-
         start = perf_counter()
-        stats = _summed(_run_chunks(g, work, out.write)[0])
+        results, cliques = zip(*_run_chunks(g, work, out.write)[0])
+        # sorts the concatenation of the chunks' sorted runs by merging them
+        for vertices in sorted(chain.from_iterable(cliques)):
+            out.write(" ".join(map(label, vertices)) + "\n")
+        stats = _summed(results)
         stats.wall_time = perf_counter() - start
         print(stats.emitted if args.count_only else _stats_line(stats), file=out)
     return 0
@@ -418,7 +415,9 @@ def _deal(chunks: list, work, write, jobs: int) -> list:
     in pieces of _COPY_SIZE bytes, so it never holds a worker's whole text.
     Every worker is reaped before this returns or raises: on any
     exception, Ctrl-C or a closed output included, the workers left are
-    killed first. A worker that fails raises WorkerError.
+    killed first. A worker that fails raises WorkerError, at the latest
+    when this process takes its next chunk: it polls every worker before
+    each chunk it runs.
     """
     if jobs < 2:
         return [work(chunk, write) for chunk in chunks]
@@ -426,7 +425,8 @@ def _deal(chunks: list, work, write, jobs: int) -> list:
     # at most _MAX_CHUNKS bytes, under PIPE_BUF, so one write fills the queue
     os.write(fill, bytes(range(len(chunks))))
     os.close(fill)
-    pending = []  # (pid, read end) of each worker not yet reaped
+    pending = []  # (pid, read end) of each worker whose text is not yet read
+    reaped = set()  # the pids of those reaped while chunks were dealt
     try:
         try:
             for _ in range(jobs - 1):
@@ -445,6 +445,13 @@ def _deal(chunks: list, work, write, jobs: int) -> list:
             held = {}  # the text of each chunk run here that waits for an earlier one
             written = 0  # chunks before this one have their text written
             for index in _dealt(queue):
+                for pid, _ in pending:
+                    if pid not in reaped:
+                        done, status = os.waitpid(pid, os.WNOHANG)
+                        if done:
+                            # exited, with all its text in the pipe if it exited 0
+                            reaped.add(pid)
+                            _raise_if_failed(status)
                 if index == written:
                     results[index] = work(chunks[index], write)
                     written += 1
@@ -481,12 +488,15 @@ def _deal(chunks: list, work, write, jobs: int) -> list:
         while pending:
             pid, pipe = pending[-1]
             pipe.close()
-            status = os.waitpid(pid, 0)[1]
+            status = 0 if pid in reaped else os.waitpid(pid, 0)[1]
             del pending[-1]
             _raise_if_failed(status)
     except BaseException:
         for pid, pipe in pending:
             pipe.close()
+            if pid in reaped:
+                # its id may already belong to another process
+                continue
             # the worker may have been reaped just before the exception
             with suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)

@@ -28,8 +28,7 @@ interpreter recursion limit. A root child is prune-tested and opens
 with the branch it came with. Below it, a child with candidates goes
 through one block (count, prune test, pivot); a child without
 candidates, a leaf or a dead end, is counted, observed and emitted or
-filtered by the branching step that splits it off, and its clique is
-built as a list only for the sink or an observer. It builds a
+filtered by the branching step that splits it off. It builds a
 SearchNode per node only for an observer that rebinds that name. It
 computes each node's isolation threshold t and asks the bounds only
 when t >= 1. A pivot counts X's bits first, then those of
@@ -38,7 +37,12 @@ no later bit can beat: |P| for a bit of X, |P| - 1 for a bit of P,
 whose row lacks its own bit. A node with one candidate a scans no
 pivot: it branches on a unless a bit of X is adjacent to a, which is
 the branch the full scan picks. The sink gets each clique as a
-CliqueReport tuple built without a Python frame.
+CliqueReport tuple built without a Python frame. Most maximal cliques of
+a sparse graph are edges, each a leaf {v, w} one level below its root
+child v, so such a leaf's sorted vertex tuple takes one comparison of v
+and w (w lies below v when it is a neighbour of the root pivot). A
+deeper leaf's tuple sorts C + w, which is built as a list only for the
+sink or an observer.
 
 A run's call consumes that generator one root child at a time, or only
 the root children in a range of vertex ids, so that processes can share
@@ -390,8 +394,10 @@ def _search_subproblem(
     the deepest node with branches left. A child without candidates is
     finished there: it is counted, observed with the ``(C + w, 0, X,
     cut)`` a node block would see, and emitted or filtered if X is empty
-    too. C + w is built only for the sink or an observer. A child with
-    candidates goes through the node block (count, prune test, pivot).
+    too. C + w is built only for an observer or, below the root child,
+    for the sink, which gets an edge {v, w} as ``(v, w)`` or ``(w, v)``.
+    A child with candidates goes through the node block (count, prune
+    test, pivot).
 
     A node keeps C's cut, not ``ext_cp``: adding s candidates to C removes
     at most |C|·s edges from it, so the threshold t, the leaf filter and
@@ -409,6 +415,8 @@ def _search_subproblem(
     degree = setup.degrees
     nodes = emitted = filtered = 0
     visit = SearchNode if SearchNode is not _NODE else None
+    # builds a CliqueReport from its fields' tuple, without a Python frame
+    new = tuple.__new__
     # (C, |C|, P, X, base, branch) of each ancestor of the open node with branches left
     stack = []
 
@@ -436,7 +444,7 @@ def _search_subproblem(
             if not x:
                 emitted += 1
                 if sink is not None:
-                    sink(tuple.__new__(CliqueReport, ((v,), 0)))
+                    sink(new(CliqueReport, ((v,), 0)))
             continue
         if visit is not None:
             visit([v], p, x, degree[v] - p.bit_count())
@@ -488,7 +496,12 @@ def _search_subproblem(
                     if cut < ell * (top_c_size + 1):
                         emitted += 1
                         if sink is not None:
-                            sink(tuple.__new__(CliqueReport, (tuple(sorted(top_c + [w])), cut)))
+                            if top_c_size == 1:
+                                # an edge {v, w} below the root child v; w lies
+                                # below v when it is a root pivot neighbour
+                                sink(new(CliqueReport, ((v, w) if v < w else (w, v), cut)))
+                            else:
+                                sink(new(CliqueReport, (tuple(sorted(top_c + [w])), cut)))
                     else:
                         filtered += 1
                 continue

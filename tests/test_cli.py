@@ -730,8 +730,8 @@ def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source
             before = len(forked)
             code, out, err = run_cli(capsys, *argv, *extra)
             assert (code, err) == (0, "")
-            # none for --sort, which --count-only overrides
-            assert len(forked) - before == (0 if extra == ("--sort",) else workers(cpus))
+            # --sort too: each chunk sorts its cliques, and the parent merges them
+            assert len(forked) - before == workers(cpus)
             outputs.append(without_elapsed(out))
         assert outputs[0] == outputs[1] == outputs[2]
         if not extra:
@@ -820,20 +820,29 @@ def test_no_worker_outlives_enumerate(capsys, monkeypatch, fault, status):
     }[fault]
     parent = os.getpid()
     real = cli.enumerate_isolated
-    # a failing worker writes a byte to ``start`` once it has taken a chunk,
-    # and the parent waits for it, up to 10 s, so that the worker fails while
-    # chunks are left in the queue
+    # a failing worker writes its pid to ``start`` once it has taken a chunk.
+    # The parent, in its first chunk, waits for it, up to 10 s, so that the
+    # worker fails while chunks are left in the queue, and then until the
+    # worker has exited, without reaping it, so that its next chunk comes
+    # after the failure
     started, start = os.pipe()
+    failed = []  # the failed worker's pid, once it has exited
+    ran_after = []  # one entry per chunk the parent started after that
 
     def faulty(g, ell, strategy, sink=None, **kwargs):
         in_worker = os.getpid() != parent
         if in_worker and fault in ("raise", "kill"):
-            os.write(start, b"!")
+            os.write(start, os.getpid().to_bytes(4, "little"))
             if fault == "raise":
                 raise MemoryError
             os.kill(os.getpid(), signal.SIGKILL)
         if not in_worker and fault in ("raise", "kill"):
-            select.select([started], [], [], 10)
+            if failed:
+                ran_after.append(1)
+            elif select.select([started], [], [], 10)[0]:
+                pid = int.from_bytes(os.read(started, 4), "little")
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                failed.append(pid)
         if in_worker and fault == "interrupt":
             # a worker that would still run long after the parent stops
             time.sleep(30)
@@ -851,9 +860,15 @@ def test_no_worker_outlives_enumerate(capsys, monkeypatch, fault, status):
     monkeypatch.setattr(cli, "enumerate_isolated", faulty)
     try:
         for argv in (["enumerate", "--gen", spec, "--ell", "20"], ["sweep", "--gen", spec, "--ells", "20"]):
+            failed.clear()
+            ran_after.clear()
             start_time = time.monotonic()
             code, _, err = run_cli(capsys, *argv)
             assert (code, err) == (status, message)
+            if fault in ("raise", "kill"):
+                # the parent polls the worker before each chunk it takes, so
+                # it runs none of the 14 chunks left in the queue
+                assert len(failed) == 1 and ran_after == []
             # the parent killed the worker rather than waiting for it
             assert time.monotonic() - start_time < 20
             with pytest.raises(ChildProcessError):

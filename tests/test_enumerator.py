@@ -353,6 +353,36 @@ def test_clique_report_is_an_immutable_named_pair():
     ]
 
 
+# The star 0-1, 0-2, 0-3, the edge 1-4, the triangle 5-6-7 and the lone
+# vertex 8. The root pivot is 0, so 1, 2 and 3 are no root children: the
+# edges {0, w} are leaves below root child 0 with w > 0, the edge {4, 1} a
+# leaf below root child 4 with 1 held in 4's P below 4's own position, the
+# triangle a leaf below 5 at |C| = 2, and {8} a root child without
+# neighbours. Every maximal clique, in search order, with its cut.
+REPORT_SHAPES = graph_from_edges(9, [(0, 1), (0, 2), (0, 3), (1, 4), (5, 6), (5, 7), (6, 7)])
+REPORT_SHAPES_MAXIMAL = [((0, 1), 3), ((0, 2), 2), ((0, 3), 2), ((1, 4), 1), ((5, 6, 7), 0), ((8,), 0)]
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_reports_of_every_shape(observed, monkeypatch):
+    # with an observer bound, every node of every run is seen once
+    nodes = count_search_nodes(monkeypatch) if observed else None
+    got = []
+    calls = enumerate_all_maximal(REPORT_SHAPES, got.append).recursive_calls
+    runs = [(got, REPORT_SHAPES_MAXIMAL)]
+    for ell in (1, 2, 3):
+        expected = [(c, cut) for c, cut in REPORT_SHAPES_MAXIMAL if cut < ell * len(c)]
+        for strategy in ALL_STRATEGIES.values():
+            got, stats = collect(REPORT_SHAPES, ell, strategy)
+            calls += stats.recursive_calls
+            runs.append((got, expected))
+    for got, expected in runs:
+        assert got == expected
+        assert all(type(r) is CliqueReport and type(r.vertices) is tuple for r in got)
+    if observed:
+        assert len(nodes) == calls
+
+
 def test_huge_ell_equals_plain_maximal_enumeration():
     rng = random.Random(59)
     graphs = [erdos_renyi(rng.randint(1, 10), 0.5, rng) for _ in range(20)]
