@@ -12,18 +12,18 @@ edges (see _jobs). They cut the root children into chunks, contiguous
 ranges of vertex ids, _CHUNKS_PER_JOB per process, and every process,
 the calling one included, takes the next chunk from one queue whenever
 it is free (see _run_chunks and _deal). Each chunk is one engine call of
-enumerate, which writes the chunks' cliques in chunk order, or with
---sort merges the chunks' sorted lists of cliques, and one split of
-sweep and compare, which run every factor or strategy over it; the
-chunks' counters and times are then added up, and compare checks each
-strategy's per-chunk hashes. Their output is the one-process output but
-for the times: elapsed_ms, and rows_ms of sweep and compare.
+enumerate, whose text comes back with the chunk's result and is written
+in chunk order once every worker has sent (a one-process run writes as
+it goes), or with --sort merges the chunks' sorted lists of cliques, and
+one split of sweep and compare, which run every factor or strategy over
+it; the chunks' counters and times are then added up, and compare checks
+each strategy's per-chunk hashes. Their output is the one-process output
+but for the times: elapsed_ms, and rows_ms of sweep and compare.
 """
 
 from __future__ import annotations
 
 import argparse
-import codecs
 import csv
 import marshal
 import os
@@ -273,11 +273,11 @@ def _cmd_sweep(args) -> int:
         runs += [enumerate_isolated(g, ell, args.strategy, split=split) for ell in args.ells]
         return [rows_s, *map(_stats_data, runs)]
 
-    # per item of work's list, every chunk's value, in chunk order
-    rows_s, maximal, *passes = zip(*_run_chunks(g, work, None)[0])
-    rows_ms = sum(rows_s) * 1000.0
-    total = _summed(maximal).emitted
     with _open_out(args) as out:
+        # per item of work's list, every chunk's value, in chunk order
+        rows_s, maximal, *passes = zip(*_run_chunks(g, work, None)[0])
+        rows_ms = sum(rows_s) * 1000.0
+        total = _summed(maximal).emitted
         print(
             f"# graph={label} strategy={args.strategy} total_maximal={total} rows_ms={rows_ms:.2f}",
             file=out,
@@ -301,8 +301,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_distribution(args) -> int:
     g, label = _resolve_graph(args)
     by_size: dict[int, list[int]] = defaultdict(list)
-    enumerate_all_maximal(g, lambda r: by_size[r.size].append(r.external_degree))
     with _open_out(args) as out:
+        enumerate_all_maximal(g, lambda r: by_size[r.size].append(r.external_degree))
         print(f"# graph={label} ells={','.join(map(str, args.ells))}", file=out)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["size", "total"] + [f"l{ell}" for ell in args.ells])
@@ -364,12 +364,12 @@ def _worker(work, chunks: list, queue: int, pipe_end: int, readers: list[int]) -
     """Run work(chunk, write) in a forked worker for each chunk of
     ``chunks`` it takes from the queue, ``write`` collecting each chunk's
     text, until the queue is empty. Then send, through the pipe's
-    ``pipe_end``, the list of (index, what work returned, the text's length
-    in UTF-8 bytes) of its chunks as marshal data, then their texts in that
-    order, and exit: with status 0 once everything is sent, else 1. The
-    read ends ``readers`` it inherited, its own pipe's included, are closed
-    first, so that its writes fail once its parent is gone. Never returns,
-    whatever it raises, so the worker cannot run its caller's code."""
+    ``pipe_end``, the list of (index, what work returned, the text as one
+    string) of its chunks as one marshal value, and exit: with status 0
+    once it is sent, else 1. The read ends ``readers`` it inherited, its
+    own pipe's included, are closed first, so that its writes fail once
+    its parent is gone. Never returns, whatever it raises, so the worker
+    cannot run its caller's code."""
     code = 1
     try:
         for fd in readers:
@@ -377,18 +377,12 @@ def _worker(work, chunks: list, queue: int, pipe_end: int, readers: list[int]) -
         done = []
         for index in _dealt(queue):
             text = []
-            done.append((index, work(chunks[index], text.append), "".join(text).encode()))
+            done.append((index, work(chunks[index], text.append), "".join(text)))
         with open(pipe_end, "wb") as pipe:
-            marshal.dump([(index, data, len(body)) for index, data, body in done], pipe)
-            for *_, body in done:
-                pipe.write(body)
+            marshal.dump(done, pipe)
         code = 0
     finally:
         os._exit(code)
-
-
-# Bytes of a worker's text read and written at a time.
-_COPY_SIZE = 1 << 16
 
 
 def _raise_if_failed(status: int) -> None:
@@ -404,20 +398,20 @@ def _deal(chunks: list, work, write, jobs: int) -> list:
     _MAX_CHUNKS of them, in order, run by ``jobs`` processes, with
     ``write`` getting all their text in chunk order too.
 
-    One process runs every chunk in turn. Otherwise this process writes
-    each chunk's index as a byte into a pipe, the queue, and forks a
-    worker for each other process, which inherits everything this process
-    holds (see _worker); ``work`` must return marshal data. Every process
-    then takes the next index from the queue whenever it is free, until
-    the queue is empty. This process writes the text of the chunks it runs
-    at once while every earlier chunk's text is written, else holds it as
-    one string; then it writes the rest in chunk order, each worker's text
-    in pieces of _COPY_SIZE bytes, so it never holds a worker's whole text.
-    Every worker is reaped before this returns or raises: on any
-    exception, Ctrl-C or a closed output included, the workers left are
-    killed first. A worker that fails raises WorkerError, at the latest
-    when this process takes its next chunk: it polls every worker before
-    each chunk it runs.
+    One process runs every chunk in turn, writing as it goes. Otherwise
+    this process writes each chunk's index as a byte into a pipe, the
+    queue, and forks a worker for each other process, which inherits
+    everything this process holds (see _worker); ``work`` must return
+    marshal data. Every process then takes the next index from the queue
+    whenever it is free, until the queue is empty, and holds each chunk's
+    text as one string. Each worker's text comes back with its chunks'
+    results; once every worker is reaped, this process writes all the
+    text in chunk order, so it holds the whole output until then. Every
+    worker is reaped before this returns or raises: on any exception,
+    Ctrl-C or a closed output included, the workers left are killed
+    first. A worker that fails raises WorkerError, at the latest when this
+    process takes its next chunk: it polls every worker before each chunk
+    it runs.
     """
     if jobs < 2:
         return [work(chunk, write) for chunk in chunks]
@@ -425,7 +419,7 @@ def _deal(chunks: list, work, write, jobs: int) -> list:
     # at most _MAX_CHUNKS bytes, under PIPE_BUF, so one write fills the queue
     os.write(fill, bytes(range(len(chunks))))
     os.close(fill)
-    pending = []  # (pid, read end) of each worker whose text is not yet read
+    pending = []  # (pid, read end) of each worker whose result is not yet read
     reaped = set()  # the pids of those reaped while chunks were dealt
     try:
         try:
@@ -442,55 +436,35 @@ def _deal(chunks: list, work, write, jobs: int) -> list:
                 os.close(pipe_end)
                 pending.append((pid, open(read, "rb")))
             results = [None] * len(chunks)
-            held = {}  # the text of each chunk run here that waits for an earlier one
-            written = 0  # chunks before this one have their text written
+            texts = [""] * len(chunks)
             for index in _dealt(queue):
                 for pid, _ in pending:
                     if pid not in reaped:
                         done, status = os.waitpid(pid, os.WNOHANG)
                         if done:
-                            # exited, with all its text in the pipe if it exited 0
+                            # exited, with all it ran in the pipe if it exited 0
                             reaped.add(pid)
                             _raise_if_failed(status)
-                if index == written:
-                    results[index] = work(chunks[index], write)
-                    written += 1
-                else:
-                    text = []
-                    results[index] = work(chunks[index], text.append)
-                    held[index] = "".join(text)
+                text = []
+                results[index] = work(chunks[index], text.append)
+                texts[index] = "".join(text)
         finally:
             os.close(queue)
-        sent = {}  # the read end and text length of each chunk a worker ran
-        for k, (pid, pipe) in enumerate(pending):
+        while pending:
+            pid, pipe = pending[-1]
             try:
                 ran = marshal.load(pipe)
             except (EOFError, ValueError, TypeError):
                 # a failed worker's message is cut short; its status says why
-                pipe.close()
-                status = os.waitpid(pid, 0)[1]
-                del pending[k]
-                _raise_if_failed(status)
-                raise WorkerError("a worker process sent no result") from None
-            for index, data, size in ran:
-                results[index] = data
-                sent[index] = pipe, size
-        for index in range(written, len(chunks)):
-            text = held.pop(index, None)
-            if text is None:
-                pipe, left = sent[index]
-                decode = codecs.getincrementaldecoder("utf-8")().decode
-                while left and (piece := pipe.read(min(left, _COPY_SIZE))):
-                    left -= len(piece)
-                    write(decode(piece))
-            elif text:
-                write(text)
-        while pending:
-            pid, pipe = pending[-1]
+                ran = None
             pipe.close()
             status = 0 if pid in reaped else os.waitpid(pid, 0)[1]
             del pending[-1]
             _raise_if_failed(status)
+            if ran is None:
+                raise WorkerError("a worker process sent no result")
+            for index, data, text in ran:
+                results[index], texts[index] = data, text
     except BaseException:
         for pid, pipe in pending:
             pipe.close()
@@ -502,6 +476,8 @@ def _deal(chunks: list, work, write, jobs: int) -> list:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         raise
+    for text in filter(None, texts):
+        write(text)
     return results
 
 
@@ -554,23 +530,23 @@ def _cmd_compare(args) -> int:
         runs = (_pass(g, args.ell, name, split) for name in names)
         return [rows_s, *((_stats_data(stats), digest) for stats, digest in runs)]
 
-    results, jobs = _run_chunks(g, work, None)
-    # per item of work's list, every chunk's value, in chunk order
-    rows_s, *chunked = zip(*results)
-    rows_ms = sum(rows_s) * 1000.0
-    passes = {
-        name: (_summed([fields for fields, _ in runs]), tuple(digest for _, digest in runs))
-        for name, runs in zip(names, chunked)
-    }
-    problem = _disagreement(passes)
-    if problem is not None:
-        print(f"internal error: {problem}", file=sys.stderr)
-        return 3
-    runs = {name: stats for name, (stats, _) in passes.items()}
-
-    base_calls = runs["none"].recursive_calls
-    slowest = max(runs[name].wall_time for name in shown)
     with _open_out(args) as out:
+        results, jobs = _run_chunks(g, work, None)
+        # per item of work's list, every chunk's value, in chunk order
+        rows_s, *chunked = zip(*results)
+        rows_ms = sum(rows_s) * 1000.0
+        passes = {
+            name: (_summed([fields for fields, _ in runs]), tuple(digest for _, digest in runs))
+            for name, runs in zip(names, chunked)
+        }
+        problem = _disagreement(passes)
+        if problem is not None:
+            print(f"internal error: {problem}", file=sys.stderr)
+            return 3
+        runs = {name: stats for name, (stats, _) in passes.items()}
+
+        base_calls = runs["none"].recursive_calls
+        slowest = max(runs[name].wall_time for name in shown)
         print(
             f"# graph={label} ell={args.ell} baseline_calls={base_calls} rows_ms={rows_ms:.2f} "
             f"jobs={jobs}",

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,29 @@ def test_enumerate_writes_to_file(capsys, pendant_file, tmp_path):
     assert code == 0
     assert out == ""
     assert data_lines(out_path.read_text()) == ["a b c"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--ell", "5"],
+        ["sweep", "--ells", "5,50"],
+        ["compare", "--ell", "5"],
+        ["distribution", "--ells", "5,50"],
+    ],
+    ids=itemgetter(0),
+)
+def test_unwritable_out_fails_before_the_search(capsys, monkeypatch, tmp_path, argv):
+    # the output file is opened before any engine work: exit 1 with one line
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran before --out was opened")
+
+    for name in ("split_root", "enumerate_isolated", "enumerate_all_maximal"):
+        monkeypatch.setattr(cli, name, refuse)
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--gen", "ba:n=100,m=4,seed=1", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
 
 
 def test_missing_input_is_usage_error(capsys, pendant_file):
@@ -653,6 +677,14 @@ def test_no_worker_outlives_compare(capsys, monkeypatch, fault, status, message)
 STAR = "".join(f"hub leaf{i}\n" for i in range(6))
 
 
+def multibyte_ba() -> str:
+    """The edges of ba:n=1000,m=4,seed=1 as an edge list whose labels hold
+    two-, three- and four-byte UTF-8 characters."""
+    g = isoclique.generate(isoclique.parse_generator_spec("ba:n=1000,m=4,seed=1"))
+    label = "Ωμέγα-ü€{}-🙂-Ωμέγα".format
+    return "".join(f"{label(u)} {label(v)}\n" for u, row in enumerate(g.adjacency) for v in row if u < v)
+
+
 def forks_counted(monkeypatch) -> list:
     """Record one entry per os.fork call from now on."""
     calls = []
@@ -678,6 +710,9 @@ def forks_counted(monkeypatch) -> list:
         # neighbours are all of the second range, or there is one vertex or none
         ("gnmp:n=8,m=1,p=1,seed=0", 1),
         ("star", 1),
+        # labels of two- to four-byte UTF-8 characters, over 64 KiB of
+        # text per process, so that a worker's text is more than a pipe holds
+        ("multibyte", 250),
         ("gnmp:n=1,m=1,p=1,seed=0", 1),
         ("gnmp:n=0,m=1,p=1,seed=0", 1),
     ],
@@ -685,11 +720,12 @@ def forks_counted(monkeypatch) -> list:
 def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source, ell):
     # fork on graphs of any size, so that tiny graphs are split too
     monkeypatch.setattr(cli, "_FORK_MIN_EDGES", 0)
-    if source == "star":
-        path = tmp_path / "star.txt"
-        path.write_text(STAR)
+    if source in ("star", "multibyte"):
+        text = STAR if source == "star" else multibyte_ba()
+        path = tmp_path / f"{source}.txt"
+        path.write_text(text, encoding="utf-8")
         graph = ["--graph", str(path)]
-        g = load_edge_list(STAR.splitlines())
+        g = load_edge_list(text.splitlines())
     else:
         graph = ["--gen", source]
         g = isoclique.generate(isoclique.parse_generator_spec(source))
@@ -737,6 +773,9 @@ def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source
         if not extra:
             assert outputs[0].endswith(f" emitted={expected.emitted} filtered_at_leaf={expected.filtered_at_leaf}\n")
             assert len(outputs[0].splitlines()) == expected.emitted + 1
+            if source == "multibyte":
+                # over 64 KiB for each of three processes on average
+                assert len(outputs[0].encode()) > 3 * 65536
         elif "--count-only" in extra:
             assert outputs[0] == f"{expected.emitted}\n"
 
