@@ -18,7 +18,6 @@ from .generators import (
 from .graph import (
     EdgeListParseError,
     Graph,
-    load_edge_list,
     load_edge_list_report,
     write_edge_list,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "enumerate_all_maximal",
     "enumerate_isolated",
     "generate",
-    "load_edge_list",
     "load_edge_list_report",
     "parse_generator_spec",
     "write_edge_list",

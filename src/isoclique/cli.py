@@ -64,13 +64,14 @@ def _strategy_name(text: str) -> str:
 
 
 def _comma_list(item, noun: str):
-    """An argparse type for a non-empty comma-separated list of ``item``s."""
+    """An argparse type for a non-empty comma-separated list of ``item``s,
+    each kept once, at its first place."""
 
     def parse(text: str) -> list:
         parts = [part.strip() for part in text.split(",") if part.strip()]
         if not parts:
             raise argparse.ArgumentTypeError(f"expected a comma-separated list of {noun}")
-        return [item(part) for part in parts]
+        return list(dict.fromkeys(map(item, parts)))
 
     return parse
 
@@ -516,7 +517,7 @@ def _disagreement(runs: dict[str, tuple[RunStats, tuple[int, ...]]]) -> str | No
 
 def _cmd_compare(args) -> int:
     g, label = _resolve_graph(args)
-    shown = list(dict.fromkeys(args.strategies))
+    shown = args.strategies
     # the baseline run is needed for the call percentages even if not shown
     names = shown if "none" in shown else ["none", *shown]
     setup = RootSetup(g)

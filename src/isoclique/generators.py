@@ -5,10 +5,11 @@ existing ones, biased by degree) and a shared-feature model (each vertex
 holds each of ``m`` features with probability ``p`` and every feature
 class becomes a clique). Draws come from ``random.Random(seed)``
 (Mersenne Twister) in the documented order, so a config reproduces the
-same graph byte for byte within this implementation. Both models fill
-the graph's neighbour rows as they draw, with no edge list, and hand
-them to the graph's finishing step, which turns the rows into sorted
-tuples in place.
+same graph byte for byte within this implementation. Seeds are
+non-negative, since ``Random(-s)`` seeds exactly as ``Random(s)`` does.
+Both models fill the graph's neighbour rows as they draw, with no edge
+list, and hand them to the graph's finishing step, which turns the rows
+into sorted tuples in place.
 
 A family is one config dataclass, one generator and one ``FAMILIES`` entry;
 specs are parsed and written from the dataclass's fields, in field order.
@@ -38,6 +39,8 @@ class BAConfig:
             raise GeneratorConfigError(
                 f"preferential attachment needs 1 <= m < n, got n={self.n}, m={self.m}"
             )
+        if self.seed < 0:
+            raise GeneratorConfigError(f"seed must be non-negative, got {self.seed}")
 
     def min_edges(self) -> int:
         """Every graph's edge count: the seed clique's, then m per later vertex."""
@@ -62,6 +65,8 @@ class FeatureModelConfig:
             raise GeneratorConfigError(f"feature count must be >= 1, got {self.m}")
         if not 0.0 <= self.p <= 1.0:
             raise GeneratorConfigError(f"feature probability must be in [0, 1], got {self.p}")
+        if self.seed < 0:
+            raise GeneratorConfigError(f"seed must be non-negative, got {self.seed}")
 
     def min_edges(self) -> int:
         return 0  # no vertex need draw a feature

@@ -34,34 +34,10 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     @classmethod
-    def from_edges(
-        cls,
-        vertex_count: int,
-        edges: Iterable[tuple[int, int]],
-        labels: Sequence[str] | None = None,
-    ) -> "Graph":
-        """Build a simple graph; self-loops and duplicate edges are dropped.
-
-        Raises ValueError on an edge with an endpoint outside
-        [0, vertex_count), before any graph is built."""
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
-        if labels is not None and len(labels) != vertex_count:
-            raise ValueError("labels must cover every vertex")
-        rows: list[list[int]] = [[] for _ in range(vertex_count)]
-        for u, v in edges:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u}, {v}) references a vertex outside [0, {vertex_count})")
-            if u != v:
-                rows[u].append(v)
-                rows[v].append(u)
-        return cls._from_rows(rows, tuple(labels) if labels is not None else None)
-
-    @classmethod
     def _from_rows(cls, rows: list[list[int]], labels: tuple[str, ...] | None) -> "Graph":
         """The graph whose vertex i has the neighbours listed in ``rows[i]``,
-        in any order and with repeats; the builders and generators fill the
-        rows symmetrically and share this finishing step.
+        in any order and with repeats; the loader and the generators fill
+        the rows symmetrically and share this finishing step.
 
         Consumes ``rows``: it is finished in place, _FINISH_BATCH rows at a
         time, each list replaced by the sorted tuple of its distinct entries,
@@ -102,11 +78,6 @@ class LoadReport:
     graph: Graph
     self_loops_dropped: int
     duplicate_edges_dropped: int
-
-
-def load_edge_list(lines: Iterable[str]) -> Graph:
-    """Parse a whitespace-separated edge list (see load_edge_list_report)."""
-    return load_edge_list_report(lines).graph
 
 
 def load_edge_list_report(lines: Iterable[str]) -> LoadReport:

@@ -1,13 +1,14 @@
-"""Small graph builders shared across the test modules, a structural check, the
-edges and the canonical text of a graph, set-based references for the
-package's graph builder and edge-list loader, edge-list references for its
-two generators, the oracle-sized graph corpus of the acceptance suite, the
-reference count of a vertex set's external edges and of a child node's
-external-edge counter, a flag-based reference of the root's split, a counter
-of the engine's search nodes, the per-node recount the engine's runs are
-checked under, a bitset's set bits, and the value forms of the pruning bounds
-and the isolation threshold that the engine's threshold tests are checked
-against."""
+"""Small graph builders shared across the test modules, which build from a
+set-based reference adjacency and not through the package, a structural
+check, the edges and the canonical text of a graph, a shortcut to the
+package's edge-list loader and a set-based reference for it, edge-list
+references for its two generators, the oracle-sized graph corpus of the
+acceptance suite, the reference count of a vertex set's external edges and
+of a child node's external-edge counter, a flag-based reference of the
+root's split, a counter of the engine's search nodes, the per-node recount
+the engine's runs are checked under, a bitset's set bits, and the value
+forms of the pruning bounds and the isolation threshold that the engine's
+threshold tests are checked against."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from isoclique import (
     FeatureModelConfig,
     Graph,
     enumeration,
+    load_edge_list_report,
     write_edge_list,
 )
 
@@ -58,15 +60,25 @@ def edges(g: Graph):
                 yield u, v
 
 
-def graph_from_edges(n: int, edges) -> Graph:
-    g = Graph.from_edges(n, edges)
+def graph_from_edges(n: int, edges, labels=None) -> Graph:
+    """The graph on vertices 0..n-1 with ``edges``, built from
+    reference_adjacency, not by the package; self-loops and repeats are
+    dropped."""
+    adjacency, m = reference_adjacency(n, edges)
+    g = Graph(n, m, adjacency, tuple(labels) if labels is not None else None)
     validate(g)
     return g
 
 
+def load(lines) -> Graph:
+    """The graph that load_edge_list_report reads from ``lines``."""
+    return load_edge_list_report(lines).graph
+
+
 def reference_adjacency(n: int, edges) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Graph.from_edges's adjacency and edge count through a set of edge
-    tuples; raises its ValueError on an edge outside [0, n)."""
+    """The adjacency rows and edge count of the simple graph on 0..n-1 with
+    ``edges``, through a set of edge tuples; raises ValueError on an edge
+    outside [0, n)."""
     unique = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -112,7 +124,7 @@ def reference_load(lines) -> tuple[Graph, int, int]:
 
 def reference_generate_ba(cfg: BAConfig) -> Graph:
     """generate_ba through a full edge list: the same draws in the same order,
-    with every edge collected as a tuple before Graph.from_edges builds."""
+    with every edge collected as a tuple before graph_from_edges builds."""
     rng = random.Random(cfg.seed)
     n, m = cfg.n, cfg.m
     edges: list[tuple[int, int]] = []
@@ -132,12 +144,12 @@ def reference_generate_ba(cfg: BAConfig) -> Graph:
             edges.append((t, v))
             pool.append(t)
         pool.extend([v] * m)
-    return Graph.from_edges(n, edges)
+    return graph_from_edges(n, edges)
 
 
 def reference_generate_feature_model(cfg: FeatureModelConfig) -> Graph:
     """generate_feature_model through a full edge list: every pair of every
-    feature class as a tuple, repeats included, before Graph.from_edges."""
+    feature class as a tuple, repeats included, before graph_from_edges."""
     rng = random.Random(cfg.seed)
     classes: list[list[int]] = [[] for _ in range(cfg.m)]
     for v in range(cfg.n):
@@ -147,7 +159,7 @@ def reference_generate_feature_model(cfg: FeatureModelConfig) -> Graph:
     edges = [
         (u, w) for members in classes for i, u in enumerate(members) for w in members[i + 1 :]
     ]
-    return Graph.from_edges(cfg.n, edges)
+    return graph_from_edges(cfg.n, edges)
 
 
 def triangle() -> Graph:

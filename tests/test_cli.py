@@ -14,10 +14,10 @@ from operator import itemgetter
 from pathlib import Path
 
 import pytest
-from graphutil import count_search_nodes
+from graphutil import count_search_nodes, load
 
 import isoclique
-from isoclique import cli, enumeration, load_edge_list
+from isoclique import cli, enumeration
 from isoclique.cli import main
 from isoclique.enumeration import CliqueReport, RunStats, split_root
 
@@ -385,6 +385,42 @@ def test_distribution_counts_monotone_per_row(capsys):
         assert counts[-1] <= int(row["total"])
 
 
+def test_repeated_factors_and_strategies_run_once(capsys, monkeypatch):
+    # a repeat keeps its first place and adds no pass, row or column
+    spec = "gnmp:n=40,m=8,p=0.2,seed=11"
+    factors = []
+    real = cli.enumerate_isolated
+
+    def counted(g, ell, *args, **kwargs):
+        factors.append(ell)
+        return real(g, ell, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_isolated", counted)
+    outputs = {}
+    for ells in ("1,10,1", "1,10"):
+        factors.clear()
+        code, out, _ = run_cli(capsys, "sweep", "--gen", spec, "--ells", ells)
+        assert code == 0
+        # its 232 edges are under the fork gate: one process, one chunk
+        assert factors == [1, 10]
+        outputs["sweep", ells] = without_sweep_times(out)
+        code, out, _ = run_cli(capsys, "distribution", "--gen", spec, "--ells", ells)
+        assert code == 0
+        outputs["distribution", ells] = out
+    rows = list(csv.DictReader(data_lines(outputs["sweep", "1,10,1"])))
+    assert [row["ell"] for row in rows] == ["1", "10"]
+    assert outputs["sweep", "1,10,1"] == outputs["sweep", "1,10"]
+    lines = outputs["distribution", "1,10,1"].splitlines()
+    assert lines[0].endswith(" ells=1,10")
+    assert lines[1] == "size,total,l1,l10"
+    assert lines == outputs["distribution", "1,10"].splitlines()
+    code, out, _ = run_cli(
+        capsys, "compare", "--gen", spec, "--ell", "2", "--strategies", "size,none,size"
+    )
+    assert code == 0
+    assert list(parse_compare(out)) == ["size", "none"]
+
+
 def test_compare_single_baseline_row(capsys, pendant_file):
     code, out, _ = run_cli(
         capsys, "compare", "--graph", pendant_file, "--ell", "1", "--strategies", "none"
@@ -475,7 +511,7 @@ def test_generate_ba_file_contents(capsys, tmp_path):
     assert code == 0
     text = path.read_text()
     assert "ba:n=5,m=1,seed=7" in text.splitlines()[0]
-    g = load_edge_list(io.StringIO(text))
+    g = load(io.StringIO(text))
     assert (g.vertex_count, g.edge_count) == (5, 4)
 
 
@@ -485,7 +521,7 @@ def test_generate_empty_feature_model(capsys, tmp_path):
         capsys, "generate", "--gen", "gnmp:n=10,m=3,p=0,seed=1", "--out", str(path)
     )
     assert code == 0
-    g = load_edge_list(io.StringIO(path.read_text()))
+    g = load(io.StringIO(path.read_text()))
     assert (g.vertex_count, g.edge_count) == (10, 0)
 
 
@@ -502,6 +538,24 @@ def test_generate_header_is_the_canonical_spec(capsys, spec, header):
     code, out, _ = run_cli(capsys, "generate", "--gen", spec)
     assert code == 0
     assert out.splitlines()[0] == header
+
+
+@pytest.mark.parametrize("spec", ["ba:n=50,m=2,seed=-3", "gnmp:n=50,m=5,p=0.2,seed=-3"])
+def test_negative_seed_is_usage_error(capsys, tmp_path, spec):
+    path = tmp_path / "g.txt"
+    for argv in (
+        ["generate", "--gen", spec, "--out", str(path)],
+        ["enumerate", "--gen", spec, "--ell", "1"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: isoclique ")
+        assert error == "isoclique: error: seed must be non-negative, got -3"
+    assert not path.exists()
 
 
 def test_seed_flag_is_usage_error(capsys, pendant_file):
@@ -725,7 +779,7 @@ def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source
         path = tmp_path / f"{source}.txt"
         path.write_text(text, encoding="utf-8")
         graph = ["--graph", str(path)]
-        g = load_edge_list(text.splitlines())
+        g = load(text.splitlines())
     else:
         graph = ["--gen", source]
         g = isoclique.generate(isoclique.parse_generator_spec(source))
@@ -792,7 +846,11 @@ def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source
     total = enumeration.enumerate_all_maximal(g).emitted
     assert f" total_maximal={total}\n" in outputs[0]
     percent = 100.0 * expected.emitted / total if total else 0.0
-    assert outputs[0].splitlines()[3] == f"{ell},{expected.emitted},{percent:.2f},{expected.recursive_calls}"
+    # at ell 1 or 250 the factor repeats, and a repeat keeps its first place only
+    rows = outputs[0].splitlines()[2:]
+    ells = list(dict.fromkeys([1, ell, 250]))
+    assert [row.split(",")[0] for row in rows] == list(map(str, ells))
+    assert rows[ells.index(ell)] == f"{ell},{expected.emitted},{percent:.2f},{expected.recursive_calls}"
 
 
 def test_small_graphs_enumerate_in_one_process(capsys, monkeypatch, tmp_path):

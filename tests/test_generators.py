@@ -84,6 +84,8 @@ def test_ba_config_validation():
         BAConfig(n=5, m=0)
     with pytest.raises(GeneratorConfigError):
         BAConfig(n=5, m=5)
+    with pytest.raises(GeneratorConfigError):
+        BAConfig(n=5, m=2, seed=-1)
 
 
 def test_feature_model_extremes():
@@ -125,6 +127,17 @@ def test_feature_model_config_validation():
         FeatureModelConfig(n=10, m=3, p=1.5)
     with pytest.raises(GeneratorConfigError):
         FeatureModelConfig(n=-1, m=3, p=0.5)
+    with pytest.raises(GeneratorConfigError):
+        FeatureModelConfig(n=10, m=3, p=0.5, seed=-1)
+
+
+@pytest.mark.parametrize("spec", ["ba:n=50,m=2,seed=-3", "gnmp:n=50,m=5,p=0.2,seed=-3"])
+def test_negative_seed_is_refused(spec):
+    # Random(-3) seeds exactly as Random(3) does: a negative seed would give
+    # a positive seed's graph under a spec of its own
+    with pytest.raises(GeneratorConfigError, match=r"^seed must be non-negative, got -3$"):
+        parse_generator_spec(spec)
+    assert parse_generator_spec(spec.replace("seed=-3", "seed=0")).seed == 0
 
 
 def test_parse_generator_spec():
@@ -244,8 +257,8 @@ def test_generate_dispatch():
     ],
 )
 def test_generated_bytes_are_pinned(spec, digest):
-    # sha256 of the canonical edge list: the first two recorded when both the
-    # generator and Graph.from_edges still deduplicated edges, the last two
+    # sha256 of the canonical edge list: the first two recorded when the
+    # generator still collected an edge list and deduplicated it, the last two
     # when BA still drew through randrange and the writer wrote one f-string
     # per edge
     text = canonical_edge_list(generate(parse_generator_spec(spec)))

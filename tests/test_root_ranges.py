@@ -2,7 +2,8 @@
 
 import pytest
 
-from isoclique import Graph
+from graphutil import graph_from_edges
+
 from isoclique.cli import _MAX_CHUNKS, _root_ranges
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -14,13 +15,13 @@ def graphs(draw):
     """Graphs of up to 60 vertices, some with a hub joined to most others."""
     n = draw(st.integers(0, 60))
     if not n:
-        return Graph.from_edges(0, [])
+        return graph_from_edges(0, [])
     ids = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(ids, ids), max_size=150))
     if draw(st.booleans()):
         hub = draw(ids)
         edges += [(hub, v) for v in range(n)]
-    return Graph.from_edges(n, edges)
+    return graph_from_edges(n, edges)
 
 
 @settings(max_examples=300, deadline=None)
