@@ -155,7 +155,9 @@ def _open_out(args):
 def _resolve_graph(args) -> tuple[Graph, str]:
     """Load from --graph or build from --gen; returns the graph and a label."""
     if args.graph is not None:
-        with open(args.graph, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would else stick
+        # to the first label or comment marker
+        with open(args.graph, "r", encoding="utf-8-sig") as fh:
             try:
                 report = load_edge_list_report(fh)
             except UnicodeDecodeError as exc:
@@ -236,12 +238,20 @@ def _cmd_enumerate(args) -> int:
     sort = args.sort and not args.count_only
     setup = RootSetup(g)
 
+    def line(vertices: tuple[int, ...]) -> str:
+        # a clique's line of labels; most cliques of a sparse graph are
+        # edges, whose line one f-string builds
+        if len(vertices) == 2:
+            a, b = vertices
+            return f"{label(a)} {label(b)}\n"
+        return " ".join(map(label, vertices)) + "\n"
+
     def work(roots: range, write) -> tuple:
         # the chunk's stats, and with sort its cliques' vertex tuples, sorted,
         # as marshal data, which a CliqueReport is not
         def lines(report) -> None:
-            # the sink that writes each clique as a line of labels
-            write(" ".join(map(label, report.vertices)) + "\n")
+            # the sink that writes each clique's line
+            write(line(report.vertices))
 
         reports = []
         sink = reports.append if sort else None if args.count_only else lines
@@ -253,7 +263,7 @@ def _cmd_enumerate(args) -> int:
         results, cliques = zip(*_run_chunks(g, work, out.write)[0])
         # sorts the concatenation of the chunks' sorted runs by merging them
         for vertices in sorted(chain.from_iterable(cliques)):
-            out.write(" ".join(map(label, vertices)) + "\n")
+            out.write(line(vertices))
         stats = _summed(results)
         stats.wall_time = perf_counter() - start
         print(stats.emitted if args.count_only else _stats_line(stats), file=out)

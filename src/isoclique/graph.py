@@ -102,15 +102,19 @@ def load_edge_list_report(lines: Iterable[str]) -> LoadReport:
     rows: list[list[int]] = []  # rows[i] lists i's neighbours as read, repeats included
     self_loops = 0
     appended = 0
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0][0] in "#%":
-            continue
-        if len(tokens) < 2:
+    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+        try:
+            first = tokens[0]
+            if first[0] in "#%":
+                continue
+            second = tokens[1]
+        except IndexError:
+            if not tokens:
+                continue  # a blank line
+            # one token, so it is the stripped line
             raise EdgeListParseError(
-                f"line {lineno}: expected two vertex labels, got {raw.strip()!r}"
-            )
-        first, second = tokens[0], tokens[1]
+                f"line {lineno}: expected two vertex labels, got {first!r}"
+            ) from None
         a = ids.get(first)
         if a is None:
             a = ids[first] = len(rows)

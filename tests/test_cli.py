@@ -232,11 +232,47 @@ def test_non_utf8_input_fails_with_one_line(capsys, tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"a b\n\xe9t\xe9 c\n")
     code, out, err = run_cli(capsys, "enumerate", "--graph", str(path), "--ell", "1")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ")
-    assert str(path) in err
-    assert err.count("\n") == 1
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not UTF-8 text (invalid continuation byte)\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\ufeff# a header\n1 2\n2 3\n3 1\n",  # else an edge between '\ufeff#' and 'a'
+        "\ufeff1 2\n2 3\n3 1\n",  # else a vertex '\ufeff1' apart from '1'
+    ],
+)
+def test_byte_order_mark_is_ignored(capsys, tmp_path, text):
+    path = tmp_path / "bom.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", "--graph", str(path), "--ell", "5")
+    assert (code, err) == (0, "")
+    assert data_lines(out) == ["1 2 3"]
+
+
+@forks
+def test_clique_lines_join_their_labels(capsys, monkeypatch, tmp_path):
+    # an isolated vertex, declared by a loop, two edges that share a vertex,
+    # a lone edge and a triangle, all with multi-byte labels: cliques of one,
+    # two and three vertices, so each branch of the line's builder runs
+    text = "Ωμέγα Ωμέγα\nα β\nβ γ\nü€ 🙂\nж жж\nжж 🙂🙂\n🙂🙂 ж\n"
+    path = tmp_path / "lines.txt"
+    path.write_text(text, encoding="utf-8")
+    g = load(text.splitlines())
+    reports = []
+    enumeration.enumerate_isolated(g, 2, "combo", reports.append)
+    assert sorted(len(r.vertices) for r in reports) == [1, 2, 2, 2, 3]
+    expected = [" ".join(g.labels[v] for v in r.vertices) + "\n" for r in reports]
+    by_ids = [" ".join(g.labels[v] for v in vertices) + "\n" for vertices in sorted(r.vertices for r in reports)]
+    # fork on this tiny graph too
+    monkeypatch.setattr(cli, "_FORK_MIN_EDGES", 0)
+    for extra, lines in (((), expected), (("--sort",), by_ids)):
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            code, out, err = run_cli(capsys, "enumerate", "--graph", str(path), "--ell", "2", *extra)
+            assert (code, err) == (0, "")
+            assert out.splitlines(keepends=True)[:-1] == lines
 
 
 @pytest.mark.parametrize(

@@ -138,20 +138,23 @@ def random_edge_list(rng: random.Random) -> list[str]:
     """Lines of an edge list drawn over a few labels, so repeats in both
     orientations and loops on new and known labels are common: comments,
     blank and indented lines, trailing tokens, LF and CRLF endings, a last
-    line without an ending, and now and then a line with one token."""
+    line without an ending, and now and then a line with one token. Some
+    blanks, separators and paddings are non-ASCII whitespace, which
+    str.split splits on as it does on ASCII whitespace."""
     lines = []
     for _ in range(rng.randint(0, 14)):
         kind = rng.random()
         if kind < 0.12:
             body = rng.choice(["# comment", "% konect 2 3", "   # indented", "\t%x y"])
         elif kind < 0.2:
-            body = rng.choice(["", "  ", "\t"])
+            body = rng.choice(["", "  ", "\t", "\u00a0"])
         elif kind < 0.23:
-            body = rng.choice(LOADER_LABELS) + rng.choice(["", "  "])
+            body = rng.choice(LOADER_LABELS) + rng.choice(["", "  ", "\u3000"])
         else:
             a = rng.choice(LOADER_LABELS)
             b = a if rng.random() < 0.15 else rng.choice(LOADER_LABELS)
-            body = " ".join([a, b, *rng.sample(["3", "0.5", "w", "#"], rng.randint(0, 2))])
+            sep = rng.choice([" ", " ", "\u2003"])
+            body = sep.join([a, b, *rng.sample(["3", "0.5", "w", "#"], rng.randint(0, 2))])
             body = rng.choice(["", " ", "\t"]) + body + rng.choice(["", " "])
         lines.append(body + rng.choice(["\n", "\r\n"]))
     if lines and rng.random() < 0.3:
@@ -161,14 +164,21 @@ def random_edge_list(rng: random.Random) -> list[str]:
 
 def test_loader_matches_reference_parser():
     rng = random.Random(29)
-    seen = {"refused": 0, "loops": 0, "duplicates": 0, "declared": 0}
+    seen = dict.fromkeys(
+        ["refused", "loops", "duplicates", "declared", "U+00A0 blank", "U+2003 separator", "U+3000 padding refused"], 0
+    )
     for _ in range(1500):
         lines = random_edge_list(rng)
+        seen["U+00A0 blank"] += any(line.strip("\r\n") == "\u00a0" for line in lines)
+        seen["U+2003 separator"] += any("\u2003" in line for line in lines)
         for source in (lines, io.StringIO("".join(lines))):
             try:
                 expected = reference_load(lines)
             except EdgeListParseError as err:
                 seen["refused"] += 1
+                # the first line of one token that is not a comment
+                refused = next(line for line in lines if len(line.split()) == 1 and line.lstrip()[0] not in "#%")
+                seen["U+3000 padding refused"] += "\u3000" in refused
                 with pytest.raises(EdgeListParseError) as caught:
                     load_edge_list_report(source)
                 assert str(caught.value) == str(err)
