@@ -39,7 +39,7 @@ from time import perf_counter
 from typing import Iterator, NoReturn
 
 from . import enumeration
-from .enumeration import RootSetup, RunStats, enumerate_all_maximal, enumerate_isolated, split_root
+from .enumeration import RootSetup, RootSplit, RunStats, enumerate_all_maximal, enumerate_isolated, split_root
 from .generators import GeneratorConfigError, canonical_spec, generate, parse_generator_spec
 from .graph import EdgeListParseError, Graph, load_edge_list_report, write_edge_list
 from .pruning import STRATEGIES
@@ -255,7 +255,7 @@ def _cmd_enumerate(args) -> int:
 
         reports = []
         sink = reports.append if sort else None if args.count_only else lines
-        stats = enumerate_isolated(g, args.ell, args.strategy, sink, roots=roots, setup=setup)
+        stats = enumerate_isolated(g, args.ell, args.strategy, sink, split=RootSplit(setup, roots))
         return _stats_data(stats), sorted(map(itemgetter(0), reports))
 
     with _open_out(args) as out:

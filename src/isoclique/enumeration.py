@@ -44,15 +44,11 @@ and w (w lies below v when it is a neighbour of the root pivot). A
 deeper leaf's tuple sorts C + w, which is built as a list only for the
 sink or an observer.
 
-A run's call consumes that generator one root child at a time, or only
-the root children in a range of vertex ids, so that processes can share
-one run by ranges (see enumerate_isolated). Several runs on one graph
-can share its output instead, a RootSplit of the whole root or of one
-range (see split_root). A run handed one picks no root pivot, splits
-nothing, builds no rows and picks no pivot at a root child. Runs and
-splits over many ranges of one graph can share a RootSetup, so that the
-degree list, the root pivot and the hubs' neighbour sets are set up once
-for all of them.
+A run gets its root children from a RootSplit of the whole root or of
+a range of vertex ids, so that processes can share one run by ranges.
+A split without children makes each run handed it stream them from that
+generator, one root child at a time; split_root fills them once for
+several runs, which then pick no root pivot and build no rows.
 """
 
 from __future__ import annotations
@@ -329,27 +325,18 @@ def _root_children(
 
 @dataclass(frozen=True, slots=True)
 class RootSplit:
-    """The root's split of one graph, shared by every run handed it.
-
-    ``children`` lists the root children ``(v, P, X, masks, branch)`` of
-    the graph of ``setup`` as _root_children yields them: every one when
-    ``roots`` is None, else those with v in ``roots``, a range of vertex
-    ids. A run handed the split is limited to that range as
-    enumerate_isolated's ``roots`` limits it. Runs only read the children.
+    """The root children of the graph of ``setup`` that a run visits:
+    every one when ``roots`` is None, else those with v in ``roots``, a
+    range of vertex ids. ``children`` lists them ``(v, P, X, masks,
+    branch)`` as _root_children yields them, shared by every run handed
+    the split, which only reads them; if it is None, each such run
+    streams them from _root_children, one root child's rows at a time.
+    Splits over many ranges of one graph can share its ``setup``.
     """
 
     setup: RootSetup
-    children: list[tuple[int, int, int, list[int] | None, int]]
     roots: range | None = None
-
-
-def _setup_for(g: Graph, setup: RootSetup | None) -> RootSetup:
-    """``setup``, checked to be of ``g``, or a new RootSetup of ``g``."""
-    if setup is None:
-        return RootSetup(g)
-    if setup.graph is not g:
-        raise ValueError("the root setup was prepared for another graph")
-    return setup
+    children: list[tuple[int, int, int, list[int] | None, int]] | None = None
 
 
 def split_root(g: Graph, roots: range | None = None, *, setup: RootSetup | None = None) -> RootSplit:
@@ -360,8 +347,11 @@ def split_root(g: Graph, roots: range | None = None, *, setup: RootSetup | None 
     one list slot per vertex of each root child's neighbourhood, at most 2m
     for m edges over the whole root, each row as an int of up to deg(v)
     bits, and one branch int of up to deg(v) bits per root child."""
-    setup = _setup_for(g, setup)
-    return RootSplit(setup, list(_root_children(setup, roots)), roots)
+    if setup is None:
+        setup = RootSetup(g)
+    elif setup.graph is not g:
+        raise ValueError("the root setup was prepared for another graph")
+    return RootSplit(setup, roots, list(_root_children(setup, roots)))
 
 
 def _search_subproblem(
@@ -542,14 +532,7 @@ def _search_subproblem(
 
 
 def enumerate_isolated(
-    g: Graph,
-    ell: int,
-    strategy: str | Stages,
-    sink: Sink | None = None,
-    *,
-    split: RootSplit | None = None,
-    roots: range | None = None,
-    setup: RootSetup | None = None,
+    g: Graph, ell: int, strategy: str | Stages, sink: Sink | None = None, *, split: RootSplit | None = None
 ) -> RunStats:
     """Report every maximal clique of ``g`` whose external edge count is
     strictly below ``ell`` times its size.
@@ -559,36 +542,28 @@ def enumerate_isolated(
     the chain of bounds in ``STRATEGIES`` that vetoes sterile subtrees,
     or is such a chain of ``(name, bound)`` stages itself; with strategy
     "none" every maximal clique is still visited and merely filtered at
-    the leaves. ``split``, from split_root(g) or split_root(g, roots),
-    replaces the run's own root split and row building; output and
-    counters are the same either way.
+    the leaves.
 
-    ``roots``, a range of vertex ids, limits the run to the root children
-    in it and their subtrees, and the root itself is counted, and
-    observed, only when the range starts at 0. Runs over contiguous
-    ranges that cover 0..n-1 thus emit the whole run's cliques between
-    them, each its part in the whole run's order, and their counters add
-    up to the whole run's. A split's own range limits a run handed it
-    alike, so ``roots`` cannot be combined with ``split``. ``setup``, a
-    RootSetup of ``g``, saves setting up the root again; a split brings
-    its own.
+    ``split``, a RootSplit of ``g``, hands the run its root children;
+    without one the run streams every root child. A split's ``roots``, a
+    range of vertex ids, limits the run to the root children in it and
+    their subtrees, and the root itself is counted, and observed, only
+    when the range starts at 0. Runs over contiguous ranges that cover
+    0..n-1 thus emit the whole run's cliques between them, each its part
+    in the whole run's order, and their counters add up to the whole
+    run's. Output and counters are the same whether a split's children
+    are streamed or built by split_root.
     """
     stages = get_strategy(strategy) if isinstance(strategy, str) else strategy
     if not isinstance(ell, int) or isinstance(ell, bool) or ell < 1:
         raise ValueError("isolation factor must be an integer >= 1")
     stats = RunStats()
     start = perf_counter()
-    if split is not None:
-        if split.setup.graph is not g:
-            raise ValueError("the root split was prepared for another graph")
-        if roots is not None or setup is not None:
-            raise ValueError(
-                "a run takes a root split, or a range of root children and a root setup, not both"
-            )
-        roots = split.roots
-        setup = split.setup
-    else:
-        setup = _setup_for(g, setup)
+    if split is None:
+        split = RootSplit(RootSetup(g))
+    elif split.setup.graph is not g:
+        raise ValueError("the root split was prepared for another graph")
+    setup, roots = split.setup, split.roots
     # With C empty the prune test reduces to 0 >= omega_bar * ell, which no
     # bound can meet, so the root is never evaluated.
     n = g.vertex_count
@@ -599,7 +574,7 @@ def enumerate_isolated(
         if not n:
             # the root of a vertexless graph is its only leaf, and 0 < ell * 0 fails
             stats.filtered_at_leaf += 1
-    children = _root_children(setup, roots) if split is None else split.children
+    children = _root_children(setup, roots) if split.children is None else split.children
     _search_subproblem(setup, children, ell, stages, sink, stats)
     stats.wall_time = perf_counter() - start
     return stats

@@ -833,7 +833,8 @@ def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source
         def sink(report):
             write(f"{report}\n")
 
-        return cli._stats_data(enumeration.enumerate_isolated(g, ell, "combo", sink, roots=roots, setup=setup))
+        split = enumeration.RootSplit(setup, roots)
+        return cli._stats_data(enumeration.enumerate_isolated(g, ell, "combo", sink, split=split))
 
     whole = []
     expected = enumeration.enumerate_isolated(g, ell, "combo", lambda r: whole.append(f"{r}\n"))
@@ -887,6 +888,34 @@ def test_parallel_enumerate_matches_serial(capsys, monkeypatch, tmp_path, source
     ells = list(dict.fromkeys([1, ell, 250]))
     assert [row.split(",")[0] for row in rows] == list(map(str, ells))
     assert rows[ells.index(ell)] == f"{ell},{expected.emitted},{percent:.2f},{expected.recursive_calls}"
+
+
+@forks
+def test_enumerate_never_builds_a_split(capsys, monkeypatch):
+    # enumerate streams each chunk's root children, one child's rows at a
+    # time: with split_root raising, in one process and in two, every mode
+    # prints the same bytes but for elapsed_ms
+    monkeypatch.setattr(cli, "_FORK_MIN_EDGES", 0)
+    argv = ["enumerate", "--gen", "ba:n=300,m=4,seed=1", "--ell", "5"]
+    forked = forks_counted(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate built a root split")
+
+    for extra in ((), ("--sort",), ("--count-only",)):
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            code, expected, err = run_cli(capsys, *argv, *extra)
+            assert (code, err) == (0, "")
+            before = len(forked)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "split_root", refuse)
+                code, out, err = run_cli(capsys, *argv, *extra)
+            assert (code, err) == (0, "")
+            assert len(forked) - before == cpus - 1
+            assert without_elapsed(out) == without_elapsed(expected)
+            # --count-only prints one line, the other modes a line per clique
+            assert (out.count("\n") == 1) if "--count-only" in extra else (out.count("\n") > 100)
 
 
 def test_small_graphs_enumerate_in_one_process(capsys, monkeypatch, tmp_path):

@@ -14,7 +14,15 @@ from isoclique import (
     generate,
     parse_generator_spec,
 )
-from isoclique.enumeration import RootSetup, SearchNode, _local_pivot, _root_children, select_pivot, split_root
+from isoclique.enumeration import (
+    RootSetup,
+    RootSplit,
+    SearchNode,
+    _local_pivot,
+    _root_children,
+    select_pivot,
+    split_root,
+)
 from graphutil import (
     bit_indices,
     bitset_view,
@@ -621,19 +629,11 @@ def test_unknown_strategy_rejected():
         enumerate_isolated(triangle(), 1, "fastest")
 
 
-def test_split_and_root_range_rejected_together():
-    g = triangle()
-    with pytest.raises(ValueError, match="not both"):
-        enumerate_isolated(g, 1, "none", split=split_root(g), roots=range(1, 3))
-    with pytest.raises(ValueError, match="not both"):
-        enumerate_isolated(g, 1, "none", split=split_root(g), setup=RootSetup(g))
-
-
 def test_root_setup_of_another_graph_rejected():
     g = triangle()
     setup = RootSetup(triangle())
-    with pytest.raises(ValueError, match="root setup was prepared for another graph"):
-        enumerate_isolated(g, 1, "none", roots=range(1, 3), setup=setup)
+    with pytest.raises(ValueError, match="root split was prepared for another graph"):
+        enumerate_isolated(g, 1, "none", split=RootSplit(setup, range(1, 3)))
     with pytest.raises(ValueError, match="root setup was prepared for another graph"):
         split_root(g, setup=setup)
 
@@ -673,6 +673,9 @@ def test_range_splits_add_up_to_the_whole_split(make, monkeypatch):
         splits = [split_root(g, roots, setup=setup) for roots in ranges]
         assert [s.roots for s in splits] == ranges
         assert [child for s in splits for child in s.children] == whole.children
+        # splits without children: every run handed one streams its root
+        # children afresh, so two runs over them give what the built ones give
+        streaming = [RootSplit(setup, roots) for roots in ranges]
         for name, ell in passes:
 
             def run(split):
@@ -684,15 +687,10 @@ def test_range_splits_add_up_to_the_whole_split(make, monkeypatch):
                 return got, stats
 
             expected, stats = run(whole)
-            parts = [run(split) for split in splits]
-            assert counters([part for _, part in parts]) == counters([stats])
-            assert [report for got, _ in parts for report in got] == expected
-            if name != "all":
-                # the ranges run without splits, streaming their root children
-                got = []
-                streamed = [enumerate_isolated(g, ell, name, got.append, roots=r, setup=setup) for r in ranges]
-                assert counters(streamed) == counters([stats])
-                assert got == expected
+            for shared in (splits, streaming, streaming):
+                parts = [run(split) for split in shared]
+                assert counters([part for _, part in parts]) == counters([stats])
+                assert [report for got, _ in parts for report in got] == expected
         # the root is observed, and counted, in the range that starts at 0 only
         observed = []
         with monkeypatch.context() as patch:
