@@ -9,9 +9,10 @@ Data goes to stdout or --out; diagnostics go to stderr.
 compare, enumerate and sweep share their work among forked worker
 processes, one per usable CPU, on graphs of at least _FORK_MIN_EDGES
 edges (see _jobs). They cut the root children into chunks, contiguous
-ranges of vertex ids, _CHUNKS_PER_JOB per process, and every process,
-the calling one included, takes the next chunk from one queue whenever
-it is free (see _run_chunks and _deal). Each chunk is one engine call of
+ranges of vertex ids, _CHUNKS_PER_JOB per process, one process too, and
+every process, the calling one included, takes the next chunk from one
+queue whenever it is free (see _run_chunks and _deal); only an observed
+run gets the whole root as one chunk. Each chunk is one engine call of
 enumerate, whose text comes back with the chunk's result and is written
 in chunk order once every worker has sent (a one-process run writes as
 it goes), or with --sort merges the chunks' sorted lists of cliques, and
@@ -197,10 +198,10 @@ def _stats_line(stats) -> str:
 _FORK_MIN_EDGES = 1390
 
 
-# With W > 1 processes the root is cut into _CHUNKS_PER_JOB·W chunks, at
-# most _MAX_CHUNKS: enough that the last chunks to finish even out the
-# processes' shares, few enough that each chunk's engine calls and split
-# stay cheap beside its search. The queue holds one byte per chunk index.
+# With W processes the root is cut into _CHUNKS_PER_JOB·W chunks, at most
+# _MAX_CHUNKS: enough to even out the processes' shares and keep each split
+# small, few enough that each chunk's engine calls and split stay cheap
+# beside its search. The queue holds one byte per chunk index.
 _CHUNKS_PER_JOB = 8
 _MAX_CHUNKS = 255
 
@@ -219,15 +220,18 @@ def _root_ranges(g: Graph, chunks: int) -> list[range]:
 
 
 def _run_chunks(g: Graph, work, write) -> tuple[list, int]:
-    """What work(roots, write) returns for each chunk of root children of
-    ``g``, in chunk order, and how many processes ran them. When _jobs
-    allows one process, the one chunk is the whole root, so each of a
-    command's passes is one engine call; else the chunks are _root_ranges
-    of _CHUNKS_PER_JOB per process, dealt by _deal."""
-    jobs = _jobs(g, g.vertex_count)
-    chunks = _root_ranges(g, 1 if jobs < 2 else min(_CHUNKS_PER_JOB * jobs, _MAX_CHUNKS))
+    """What work(split, write) returns for each chunk of root children of
+    ``g``, a RootSplit without children over one RootSetup, in chunk order,
+    and how many processes ran them. An observer bound at
+    enumeration.SearchNode counts in its own process, so an observed run
+    gets the whole root as one chunk here; every other run gets
+    _root_ranges of _CHUNKS_PER_JOB per _jobs process, dealt by _deal."""
+    setup = RootSetup(g)
+    observed = enumeration.SearchNode is not enumeration._NODE
+    jobs = 1 if observed else _jobs(g)
+    chunks = _root_ranges(g, 1 if observed else min(_CHUNKS_PER_JOB * jobs, _MAX_CHUNKS))
     jobs = min(jobs, len(chunks))
-    return _deal(chunks, work, write, jobs), jobs
+    return _deal([RootSplit(setup, roots) for roots in chunks], work, write, jobs), jobs
 
 
 def _cmd_enumerate(args) -> int:
@@ -236,7 +240,6 @@ def _cmd_enumerate(args) -> int:
     label = list(g.all_labels()).__getitem__
     # a count needs no order
     sort = args.sort and not args.count_only
-    setup = RootSetup(g)
 
     def line(vertices: tuple[int, ...]) -> str:
         # a clique's line of labels; most cliques of a sparse graph are
@@ -246,7 +249,7 @@ def _cmd_enumerate(args) -> int:
             return f"{label(a)} {label(b)}\n"
         return " ".join(map(label, vertices)) + "\n"
 
-    def work(roots: range, write) -> tuple:
+    def work(split: RootSplit, write) -> tuple:
         # the chunk's stats, and with sort its cliques' vertex tuples, sorted,
         # as marshal data, which a CliqueReport is not
         def lines(report) -> None:
@@ -255,7 +258,7 @@ def _cmd_enumerate(args) -> int:
 
         reports = []
         sink = reports.append if sort else None if args.count_only else lines
-        stats = enumerate_isolated(g, args.ell, args.strategy, sink, split=RootSplit(setup, roots))
+        stats = enumerate_isolated(g, args.ell, args.strategy, sink, split=split)
         return _stats_data(stats), sorted(map(itemgetter(0), reports))
 
     with _open_out(args) as out:
@@ -272,13 +275,12 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     g, label = _resolve_graph(args)
-    setup = RootSetup(g)
 
-    def work(roots: range, write) -> list:
+    def work(split: RootSplit, write) -> list:
         # the chunk's split, its build time in seconds, which the engine
         # calls' own times leave out, then the calls over it
         start = perf_counter()
-        split = split_root(g, roots, setup=setup)
+        split = split_root(g, split.roots, setup=split.setup)
         rows_s = perf_counter() - start
         runs = [enumerate_all_maximal(g, split=split)]
         runs += [enumerate_isolated(g, ell, args.strategy, split=split) for ell in args.ells]
@@ -330,24 +332,20 @@ class WorkerError(RuntimeError):
     """A worker process could not start, failed or was killed."""
 
 
-def _jobs(g: Graph, most: int) -> int:
+def _jobs(g: Graph) -> int:
     """How many processes may share a command's work on ``g``: one per CPU
-    this process may run on, at most ``most`` and at least 1. It is 1 on
-    graphs of fewer than _FORK_MIN_EDGES edges, where forking costs more
-    than it saves; where os.fork or the CPU affinity calls are missing;
-    while another thread runs, as a forked child could block on a lock
-    that thread held; and while an observer is bound at
-    enumeration.SearchNode, since an observer counts in its own process."""
+    this process may run on. It is 1 on graphs of fewer than
+    _FORK_MIN_EDGES edges, where forking costs more than it saves; where
+    os.fork or the CPU affinity calls are missing; and while another thread
+    runs, as a forked child could block on a lock that thread held."""
     if (
-        most < 2
-        or g.edge_count < _FORK_MIN_EDGES
+        g.edge_count < _FORK_MIN_EDGES
         or not hasattr(os, "fork")
         or not hasattr(os, "sched_getaffinity")
         or threading.active_count() > 1
-        or enumeration.SearchNode is not enumeration._NODE
     ):
         return 1
-    return min(most, len(os.sched_getaffinity(0)))
+    return len(os.sched_getaffinity(0))
 
 
 def _pass(g: Graph, ell: int, name: str, split) -> tuple[RunStats, int]:
@@ -530,13 +528,12 @@ def _cmd_compare(args) -> int:
     shown = args.strategies
     # the baseline run is needed for the call percentages even if not shown
     names = shown if "none" in shown else ["none", *shown]
-    setup = RootSetup(g)
 
-    def work(roots: range, write) -> list:
+    def work(split: RootSplit, write) -> list:
         # the chunk's split and its build time in seconds, then each
         # strategy's counters and hash over it
         start = perf_counter()
-        split = split_root(g, roots, setup=setup)
+        split = split_root(g, split.roots, setup=split.setup)
         rows_s = perf_counter() - start
         runs = (_pass(g, args.ell, name, split) for name in names)
         return [rows_s, *((_stats_data(stats), digest) for stats, digest in runs)]

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from operator import itemgetter
 from pathlib import Path
 
@@ -424,12 +425,16 @@ def test_distribution_counts_monotone_per_row(capsys):
 def test_repeated_factors_and_strategies_run_once(capsys, monkeypatch):
     # a repeat keeps its first place and adds no pass, row or column
     spec = "gnmp:n=40,m=8,p=0.2,seed=11"
+    # its 232 edges are under the fork gate: one process, whose chunks each
+    # run every factor once
+    chunks = cli._root_ranges(isoclique.generate(isoclique.parse_generator_spec(spec)), cli._CHUNKS_PER_JOB)
+    assert len(chunks) > 1
     factors = []
     real = cli.enumerate_isolated
 
-    def counted(g, ell, *args, **kwargs):
-        factors.append(ell)
-        return real(g, ell, *args, **kwargs)
+    def counted(g, ell, *args, split, **kwargs):
+        factors.append((split.roots, ell))
+        return real(g, ell, *args, split=split, **kwargs)
 
     monkeypatch.setattr(cli, "enumerate_isolated", counted)
     outputs = {}
@@ -437,8 +442,7 @@ def test_repeated_factors_and_strategies_run_once(capsys, monkeypatch):
         factors.clear()
         code, out, _ = run_cli(capsys, "sweep", "--gen", spec, "--ells", ells)
         assert code == 0
-        # its 232 edges are under the fork gate: one process, one chunk
-        assert factors == [1, 10]
+        assert factors == [(roots, ell) for roots in chunks for ell in (1, 10)]
         outputs["sweep", ells] = without_sweep_times(out)
         code, out, _ = run_cli(capsys, "distribution", "--gen", spec, "--ells", ells)
         assert code == 0
@@ -970,6 +974,68 @@ def test_enumerate_with_observer_or_thread_runs_serially(capsys, monkeypatch, ho
         assert enumerated == int(calls)
 
 
+class Children(list):
+    """A split's children, in a list that a weak reference can follow."""
+
+
+def test_one_process_builds_one_chunks_split_at_a_time(capsys, monkeypatch):
+    # sweep and compare build one split per chunk of _CHUNKS_PER_JOB when
+    # they run in one process, each gone before the next is built; an
+    # observed run builds one split of the whole root, even with two usable
+    # CPUs, and makes one engine call per pass
+    spec = "ba:n=800,m=6,seed=3"
+    g = isoclique.generate(isoclique.parse_generator_spec(spec))
+    root_children = len(list(enumeration._root_children(enumeration.RootSetup(g))))
+    chunks = len(cli._root_ranges(g, cli._CHUNKS_PER_JOB))
+    assert chunks > 1
+    real = cli.split_root
+    built = []  # each split's number of root children
+    alive = []  # a weak reference to each split's children
+
+    def recorded(g, roots, *, setup):
+        assert all(ref() is None for ref in alive)
+        split = real(g, roots, setup=setup)
+        children = Children(split.children)
+        built.append(len(children))
+        alive.append(weakref.ref(children))
+        return dataclasses.replace(split, children=children)
+
+    calls = []  # the engine calls made through cli's names
+
+    def counted(name):
+        engine = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, call)
+
+    monkeypatch.setattr(cli, "split_root", recorded)
+    counted("enumerate_isolated")
+    counted("enumerate_all_maximal")
+    sweep = ["sweep", "--gen", spec, "--ells", "5,20"]
+    compare = ["compare", "--gen", spec, "--ell", "20"]
+    usable_cpus(monkeypatch, 1)
+    for argv in (sweep, compare):
+        built.clear()
+        alive.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(built) == chunks
+        assert sum(built) == root_children and max(built) < root_children
+    usable_cpus(monkeypatch, 2)
+    count_search_nodes(monkeypatch)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    for argv, passes in ((sweep, 3), (compare, len(isoclique.STRATEGIES))):
+        built.clear()
+        calls.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert built == [root_children]
+        assert len(calls) == passes
+
+
 @forks
 @pytest.mark.parametrize("fault, status", [(None, 0), ("raise", 4), ("kill", 4), ("interrupt", 130)])
 def test_no_worker_outlives_enumerate(capsys, monkeypatch, fault, status):
@@ -1053,8 +1119,9 @@ def test_each_chunk_runs_once(monkeypatch, tmp_path):
     runs = tmp_path / "runs.txt"
     log = os.open(runs, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
-    def work(roots, write) -> list:
+    def work(split, write) -> list:
         # one appended line per run, whichever process runs it
+        roots = split.roots
         os.write(log, f"{roots.start}\n".encode())
         time.sleep(0.002)
         write(f"{roots.start}-{roots.stop}\n" * 1000)
@@ -1106,6 +1173,65 @@ def test_no_worker_outlives_enumerate_with_closed_stdout():
         proc.kill()
         proc.stderr.close()
     assert (code, err) == (0, b"")
+
+
+FULL_STDOUT = """
+import os, sys
+from isoclique import cli
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+os.sched_getaffinity = lambda pid: {0, 1}
+cli._FORK_MIN_EDGES = int(sys.argv[1])
+code = cli.main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print(f"forks={len(forks)}", file=sys.stderr)
+    sys.exit(code)
+print("a worker outlived the command", file=sys.stderr)
+sys.exit(99)
+"""
+
+FULL = "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, forked",
+    [
+        pytest.param(["enumerate", "--ell", "5"], False, id="enumerate"),
+        pytest.param(["enumerate", "--ell", "5"], True, marks=forks, id="enumerate-forked"),
+        pytest.param(["sweep", "--ells", "5,50"], False, id="sweep"),
+        pytest.param(["compare", "--ell", "5"], False, id="compare"),
+        pytest.param(["distribution", "--ells", "5,50"], False, id="distribution"),
+        pytest.param(["generate"], False, id="generate"),
+    ],
+)
+def test_full_device_ends_in_one_line(capsys, monkeypatch, argv, forked):
+    # --out on a full device, and stdout on one in a child process: exit 1
+    # with one error line, and no worker left. Forked, with two usable CPUs,
+    # the 1,190-edge graph is cut between the caller and one worker
+    argv = [*argv, "--gen", "ba:n=300,m=4,seed=1"]
+    min_edges = 0 if forked else cli._FORK_MIN_EDGES
+    monkeypatch.setattr(cli, "_FORK_MIN_EDGES", min_edges)
+    forked_calls = forks_counted(monkeypatch)
+    assert run_cli(capsys, *argv, "--out", "/dev/full") == (1, "", FULL)
+    assert len(forked_calls) == forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    src_dir = Path(isoclique.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", FULL_STDOUT, str(min_edges), *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (1, f"{FULL}forks={int(forked)}\n")
 
 
 GENERATE_IN_64_MIB = """
